@@ -366,12 +366,13 @@ def cmd_solve(params: dict) -> int:
         raise CliValidationError("dims must be 1 or 3")
 
     k = 2 * math.pi * params["mode"] / params["length"]
+    k_vec = (k, 0.0, 0.0)  # along the first axis on 1D and 3D grids
     mu = consts.rest_frequency if equation == "relativistic" else 0.0
     limit = leapfrog_stability_limit(grid, consts.c, mu)
     dt = params["dt"] if params["dt"] is not None else params["cfl"] * limit
     steps = params["steps"]
 
-    initial = plane_wave_field(grid, k, omega=0.0, t=0.0)
+    initial = plane_wave_field(grid, k_vec, omega=0.0, t=0.0)
     if equation == "schrodinger":
         cfg = SolverConfig(dt=dt, steps=steps, scheme=CRANK_NICOLSON)
         report = solve_schrodinger(initial, consts, cfg)
@@ -384,7 +385,7 @@ def cmd_solve(params: dict) -> int:
         report = solver(initial, rate, consts, cfg)
 
     tee = report.final.time_stamp
-    analytic = plane_wave_field(grid, k, omega=omega, t=tee)
+    analytic = plane_wave_field(grid, k_vec, omega=omega, t=tee)
     error = float(np.max(np.abs(report.final.values - analytic.values)))
 
     save_field(os.path.join(out, "final.field"), report.final)

@@ -22,6 +22,13 @@ rate uses the dispersion frequency of the *stencil* wavenumber
 (2/h) sin(kh/2): an analytic-frequency rate would seed the backward
 branch of the leapfrog recurrence with an O(h^2/c^2) amplitude, the same
 order as the signal under measurement.
+
+The solvers evaluate both schemes in closed form per Fourier mode, so
+the step count, which grows as c^2 because dt ~ 1/c^2, costs no per-step
+field update and adds no rounding that grows with the number of steps.
+The closed form is the scheme's own discrete solution, not the exact PDE
+solution, so the temporal_safety budget still applies.  Each report row
+records the leapfrog dt and step count it used.
 """
 
 from __future__ import annotations
@@ -105,6 +112,8 @@ class LimitRow:
     frequency_gap: float
     field_gap: float
     x_param: float
+    dt: float = 0.0  # relativistic leapfrog step; 0 when nothing was evolved
+    steps: int = 0
 
 
 @dataclass
@@ -139,6 +148,8 @@ class LimitStudyReport:
                     "frequency_gap": r.frequency_gap,
                     "field_gap": r.field_gap,
                     "x_param": r.x_param,
+                    "dt": r.dt,
+                    "steps": r.steps,
                 }
                 for r in self.rows
             ],
@@ -241,6 +252,8 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
                 frequency_gap=gap,
                 field_gap=field_gap,
                 x_param=cfg.hbar * cfg.k / (cfg.m0 * cc.c),
+                dt=dt,
+                steps=steps,
             )
         )
 

@@ -8,11 +8,24 @@ Three linear equations are integrated on periodic cubic grids (1D or 3D):
 * the free Schrodinger equation    i hbar psi_t = -(hbar^2/2 m0) lap(psi)
                                                           (Crank-Nicolson)
 
-Space is always the second-order central Laplacian.  Leapfrog starts from
-a Taylor step and reports the exactly conserved discrete energy
-E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>; Crank-Nicolson is
-solved exactly per step by diagonalizing the periodic stencil with FFTs,
-so the discrete L2 norm is preserved to rounding.
+Space is always the second-order central Laplacian.  On a periodic grid
+with constant coefficients both schemes act on each Fourier mode on its
+own, so step n is evaluated in closed form rather than by n updates:
+leapfrog as U^n = U^0 cos(n theta) + (U^1 - U^0 cos theta) sin(n theta) /
+sin(theta) with theta = 2 asin(dt sqrt(-sigma) / 2) (sigma the mode's
+operator eigenvalue; theta is complex past the stability limit), and
+Crank-Nicolson as amp^n U^0.  This is each scheme's own discrete solution,
+not the exact PDE solution, so its O(dt^2) phase error is unchanged.
+
+Leapfrog starts from a Taylor step and reports the exactly conserved
+discrete energy E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>;
+Crank-Nicolson reports the L2 norm and the discrete kinetic energy, which
+its unit-modulus amplification factors conserve.  Every per-step row is
+computed from the spectra by Parseval's identity.  The conserved
+quantities are evaluated once, so they are identical in every row; the
+leapfrog norm carries the rounding of its own row's evaluation, not
+rounding accumulated over steps.  A non-finite row or final field raises
+NumericalError carrying the rows before it.
 
 The module also evaluates pointwise residuals of the nonlinear
 Hamilton-Jacobi equations on action fields (two time levels, or closed
@@ -114,6 +127,63 @@ def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:
     return 2.0 / math.sqrt(4.0 * c**2 * s + mu**2)
 
 
+# Bound on the steps x modes entries of one diagnostics block: the table of
+# per-row rotations stays at 256 KiB of complex128 on any grid.
+_BLOCK_ENTRIES = 1 << 14
+# Blocks between direct evaluations of exp(n rates); in between, the block
+# start advances by one complex multiplication per mode.
+_ANCHOR_BLOCKS = 64
+
+
+def _exponential_sums(rates: np.ndarray, weights: np.ndarray,
+                      steps: int) -> np.ndarray:
+    """Re sum_k weights_k exp(n rates_k) for n = 1..steps.
+
+    Rows go in blocks of at most _BLOCK_ENTRIES steps x modes entries.
+    The per-row factors exp(j rates), j < rows, are tabulated once, and a
+    block is one complex matrix-vector product of that table with
+    head = weights * exp(n0 rates).  head is evaluated directly every
+    _ANCHOR_BLOCKS blocks and otherwise advanced by exp(rows * rates), so
+    rounding accumulates over at most that many multiplications.
+    """
+    out = np.zeros(steps)
+    if rates.size == 0:
+        return out
+    rows = max(1, min(steps, _BLOCK_ENTRIES // rates.size))
+    table = np.exp(np.multiply.outer(np.arange(rows), rates))
+    advance = np.exp(rows * rates)
+    for block, start in enumerate(range(0, steps, rows)):
+        if block % _ANCHOR_BLOCKS == 0:
+            head = weights * np.exp((start + 1) * rates)
+        else:
+            head *= advance
+        stop = min(start + rows, steps)
+        out[start:stop] = (table[: stop - start] @ head).real
+    return out
+
+
+def _checked_report(grid: Grid, final: np.ndarray, steps: np.ndarray,
+                    times: np.ndarray, norms: np.ndarray,
+                    energies: np.ndarray, scheme: str) -> SolveReport:
+    """Package a run, or raise NumericalError at its first non-finite step.
+
+    The error carries the diagnostics rows of the steps before that one.
+    """
+    finite = np.isfinite(norms) & np.isfinite(energies)
+    if not finite.all() or not np.all(np.isfinite(final)):
+        bad = int(np.argmin(finite)) if not finite.all() else len(steps) - 1
+        raise NumericalError(
+            f"{scheme} produced non-finite values at step {bad + 1}",
+            diagnostics=Diagnostics(
+                steps[:bad], times[:bad], norms[:bad], energies[:bad]
+            ),
+        )
+    return SolveReport(
+        final=ScalarField(grid, final, float(times[-1])),
+        diagnostics=Diagnostics(steps, times, norms, energies),
+    )
+
+
 def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
               c: float, mu: float, cfg: SolverConfig) -> SolveReport:
     grid = initial.grid
@@ -130,47 +200,76 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
             )
 
     dt = cfg.dt
-    c2 = c * c
-    mu2 = mu * mu
-    w = grid.cell_volume
-
-    # mu == 0 takes the mass-free branch so massless relativistic runs are
-    # bit-identical to the wave solver.
-    if mu == 0.0:
-        apply_op = lambda u: c2 * laplacian(u, grid)
-    else:
-        apply_op = lambda u: c2 * laplacian(u, grid) - mu2 * u
-
-    def norm(u):
-        return math.sqrt(w * float(np.sum(np.abs(u) ** 2)))
-
-    def energy(u_old, u_new, op_old):
-        kin = 0.5 * w * float(np.sum(np.abs((u_new - u_old) / dt) ** 2))
-        pot = -0.5 * w * float(np.real(np.sum(np.conj(u_new) * op_old)))
-        return kin + pot
-
-    steps = np.arange(1, cfg.steps + 1)
+    n_last = cfg.steps
+    steps = np.arange(1, n_last + 1)
     times = initial.time_stamp + dt * steps
-    norms = np.empty(cfg.steps)
-    energies = np.empty(cfg.steps)
+    scale = grid.cell_volume / grid.npoints  # Parseval: sum_x = sum_k / N
 
-    u_prev = initial.values.astype(np.complex128, copy=True)
-    op_prev = apply_op(u_prev)
-    u_curr = u_prev + dt * initial_rate.values + 0.5 * dt * dt * op_prev
-    norms[0] = norm(u_curr)
-    energies[0] = energy(u_prev, u_curr, op_prev)
+    # Mode k with operator eigenvalue sigma obeys
+    # U^{n+1} = 2x U^n - U^{n-1}, x = 1 + dt^2 sigma / 2 = cos(theta), and
+    # the Taylor step gives U^1 = x U^0 + dt V.  Hence
+    # U^n = cos(n theta) a + sin(n theta) / sin(theta) b with a = U^0 and
+    # b = U^1 - x U^0 = dt V; theta is complex past the stability limit.
+    sigma = c * c * _stencil_eigenvalues(grid) - mu * mu
+    q = 0.5 * dt * np.sqrt(-sigma).ravel()  # sin(theta / 2)
+    s2 = 4.0 * q * q * (1.0 - q) * (1.0 + q)  # 1 - x^2 = sin(theta)^2
+    a = np.fft.fftn(initial.values).ravel()
+    b = dt * np.fft.fftn(initial_rate.values).ravel()
+    aa = a.real**2 + a.imag**2
+    bb = b.real**2 + b.imag**2
+    ab = (a * b.conj()).real
 
-    for i in range(1, cfg.steps):
-        op_curr = apply_op(u_curr)
-        u_next = 2 * u_curr - u_prev + dt * dt * op_curr
-        norms[i] = norm(u_next)
-        energies[i] = energy(u_curr, u_next, op_curr)
-        u_prev, u_curr = u_curr, u_next
+    # The discrete energy of each mode is (|b|^2 + s2 |a|^2) / (2 dt^2),
+    # the same at every step.
+    energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
 
-    final = ScalarField(grid, u_curr, float(times[-1]))
-    return SolveReport(
-        final=final,
-        diagnostics=Diagnostics(steps, times, norms, energies),
+    # Past the stability limit (s2 < 0) theta = pi + i kappa; at theta = 0
+    # or pi (s2 = 0) the mode is U^n = e^n (a + e n b), e = cos(theta).
+    osc, flat = s2 > 0.0, s2 == 0.0
+    grow = ~(osc | flat)
+    theta = 2.0 * np.arcsin(q[osc])
+    kappa = 2.0 * np.arccosh(q[grow])
+    root = np.sqrt(np.abs(s2))  # sin(theta), or sinh(kappa) past the limit
+    sign = np.where(q[flat] < 0.5, 1.0, -1.0)
+
+    # |U^n|^2 per mode is alpha + beta cos(2n theta) + gamma sin(2n theta),
+    # where cos and sin turn into cosh and -sinh of 2n kappa past the limit.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = 0.5 * (aa + bb / s2)
+        beta = 0.5 * (aa - bb / s2)
+        gamma = ab / root
+        rates = np.concatenate((2j * theta, 2.0 * kappa, -2.0 * kappa))
+        weights = np.concatenate((
+            beta[osc] - 1j * gamma[osc],
+            0.5 * (beta[grow] - gamma[grow]),
+            0.5 * (beta[grow] + gamma[grow]),
+        ))
+        # summed in place, so one steps-long array is live at a time
+        norms = _exponential_sums(rates, weights, n_last)
+        norms += float(np.sum(alpha[~flat])) + float(np.sum(aa[flat]))
+        if flat.any():
+            n = steps.astype(float)
+            norms += n * (2.0 * float(np.sum(sign * ab[flat]))
+                          + n * float(np.sum(bb[flat])))
+        np.maximum(norms, 0.0, out=norms)
+        norms *= scale
+        np.sqrt(norms, out=norms)
+
+        # The last step, mode by mode: U^n = cos_n a + sin_n b.
+        cos_n = np.empty(q.size)
+        sin_n = np.empty(q.size)
+        cos_n[osc] = np.cos(n_last * theta)
+        sin_n[osc] = np.sin(n_last * theta) / root[osc]
+        parity = -1.0 if n_last % 2 else 1.0  # cos(n pi)
+        cos_n[grow] = parity * np.cosh(n_last * kappa)
+        sin_n[grow] = -parity * np.sinh(n_last * kappa) / root[grow]
+        cos_n[flat] = sign**n_last
+        sin_n[flat] = n_last * sign ** (n_last - 1)
+        final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
+
+    return _checked_report(
+        grid, final, steps, times, norms,
+        np.full(n_last, energy), "leapfrog",
     )
 
 
@@ -209,10 +308,11 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
     """Advance i hbar psi_t = -(hbar^2 / 2 m0) lap(psi) by Crank-Nicolson.
 
     The implicit step (I - dt/2 G) psi^{n+1} = (I + dt/2 G) psi^n with
-    G = (i hbar / 2 m0) lap_h is a circulant system and is solved exactly
-    by FFT diagonalization; each mode's amplification factor has unit
-    modulus, so the L2 norm drifts only at rounding level.  The reported
-    energy column is the discrete kinetic energy, conserved by the step.
+    G = (i hbar / 2 m0) lap_h is diagonal in Fourier space, with the
+    amplification factor amp = (1 + i y) / (1 - i y) = exp(2 i atan y),
+    y = dt hbar lam_h / (4 m0), per mode; step n is amp^n times the initial
+    spectrum.  |amp| = 1, so every row reports the same L2 norm and the
+    same discrete kinetic energy, the two quantities the step conserves.
     """
     grid = initial.grid
     _require_solver_grid(grid)
@@ -220,42 +320,25 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
         raise DomainError("the Schrodinger solver uses the Crank-Nicolson scheme")
     if consts.m0 <= 0:
         raise DomainError("the free Schrodinger equation needs m0 > 0")
+    if not np.all(np.isfinite(initial.values)):
+        raise NumericalError("initial field contains non-finite values")
 
     dt = cfg.dt
     lam = _stencil_eigenvalues(grid)
-    g = 0.5j * consts.hbar / consts.m0 * lam
-    amp = (1.0 + 0.5 * dt * g) / (1.0 - 0.5 * dt * g)
-    w = grid.cell_volume
-    npts = grid.npoints
+    phase = 2.0 * np.arctan(0.25 * dt * consts.hbar / consts.m0 * lam)
     kin_weight = -0.5 * consts.hbar**2 / consts.m0 * lam  # >= 0 per mode
+    scale = grid.cell_volume / grid.npoints
 
     steps = np.arange(1, cfg.steps + 1)
     times = initial.time_stamp + dt * steps
-    norms = np.empty(cfg.steps)
-    energies = np.empty(cfg.steps)
-
-    u = initial.values.astype(np.complex128, copy=True)
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("initial field contains non-finite values")
-    for i in range(cfg.steps):
-        spectrum = amp * np.fft.fftn(u)
-        u = np.fft.ifftn(spectrum)
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(
-                f"implicit step produced non-finite values at step {i + 1}",
-                diagnostics=Diagnostics(
-                    steps[:i], times[:i], norms[:i], energies[:i]
-                ),
-            )
-        norms[i] = math.sqrt(w * float(np.sum(np.abs(u) ** 2)))
-        energies[i] = w / npts * float(
-            np.sum(kin_weight * np.abs(spectrum) ** 2)
-        )
-
-    final = ScalarField(grid, u, float(times[-1]))
-    return SolveReport(
-        final=final,
-        diagnostics=Diagnostics(steps, times, norms, energies),
+    spectrum = np.fft.fftn(initial.values)
+    power = spectrum.real**2 + spectrum.imag**2
+    norm = math.sqrt(scale * float(np.sum(power)))
+    energy = scale * float(np.sum(kin_weight * power))
+    final = np.fft.ifftn(np.exp(1j * cfg.steps * phase) * spectrum)
+    return _checked_report(
+        grid, final, steps, times, np.full(cfg.steps, norm),
+        np.full(cfg.steps, energy), "Crank-Nicolson",
     )
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from hjwave import load_field
 from hjwave.reporting import fmt_float, json_dumps, write_csv
@@ -114,6 +115,19 @@ class TestSolveCommand:
         assert run_cli(*args, "--out", str(out1)).returncode == 0
         assert run_cli(*args, "--out", str(out2)).returncode == 0
         assert read_all_bytes(out1) == read_all_bytes(out2)
+
+    @pytest.mark.parametrize("equation",
+                             ["wave", "relativistic", "schrodinger"])
+    def test_three_dimensional_run(self, tmp_path, equation):
+        out = tmp_path / "s3"
+        res = run_cli("solve", "--dims", "3", "--points", "16",
+                      "--steps", "10", "--equation", equation,
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["equation"] == equation
+        assert summary["steps"] == 10
+        assert load_field(out / "final.field").grid.shape == (16, 16, 16)
 
     def test_cfl_violation_exits_numerical(self, tmp_path):
         res = run_cli("solve", "--equation", "wave", "--points", "32",

@@ -100,6 +100,17 @@ class TestStudyRuns:
         assert 1.8 <= report.field_fit.order <= 2.2
         assert any("span only" in w for w in report.warnings)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [LimitStudyConfig(), LimitStudyConfig(evolution_time=1e-4)],
+        ids=["default", "t=1e-4"],
+    )
+    def test_field_order_is_two(self, cfg):
+        # a stepped leapfrog's accumulated rounding pulled these fits to
+        # 1.956 and 1.904; the closed form leaves the O(c^-2) gap intact
+        report = run_limit_study(cfg)
+        assert 1.95 <= report.field_fit.order <= 2.05
+
     def test_rest_mode_short_circuit(self):
         cfg = LimitStudyConfig(k=0.0, evolution_time=1e-3)
         report = run_limit_study(cfg)
@@ -127,3 +138,6 @@ class TestStudyRuns:
         assert summary["frequency_fit"]["order"] == pytest.approx(
             report.frequency_fit.order
         )
+        for row in summary["rows"]:
+            assert isinstance(row["steps"], int) and row["steps"] >= 1
+            assert row["steps"] * row["dt"] == pytest.approx(2e-4, rel=1e-12)

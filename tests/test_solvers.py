@@ -9,6 +9,7 @@ from hjwave import (
     Grid,
     InsufficientDataError,
     LinearAction,
+    NumericalError,
     PhysicalConstants,
     ScalarField,
     SolverConfig,
@@ -19,6 +20,7 @@ from hjwave import (
     eigen_checks,
     fit_order,
     hje_residual,
+    laplacian,
     leapfrog_stability_limit,
     log_curvature_check,
     plane_wave_field,
@@ -38,6 +40,65 @@ def traveling_wave_setup(n, k, consts, cfl=0.5):
     rate = initial.with_values(-1j * omega * initial.values)
     dt = cfl * grid.spacing / consts.c
     return grid, initial, rate, dt
+
+
+def random_field(grid, seed):
+    """Complex Gaussian samples: every Fourier mode, k = 0 included, is set."""
+    rng = np.random.default_rng(seed)
+    shape = grid.shape
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return ScalarField(grid, values)
+
+
+def stepped_leapfrog(initial, rate, c, mu, dt, steps):
+    """Leapfrog advanced one step at a time: the reference for the closed form.
+
+    Returns the final values and, per step, the norm, the energy and the
+    magnitude of the terms the energy sums.
+    """
+    grid = initial.grid
+    w = grid.cell_volume
+    op = lambda u: c * c * laplacian(u, grid) - mu * mu * u
+    u_prev = initial.values.astype(np.complex128)
+    op_prev = op(u_prev)
+    u_curr = u_prev + dt * rate.values + 0.5 * dt * dt * op_prev
+    norms, energies, scales = [], [], []
+    for i in range(steps):
+        if i:
+            op_prev = op(u_curr)
+            u_prev, u_curr = u_curr, 2 * u_curr - u_prev + dt * dt * op_prev
+        kin = 0.5 * w * np.sum(np.abs((u_curr - u_prev) / dt) ** 2)
+        pot = -0.5 * w * np.conj(u_curr) * op_prev
+        norms.append(math.sqrt(w * np.sum(np.abs(u_curr) ** 2)))
+        energies.append(kin + np.sum(pot).real)
+        scales.append(kin + np.sum(np.abs(pot)))
+    return u_curr, np.array(norms), np.array(energies), np.array(scales)
+
+
+def stepped_crank_nicolson(initial, consts, dt, steps):
+    """Crank-Nicolson advanced one FFT-diagonal step at a time (reference)."""
+    grid = initial.grid
+    impulse = np.zeros(grid.shape)
+    impulse.flat[0] = 1.0
+    lam = np.fft.fftn(laplacian(impulse, grid)).real  # stencil symbol
+    z = 0.25j * dt * consts.hbar / consts.m0 * lam
+    amp = (1 + z) / (1 - z)
+    kin = -0.5 * consts.hbar**2 / consts.m0 * lam
+    w, npts = grid.cell_volume, grid.npoints
+    u = initial.values.astype(np.complex128)
+    norms, energies = [], []
+    for _ in range(steps):
+        spectrum = amp * np.fft.fftn(u)
+        u = np.fft.ifftn(spectrum)
+        norms.append(math.sqrt(w * np.sum(np.abs(u) ** 2)))
+        energies.append(w / npts * np.sum(kin * np.abs(spectrum) ** 2))
+    return u, np.array(norms), np.array(energies)
+
+
+ORACLE_GRIDS = {
+    "1d": Grid.line(32, 2 * math.pi),
+    "3d": Grid.cube(8, 2 * math.pi),
+}
 
 
 class TestConfigAndStability:
@@ -451,6 +512,68 @@ class TestLogCurvature:
         mk = lambda t: ScalarField(grid, np.ones(16, dtype=complex), time_stamp=t)
         with pytest.raises(InsufficientDataError):
             log_curvature_check((mk(0.0), mk(0.1), mk(0.3)))
+
+
+class TestClosedFormAgainstSteppedOracle:
+    STEPS = 201  # odd, so the sign (-1)^n of theta = pi modes shows
+
+    @pytest.mark.parametrize("dims", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize(
+        "consts, dt_fraction",
+        [(NAT, 0.5), (MASSLESS, 0.9), (MASSLESS, 1.0), (NAT, 1.05)],
+        ids=["massive", "massless", "massless-at-limit", "unstable"],
+    )
+    def test_leapfrog(self, dims, consts, dt_fraction):
+        # massless: the k = 0 mode drifts linearly (theta = 0); at the limit
+        # the highest mode has theta = pi; past it, modes grow as exp(kappa n)
+        grid = ORACLE_GRIDS[dims]
+        initial, rate = random_field(grid, 1), random_field(grid, 2)
+        mu = consts.rest_frequency
+        dt = dt_fraction * leapfrog_stability_limit(grid, consts.c, mu)
+        cfg = SolverConfig(dt=dt, steps=self.STEPS,
+                           stability_check=dt_fraction <= 1.0)
+        report = solve_relativistic(initial, rate, consts, cfg)
+        final, norms, energies, scales = stepped_leapfrog(
+            initial, rate, consts.c, mu, dt, self.STEPS
+        )
+        assert np.max(np.abs(report.final.values - final)) <= (
+            1e-12 * np.max(np.abs(final))
+        )
+        d = report.diagnostics
+        assert np.all(np.abs(d.norm - norms) <= 1e-12 * norms)
+        # the stepped energy is a sum of terms that grow with an unstable
+        # mode while their sum stays constant: its rounding follows the terms
+        assert np.all(np.abs(d.energy - energies) <= 1e-12 * scales)
+
+    @pytest.mark.parametrize("dims", sorted(ORACLE_GRIDS))
+    def test_crank_nicolson(self, dims):
+        grid = ORACLE_GRIDS[dims]
+        initial = random_field(grid, 3)
+        dt = 0.01
+        cfg = SolverConfig(dt=dt, steps=self.STEPS, scheme=CRANK_NICOLSON)
+        report = solve_schrodinger(initial, NAT, cfg)
+        final, norms, energies = stepped_crank_nicolson(
+            initial, NAT, dt, self.STEPS
+        )
+        assert np.max(np.abs(report.final.values - final)) <= (
+            1e-12 * np.max(np.abs(final))
+        )
+        d = report.diagnostics
+        assert np.all(np.abs(d.norm - norms) <= 1e-12 * norms)
+        assert np.all(np.abs(d.energy - energies) <= 1e-12 * energies)
+
+
+def test_leapfrog_overflow_raises_with_rows_so_far():
+    grid = Grid.line(64, 2 * math.pi)
+    initial, rate = random_field(grid, 4), random_field(grid, 5)
+    dt = 1.5 * leapfrog_stability_limit(grid, MASSLESS.c)
+    cfg = SolverConfig(dt=dt, steps=2000, stability_check=False)
+    with pytest.raises(NumericalError) as err:
+        solve_wave(initial, rate, MASSLESS, cfg)
+    d = err.value.diagnostics
+    assert 0 < len(d.step) < cfg.steps
+    assert list(d.step) == list(range(1, len(d.step) + 1))
+    assert np.all(np.isfinite(d.norm)) and np.all(np.isfinite(d.energy))
 
 
 def test_diagnostics_csv(tmp_path):
