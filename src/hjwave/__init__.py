@@ -13,6 +13,7 @@ from .errors import (
     DegenerateQuadraticError,
     DivergenceError,
     DomainError,
+    FormatError,
     HjwaveError,
     InsufficientDataError,
     InsufficientResolutionError,

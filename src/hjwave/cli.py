@@ -595,7 +595,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         params = resolve_params(args.command, args)
-        return DISPATCH[args.command](params)
+        # non-finite results end in exit 3 through the solver guards and the
+        # JSON writer; numpy's warnings would add stray stderr lines
+        with np.errstate(all="ignore"):
+            return DISPATCH[args.command](params)
     except (CliValidationError, HjwaveError, ValueError, OSError) as exc:
         if isinstance(exc, OSError):
             code = 4

@@ -24,6 +24,10 @@ class NumericalError(HjwaveError):
         self.diagnostics = diagnostics
 
 
+class FormatError(HjwaveError, ValueError):
+    """Serialized input (PDE spec JSON, binary field) breaks its layout."""
+
+
 class InsufficientResolutionError(HjwaveError, ValueError):
     """A sampled field is too coarse for the requested stencil."""
 

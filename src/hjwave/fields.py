@@ -9,14 +9,16 @@ instances and never mutate ``values`` in place.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientResolutionError
+from .errors import FormatError, InsufficientResolutionError, ZeroFieldError
 
 _HEADER = struct.Struct("<qqdd")  # dims, points per axis, spacing, time stamp
+_ZERO_FIELD_CUTOFF = 1e-12  # fraction of max|psi| below which logs are refused
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,8 @@ class Grid:
             raise InsufficientResolutionError(
                 f"need at least 4 points per axis, got {self.shape}"
             )
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("axis lengths must be positive")
+        if not all(0 < l < math.inf for l in self.lengths):
+            raise ValueError("axis lengths must be positive and finite")
 
     @classmethod
     def line(cls, points: int, length: float) -> "Grid":
@@ -132,6 +134,31 @@ def plane_wave_field(grid: Grid, k, omega: float, t: float = 0.0,
     return ScalarField(grid, amplitude * np.exp(1j * phase), t)
 
 
+def nonzero_peak(values: np.ndarray,
+                 message: str = "field magnitude below 1e-12 of its maximum"
+                 ) -> float:
+    """max|values|; ZeroFieldError if any sample is below the cutoff of it."""
+    mags = np.abs(values)
+    peak = float(mags.max())
+    if peak == 0.0 or float(mags.min()) < _ZERO_FIELD_CUTOFF * peak:
+        raise ZeroFieldError(message)
+    return peak
+
+
+def central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Periodic second-order central first difference along one axis."""
+    return (
+        np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
+    ) / (2 * h)
+
+
+def central_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """central_difference along every axis of the grid."""
+    return [
+        central_difference(values, ax, h) for ax, h in enumerate(grid.spacings)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Binary serialization (cubic 1D/3D fields)
 #
@@ -153,11 +180,18 @@ def field_to_bytes(f: ScalarField) -> bytes:
 
 
 def field_from_bytes(blob: bytes) -> ScalarField:
+    if len(blob) < _HEADER.size:
+        raise FormatError(
+            f"field blob of {len(blob)} bytes is shorter than its "
+            f"{_HEADER.size}-byte header"
+        )
     dims, points, spacing, time_stamp = _HEADER.unpack_from(blob, 0)
+    if not 1 <= dims <= 3:
+        raise FormatError(f"field header has {dims} axes; expected 1 to 3")
+    if len(blob) != _HEADER.size + 16 * points**dims:
+        raise FormatError("field payload size does not match header")
     grid = Grid((points,) * dims, (spacing * points,) * dims)
     inter = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    if inter.size != 2 * grid.npoints:
-        raise ValueError("field payload size does not match header")
     values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
     return ScalarField(grid, values, time_stamp)
 

@@ -57,7 +57,7 @@ def _vec3(v) -> np.ndarray:
 def energy_from_momentum(p, consts: PhysicalConstants) -> float:
     """Positive root of E^2 = |p|^2 c^2 + m0^2 c^4."""
     p = _vec3(p)
-    return math.hypot(float(np.linalg.norm(p)) * consts.c, consts.rest_energy)
+    return math.hypot(math.hypot(*p.tolist()) * consts.c, consts.rest_energy)
 
 
 def planck_energy(omega: float, consts: PhysicalConstants) -> float:
@@ -107,7 +107,7 @@ def particle_velocity(p, consts: PhysicalConstants) -> np.ndarray:
         raise DomainError(
             "particle velocity needs m0 > 0; use group_velocity for massless"
         )
-    ratio = np.linalg.norm(p) / (consts.m0 * consts.c)
+    ratio = math.hypot(*p.tolist()) / (consts.m0 * consts.c)
     return p / (consts.m0 * math.hypot(1.0, ratio))
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, central_difference, central_gradient
 from .kinematics import PhysicalConstants, particle_velocity
 from .reporting import write_csv
 from .solvers import hje_residual
@@ -88,7 +88,7 @@ def gradient_consistency(potential: Potential, points, eps: float = 1e-5
 def total_energy(r, p, potential: Potential, consts: PhysicalConstants) -> float:
     """m0 c^2 sqrt(1 + p^2/m0^2 c^2) + Phi(r), conserved along trajectories."""
     p = np.asarray(p, dtype=float)
-    ratio = np.linalg.norm(p) / (consts.m0 * consts.c)
+    ratio = math.hypot(*p.tolist()) / (consts.m0 * consts.c)
     return consts.rest_energy * math.hypot(1.0, ratio) + float(
         potential.value(np.asarray(r, dtype=float))
     )
@@ -104,13 +104,15 @@ class Trajectory:
 
     def energies(self, potential: Potential, consts: PhysicalConstants
                  ) -> np.ndarray:
-        ratios = np.linalg.norm(self.p, axis=1) / (consts.m0 * consts.c)
+        ratios = np.hypot.reduce(self.p, axis=1) / (consts.m0 * consts.c)
         return consts.rest_energy * np.hypot(1.0, ratios) + potential.value(self.r)
 
     def speeds(self, consts: PhysicalConstants) -> np.ndarray:
-        return np.array(
-            [np.linalg.norm(particle_velocity(p, consts)) for p in self.p]
-        )
+        """|v| per sample: |p| / (m0 sqrt(1 + |p|^2 / (m0 c)^2)); needs m0 > 0."""
+        if consts.m0 <= 0:
+            raise DomainError("particle speeds need m0 > 0")
+        mags = np.hypot.reduce(self.p, axis=1)
+        return mags / (consts.m0 * np.hypot(1.0, mags / (consts.m0 * consts.c)))
 
     def to_csv(self, path, potential: Potential, consts: PhysicalConstants
                ) -> None:
@@ -155,22 +157,32 @@ def integrate_newton(potential: Potential, r0, p0,
     def deriv(rr, pp):
         return velocity_from_momentum(pp, consts), -potential.gradient(rr)
 
-    for i in range(1, steps + 1):
-        k1r, k1p = deriv(r, p)
-        k2r, k2p = deriv(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p)
-        k3r, k3p = deriv(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p)
-        k4r, k4p = deriv(r + dt * k3r, p + dt * k3p)
-        r = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
-            partial = Trajectory(ts[:i], rs[:i].copy(), ps[:i].copy())
-            raise DivergenceError(
-                f"trajectory diverged at step {i}",
-                partial=partial,
-                last_valid_step=i - 1,
-            )
-        rs[i], ps[i] = r, p
+    # A non-finite state never turns finite again, so the loop checks only
+    # every 256 steps and a scan of the rows finds the first diverged step.
+    with np.errstate(all="ignore"):
+        for i in range(1, steps + 1):
+            k1r, k1p = deriv(r, p)
+            k2r, k2p = deriv(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p)
+            k3r, k3p = deriv(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p)
+            k4r, k4p = deriv(r + dt * k3r, p + dt * k3p)
+            r = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
+            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            rs[i], ps[i] = r, p
+            if i % 256 == 0 and not (np.isfinite(r).all()
+                                     and np.isfinite(p).all()):
+                break
 
+    done = slice(1, i + 1)
+    diverged = ~(np.isfinite(rs[done]).all(axis=1)
+                 & np.isfinite(ps[done]).all(axis=1))
+    if diverged.any():
+        i = int(np.argmax(diverged)) + 1
+        partial = Trajectory(ts[:i], rs[:i].copy(), ps[:i].copy())
+        raise DivergenceError(
+            f"trajectory diverged at step {i}",
+            partial=partial,
+            last_valid_step=i - 1,
+        )
     return Trajectory(ts, rs, ps)
 
 
@@ -192,10 +204,7 @@ def curl_check(p_field, grid: Grid) -> float:
     hs = grid.spacings
 
     def d(component, axis):
-        return (
-            np.roll(p[component], -1, axis=axis)
-            - np.roll(p[component], 1, axis=axis)
-        ) / (2 * hs[axis])
+        return central_difference(p[component], axis, hs[axis])
 
     # (component, differentiated axes) per curl entry
     entries = [
@@ -216,15 +225,7 @@ def gradient_field(scalar_samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Central-difference gradient of a sampled scalar, shape (3, nx, ny, nz)."""
     if grid.ndim != 3:
         raise DomainError("gradient_field needs a 3D grid")
-    return np.stack(
-        [
-            (
-                np.roll(scalar_samples, -1, axis=ax)
-                - np.roll(scalar_samples, 1, axis=ax)
-            ) / (2 * h)
-            for ax, h in enumerate(grid.spacings)
-        ]
-    )
+    return np.stack(central_gradient(scalar_samples, grid))
 
 
 def hje_potential_residual(S, potential: Potential,

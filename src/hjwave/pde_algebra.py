@@ -30,14 +30,13 @@ import numpy as np
 from .errors import (
     DegenerateQuadraticError,
     DomainError,
+    FormatError,
     UnsupportedOrderError,
     ZeroFieldError,
 )
-from .fields import ScalarField
+from .fields import _ZERO_FIELD_CUTOFF, ScalarField, nonzero_peak
 from .kinematics import PhysicalConstants
 from .reporting import json_dumps
-
-_ZERO_FIELD_CUTOFF = 1e-12  # fraction of max|psi| below which logs are refused
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +592,12 @@ def action_from_wavefunction(psi: ScalarField, consts: PhysicalConstants
     hbar * theta.  Requires phase increments below pi between neighbors
     (|k| h < pi for plane waves).
     """
-    mags = np.abs(psi.values)
-    peak = float(mags.max())
-    if peak == 0.0 or float(mags.min()) < _ZERO_FIELD_CUTOFF * peak:
-        raise ZeroFieldError("psi crosses zero: the logarithm branch is ambiguous")
+    nonzero_peak(psi.values,
+                 "psi crosses zero: the logarithm branch is ambiguous")
     theta = np.angle(psi.values)
     for ax in range(psi.grid.ndim):
         theta = np.unwrap(theta, axis=ax)
-    s_vals = consts.hbar * theta - 1j * consts.hbar * np.log(mags)
+    s_vals = consts.hbar * theta - 1j * consts.hbar * np.log(np.abs(psi.values))
     return psi.with_values(s_vals)
 
 
@@ -637,23 +634,32 @@ def pde_spec_to_obj(spec: PdeSpec) -> dict:
     return obj
 
 
-def pde_spec_from_obj(obj: dict) -> PdeSpec:
-    def unpair(v) -> complex:
-        return complex(float(v[0]), float(v[1]))
+def _unpair(v) -> complex:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"complex values are [re, im] pairs, got {v!r}")
+    return complex(float(v[0]), float(v[1]))
 
-    terms = tuple(
-        PdeTerm(int(t["degree"]), tuple(t["indices"]), unpair(t["coeff"]))
-        for t in obj["terms"]
-    )
-    tc = obj.get("transform_constant")
-    return PdeSpec(
-        n=int(obj["n"]),
-        m=int(obj["m"]),
-        terms=terms,
-        b=unpair(obj["b"]),
-        homogeneous=bool(obj.get("homogeneous", False)),
-        transform_constant=None if tc is None else unpair(tc),
-    )
+
+def pde_spec_from_obj(obj: dict) -> PdeSpec:
+    """Inverse of pde_spec_to_obj; a malformed object raises FormatError."""
+    try:
+        terms = tuple(
+            PdeTerm(int(t["degree"]), tuple(t["indices"]), _unpair(t["coeff"]))
+            for t in obj["terms"]
+        )
+        tc = obj.get("transform_constant")
+        return PdeSpec(
+            n=int(obj["n"]),
+            m=int(obj["m"]),
+            terms=terms,
+            b=_unpair(obj["b"]),
+            homogeneous=bool(obj.get("homogeneous", False)),
+            transform_constant=None if tc is None else _unpair(tc),
+        )
+    except KeyError as exc:
+        raise FormatError(f"PDE spec lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed PDE spec: {exc}") from None
 
 
 def pde_spec_dumps(spec: PdeSpec) -> str:

@@ -3,13 +3,18 @@
 All floats are written with 17 significant digits, which round-trips any
 IEEE double exactly, so re-running a scenario reproduces output files byte
 for byte.  Complex numbers are encoded as two-element [re, im] arrays.
+JSON has no encoding for nan or inf, so the JSON writer refuses them with
+NumericalError; CSV cells write them as ``nan`` / ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
+
+from .errors import NumericalError
 
 _BOOL = (bool, np.bool_)
 _INT = (int, np.integer)
@@ -48,6 +53,12 @@ def write_csv(path, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_float(x) -> str:
+    if not math.isfinite(x):
+        raise NumericalError(f"non-finite value {float(x)} has no JSON encoding")
+    return fmt_float(x)
+
+
 def _json_fragment(obj, indent, out) -> None:
     pad = "  " * indent
     if obj is None:
@@ -57,10 +68,11 @@ def _json_fragment(obj, indent, out) -> None:
     elif isinstance(obj, _INT):
         out.append(str(int(obj)))
     elif isinstance(obj, _FLOAT):
-        out.append(fmt_float(obj))
+        out.append(_json_float(obj))
     elif isinstance(obj, _COMPLEX):
         obj = complex(obj)
-        out.append("[" + fmt_float(obj.real) + ", " + fmt_float(obj.imag) + "]")
+        out.append("[" + _json_float(obj.real) + ", " + _json_float(obj.imag)
+                   + "]")
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(obj, (list, tuple)):
@@ -81,7 +93,10 @@ def _json_fragment(obj, indent, out) -> None:
         items = list(obj.items())
         for i, (key, value) in enumerate(items):
             out.append("  " * (indent + 1) + '"' + str(key) + '": ')
-            _json_fragment(value, indent + 1, out)
+            try:
+                _json_fragment(value, indent + 1, out)
+            except NumericalError as exc:
+                raise NumericalError(f"{key}: {exc}") from None
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
     else:
@@ -89,15 +104,19 @@ def _json_fragment(obj, indent, out) -> None:
 
 
 def json_dumps(obj) -> str:
-    """JSON text with deterministic layout and 17-digit floats."""
+    """JSON text with deterministic layout and 17-digit floats.
+
+    A nan or inf anywhere in ``obj`` raises NumericalError naming its keys.
+    """
     out: list[str] = []
     _json_fragment(obj, 0, out)
     return "".join(out) + "\n"
 
 
 def write_json(path, obj) -> None:
+    text = json_dumps(obj)  # raises before the file is created
     with open(path, "w", newline="\n") as fh:
-        fh.write(json_dumps(obj))
+        fh.write(text)
 
 
 def ensure_dir(path) -> str:

@@ -45,13 +45,17 @@ from .errors import (
     InsufficientDataError,
     NumericalError,
     StabilityError,
-    ZeroFieldError,
 )
-from .fields import Grid, ScalarField
+from .fields import (
+    Grid,
+    ScalarField,
+    central_difference,
+    central_gradient,
+    nonzero_peak,
+    plane_wave_field,
+)
 from .kinematics import PhysicalConstants
 from .reporting import write_csv
-
-_ZERO_FIELD_CUTOFF = 1e-12
 
 LEAPFROG = "leapfrog"
 CRANK_NICOLSON = "crank_nicolson"
@@ -395,13 +399,6 @@ def _pair_time_levels(pair) -> tuple[ScalarField, ScalarField, float]:
     return s0, s1, dt
 
 
-def _central_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    return [
-        (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
-        for ax, h in enumerate(grid.spacings)
-    ]
-
-
 def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
                  grid: Grid | None = None, t: float = 0.0,
                  potential_values=None) -> ScalarField:
@@ -428,11 +425,7 @@ def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
     elif isinstance(S, WaveAction):
         if grid is None:
             raise InsufficientDataError("closed-form actions need a target grid")
-        coords = grid.meshgrid()
-        phase = -S.omega * t
-        for ax, x in enumerate(coords):
-            phase = phase + S.k[ax] * x
-        values = S.amplitude * np.exp(1j * phase)
+        values = plane_wave_field(grid, S.k, S.omega, t, S.amplitude).values
         dsdt = -1j * S.omega * values
         grads = [1j * S.k[ax] * values for ax in range(grid.ndim)]
         out_t = t
@@ -440,8 +433,8 @@ def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
         s0, s1, dt = _pair_time_levels(S)
         grid = s0.grid
         dsdt = (s1.values - s0.values) / dt
-        g0 = _central_gradient(s0.values, grid)
-        g1 = _central_gradient(s1.values, grid)
+        g0 = central_gradient(s0.values, grid)
+        g1 = central_gradient(s1.values, grid)
         grads = [0.5 * (a + b) for a, b in zip(g0, g1)]
         out_t = 0.5 * (s0.time_stamp + s1.time_stamp)
 
@@ -458,13 +451,6 @@ def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
 # Plane-wave identity checks
 # ---------------------------------------------------------------------------
 
-def _check_nonzero(f: ScalarField) -> float:
-    peak = f.max_abs()
-    if peak == 0.0 or float(np.min(np.abs(f.values))) < _ZERO_FIELD_CUTOFF * peak:
-        raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
-    return peak
-
-
 def eigen_checks(psi_pair, p_expected, E_expected,
                  consts: PhysicalConstants) -> tuple[float, float]:
     """Defects of the momentum and energy eigenvalue relations.
@@ -475,12 +461,12 @@ def eigen_checks(psi_pair, p_expected, E_expected,
     O(h^2) / O(dt^2) for on-shell plane waves.
     """
     s0, s1, dt = _pair_time_levels(psi_pair)
-    peak = _check_nonzero(s0)
+    peak = nonzero_peak(s0.values)
     p = np.atleast_1d(np.asarray(p_expected, dtype=float))
     if p.size < s0.grid.ndim:
         raise DomainError("p_expected needs one component per grid axis")
 
-    grads = _central_gradient(s0.values, s0.grid)
+    grads = central_gradient(s0.values, s0.grid)
     momentum_defect = 0.0
     for ax, g in enumerate(grads):
         defect = (consts.hbar / 1j) * g - p[ax] * s0.values
@@ -516,13 +502,13 @@ def log_curvature_check(psi_triple) -> tuple[float, float]:
     if dt1 <= 0 or dt2 <= 0 or abs(dt2 - dt1) > 1e-9 * dt1:
         raise InsufficientDataError("time levels must be uniformly spaced")
     for s in (s0, s1, s2):
-        _check_nonzero(s)
+        nonzero_peak(s.values)
 
     grid = s1.grid
     v = s1.values
     space_defect = 0.0
     for ax, h in enumerate(grid.spacings):
-        d1 = (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2 * h)
+        d1 = central_difference(v, ax, h)
         d2 = (
             np.roll(v, -1, axis=ax) - 2 * v + np.roll(v, 1, axis=ax)
         ) / h**2

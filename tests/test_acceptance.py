@@ -1,349 +1,86 @@
-"""Acceptance suite: one test per verification criterion.
+"""Acceptance suite: the verification criteria, run from ``verify.CHECKS``.
 
-Each test prints a single PASS/FAIL line with the measured numbers before
-asserting, so ``pytest -s tests/test_acceptance.py`` doubles as the
-sign-off report.  Tolerances are pinned here and nowhere else.
+Every configuration, bound and wall-time budget lives in
+``hjwave.verify``; ``hjwave verify-all`` runs the same registry.  Each
+check runs at seed 0 and prints one ``[name] PASS/FAIL: detail`` line
+before asserting, so ``pytest -s tests/test_acceptance.py`` doubles as the
+sign-off report.
 """
 
-import math
 import time
 
-import numpy as np
+from hjwave import verify
 
-from hjwave import (
-    Grid,
-    LinearAction,
-    PhysicalConstants,
-    Potential,
-    ScalarField,
-    SolverConfig,
-    WaveAction,
-    action_from_wavefunction,
-    residual_decomposition_check,
-    curl_check,
-    dispersion_omega,
-    dispersion_quadratic,
-    eigen_checks,
-    field_from_bytes,
-    field_to_bytes,
-    fit_order,
-    group_velocity,
-    hje_pde_spec,
-    hje_pde_spec_1d,
-    hje_residual,
-    integrate_newton,
-    leapfrog_stability_limit,
-    linearize,
-    log_curvature_check,
-    log_transform,
-    particle_velocity,
-    pde_spec_dumps,
-    pde_spec_loads,
-    phase_velocity,
-    plane_wave_field,
-    run_limit_study,
-    solve_relativistic,
-    solve_schrodinger,
-    wavefunction_from_action,
-)
-from hjwave.limits import LimitStudyConfig
-from hjwave.solvers import CRANK_NICOLSON
-
-NAT = PhysicalConstants.natural()
-A_QM = NAT.hbar / 1j
+# criterion number -> the registry checks that certify it
+CRITERIA = {
+    1: ("dispersion-chain",),
+    2: ("transform-linearize",),
+    3: ("dual-solutions",),
+    4: ("eigen-log-curvature",),
+    5: ("residual-decomposition",),
+    6: ("wave-solver-order", "schrodinger-cn"),
+    7: ("velocity-duality",),
+    8: ("limit-frequency-order",),
+    9: ("newton-rk4", "curl-witnesses"),
+    10: ("round-trips",),
+}
 
 
-def report(number, ok, detail):
-    status = "PASS" if ok else "FAIL"
-    print(f"[criterion {number:2d}] {status}: {detail}")
-    assert ok, detail
+def certify(criterion):
+    failed = []
+    for name in CRITERIA[criterion]:
+        start = time.perf_counter()
+        result = verify.CHECKS[name](0)
+        elapsed = time.perf_counter() - start
+        ok = (result.name == name and result.passed
+              and elapsed < verify.BUDGET_S[name])
+        print(f"[{name}] {'PASS' if ok else 'FAIL'}: {result.detail} "
+              f"({elapsed:.2f}s of {verify.BUDGET_S[name]:g}s)")
+        if not ok:
+            failed.append(f"{result.name}: {result.detail} ({elapsed:.2f}s)")
+    assert not failed, "; ".join(failed)
+
+
+def test_criteria_cover_the_registry_once():
+    names = [name for group in CRITERIA.values() for name in group]
+    assert sorted(names) == sorted(verify.CHECKS) == sorted(verify.BUDGET_S)
 
 
 def test_criterion_01_dispersion_chain():
-    start = time.perf_counter()
-    spec = hje_pde_spec(NAT)
-    worst = 0.0
-    for k in np.linspace(0.0, 10.0, 20):
-        root = dispersion_quadratic(spec, A_QM, (k, 0.0, 0.0)).positive_root()
-        target = dispersion_omega(k, NAT)
-        worst = max(worst, abs(root - target) / target)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 1.0
-    report(1, ok, f"quadratic-vs-closed-form max rel err {worst:.3e} "
-                  f"over 20 k in [0,10] ({elapsed:.2f}s)")
+    certify(1)
 
 
 def test_criterion_02_transform_pipeline():
-    start = time.perf_counter()
-    lin = linearize(log_transform(hje_pde_spec(NAT), A_QM))
-    # hbar^2 d_tt - hbar^2 c^2 lap with zeroth +m0^2 c^4, one global sign
-    target = np.diag([-1.0, -1.0, -1.0, 1.0]).astype(complex)
-    matrix_exact = np.array_equal(-lin.second_order_coeffs, target)
-    zeroth_exact = (-lin.zeroth_coeff) == (1.0 + 0.0j)
-    elapsed = time.perf_counter() - start
-    ok = matrix_exact and zeroth_exact and elapsed < 1.0
-    report(2, ok, f"exact integer coefficients: matrix={matrix_exact}, "
-                  f"zeroth={zeroth_exact} ({elapsed:.2f}s)")
+    certify(2)
 
 
 def test_criterion_03_dual_solution_certificate():
-    start = time.perf_counter()
-    grid = Grid.line(32, 2 * math.pi)
-    massless = PhysicalConstants(1.0, 1.0, 0.0)
-    p = 2.0
-    particle = hje_residual(
-        LinearAction(E=p * massless.c, p=(p, 0, 0)), massless,
-        massless=True, grid=grid,
-    ).max_abs()
-    k = 3.0
-    wave = hje_residual(
-        WaveAction(1.0, (k, 0, 0), omega=k * massless.c), massless,
-        massless=True, grid=grid,
-    ).max_abs()
-    off = hje_residual(LinearAction(E=1.0, p=(1, 0, 0)), NAT, grid=grid)
-    witness_exact = bool(np.all(off.values == -1.0))
-    elapsed = time.perf_counter() - start
-    ok = particle <= 1e-12 and wave <= 1e-12 and witness_exact and elapsed < 1.0
-    report(3, ok, f"S_p residual {particle:.2e}, S_w residual {wave:.2e}, "
-                  f"off-shell witness == -1: {witness_exact} ({elapsed:.2f}s)")
+    certify(3)
 
 
 def test_criterion_04_eigen_and_log_curvature_orders():
-    start = time.perf_counter()
-    k = 1.0
-    omega = dispersion_omega(k, NAT)
-    hs = []
-    defects = {"momentum": [], "energy": [], "space": [], "time": []}
-    for n in (64, 128, 256):
-        grid = Grid.line(n, 2 * math.pi)
-        dt = grid.spacing / 2
-        levels = [plane_wave_field(grid, k, omega, t=i * dt) for i in range(3)]
-        mom, en = eigen_checks(
-            (levels[0], levels[1]), (NAT.hbar * k, 0, 0),
-            NAT.hbar * omega, NAT,
-        )
-        spc, tim = log_curvature_check(levels)
-        hs.append(grid.spacing)
-        defects["momentum"].append(mom)
-        defects["energy"].append(en)
-        defects["space"].append(spc)
-        defects["time"].append(tim)
-    orders = {name: fit_order(hs, vals).order for name, vals in defects.items()}
-    elapsed = time.perf_counter() - start
-    ok = all(abs(q - 2.0) <= 0.1 for q in orders.values()) and elapsed < 10.0
-    detail = ", ".join(f"{name} {q:.3f}" for name, q in orders.items())
-    report(4, ok, f"defect orders: {detail} ({elapsed:.2f}s)")
+    certify(4)
 
 
 def test_criterion_05_residual_decomposition():
-    start = time.perf_counter()
-    spec = log_transform(hje_pde_spec_1d(NAT), A_QM)
-    rng_points = np.random.default_rng(17)
-    mismatches = []
-    for n in (128, 256, 512):
-        grid = Grid((n, n), (2 * math.pi, 2 * math.pi))
-        rng = np.random.default_rng(0)
-        values = np.ones(grid.shape, dtype=complex)
-        coords = grid.meshgrid()
-        for _ in range(3):
-            alpha = rng.integers(-2, 3, size=2)
-            while not np.any(alpha):
-                alpha = rng.integers(-2, 3, size=2)
-            amp = 1e-3 * (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
-            values = values + amp * np.exp(
-                1j * (alpha[0] * coords[0] + alpha[1] * coords[1])
-            )
-        field = ScalarField(grid, values)
-        worst = 0.0
-        for _ in range(24):
-            pt = tuple(int(v) for v in rng_points.integers(0, n, 2))
-            worst = max(worst, residual_decomposition_check(spec, A_QM, field, pt).mismatch)
-        mismatches.append(worst)
-    ratio1 = mismatches[0] / mismatches[1]
-    ratio2 = mismatches[1] / mismatches[2]
-    elapsed = time.perf_counter() - start
-    ok = (
-        mismatches[1] <= 1e-8
-        and 3.0 <= ratio1 <= 5.5
-        and 3.0 <= ratio2 <= 5.5
-        and elapsed < 10.0
-    )
-    report(5, ok, f"mismatch {mismatches[1]:.3e} at h=2pi/256, refinement "
-                  f"ratios {ratio1:.2f}, {ratio2:.2f} ({elapsed:.2f}s)")
+    certify(5)
 
 
 def test_criterion_06_solver_fidelity():
-    start = time.perf_counter()
-    k = 1.0
-
-    # leapfrog relativistic phase accuracy, refinement in (h, dt)
-    hs, errs = [], []
-    for n in (32, 64, 128):
-        grid = Grid.line(n, 2 * math.pi)
-        omega = dispersion_omega(k, NAT)
-        initial = plane_wave_field(grid, k, omega=0.0)
-        rate = initial.with_values(-1j * omega * initial.values)
-        dt = 0.5 * leapfrog_stability_limit(grid, NAT.c, NAT.rest_frequency)
-        steps = int(round(1.0 / dt))
-        rep = solve_relativistic(initial, rate, NAT, SolverConfig(dt=dt, steps=steps))
-        target = plane_wave_field(grid, k, omega, t=rep.final.time_stamp)
-        hs.append(grid.spacing)
-        errs.append(float(np.max(np.abs(rep.final.values - target.values))))
-    leapfrog_order = fit_order(hs, errs).order
-
-    # Crank-Nicolson phase accuracy, refinement in (h, dt)
-    hs, errs = [], []
-    tee = 0.5
-    for n in (32, 64, 128):
-        grid = Grid.line(n, 2 * math.pi)
-        steps = 25 * (n // 32)
-        cfg = SolverConfig(dt=tee / steps, steps=steps, scheme=CRANK_NICOLSON)
-        rep = solve_schrodinger(plane_wave_field(grid, k, 0.0), NAT, cfg)
-        omega = NAT.hbar * k**2 / (2 * NAT.m0)
-        target = plane_wave_field(grid, k, omega, t=tee)
-        hs.append(grid.spacing)
-        errs.append(float(np.max(np.abs(rep.final.values - target.values))))
-    cn_order = fit_order(hs, errs).order
-
-    # norm and energy conservation over 1e4 steps
-    grid = Grid.line(64, 2 * math.pi)
-    cfg = SolverConfig(dt=5e-4, steps=10_000, scheme=CRANK_NICOLSON)
-    rep = solve_schrodinger(plane_wave_field(grid, k, 0.0), NAT, cfg)
-    norms = rep.diagnostics.norm
-    drift = float(np.max(np.abs(norms[1:] / norms[:-1] - 1.0)))
-
-    omega = dispersion_omega(k, NAT)
-    initial = plane_wave_field(grid, k, omega=0.0)
-    rate = initial.with_values(-1j * omega * initial.values)
-    dt = 0.5 * leapfrog_stability_limit(grid, NAT.c, NAT.rest_frequency)
-    lf = solve_relativistic(initial, rate, NAT, SolverConfig(dt=dt, steps=10_000))
-    e = lf.diagnostics.energy
-    energy_osc = float(np.max(np.abs(e - e[0])) / abs(e[0]))
-
-    elapsed = time.perf_counter() - start
-    ok = (
-        abs(leapfrog_order - 2.0) <= 0.1
-        and abs(cn_order - 2.0) <= 0.1
-        and drift <= 1e-12
-        and energy_osc <= 1e-6
-        and elapsed < 60.0
-    )
-    report(6, ok, f"leapfrog order {leapfrog_order:.3f}, CN order {cn_order:.3f}, "
-                  f"CN per-step norm drift {drift:.2e}, leapfrog energy "
-                  f"oscillation {energy_osc:.2e} over 1e4 steps ({elapsed:.2f}s)")
+    certify(6)
 
 
 def test_criterion_07_velocity_duality():
-    start = time.perf_counter()
-    worst_dual, worst_prod = 0.0, 0.0
-    for k in np.logspace(-3, 3, 50):
-        kvec = np.array([k, 0.0, 0.0])
-        vg = group_velocity(kvec, NAT)
-        vp = particle_velocity(NAT.hbar * kvec, NAT)
-        worst_dual = max(worst_dual, float(np.max(np.abs(vp - vg))))
-        prod = phase_velocity(k, NAT) * float(np.linalg.norm(vg))
-        worst_prod = max(worst_prod, abs(prod - NAT.c**2))
-    elapsed = time.perf_counter() - start
-    ok = worst_dual <= 1e-12 and worst_prod <= 1e-12 and elapsed < 1.0
-    report(7, ok, f"max |v_particle - v_group| {worst_dual:.2e}, "
-                  f"max |v_ph*v_gr - c^2| {worst_prod:.2e} over 50 k ({elapsed:.2f}s)")
+    certify(7)
 
 
 def test_criterion_08_nonrelativistic_limit():
-    start = time.perf_counter()
-    study = run_limit_study(LimitStudyConfig())
-    freq = study.frequency_fit
-    fld = study.field_fit
-    elapsed = time.perf_counter() - start
-    ok = (
-        freq is not None
-        and abs(freq.order - 2.0) <= 0.1
-        and freq.log10_residual < 0.05
-        and fld is not None
-        and abs(fld.order - 2.0) <= 0.2
-        and elapsed < 120.0
-    )
-    report(8, ok, f"frequency-gap order {freq.order:.3f} "
-                  f"(fit residual {freq.log10_residual:.3f}), "
-                  f"field-gap order {fld.order:.3f} over c in {{4..128}} "
-                  f"({elapsed:.1f}s)")
+    certify(8)
 
 
 def test_criterion_09_appendix_a():
-    start = time.perf_counter()
-    force = np.array([1.0, 0.0, 0.0])
-    traj = integrate_newton(
-        Potential.linear(force), np.zeros(3), np.zeros(3), NAT,
-        dt=1e-3, steps=1000,
-    )
-    momentum_defect = float(np.max(np.abs(traj.p - traj.t[:, None] * force)))
-
-    p0 = np.array([0.4, -0.3, 0.2])
-    free = integrate_newton(
-        Potential.free(), np.ones(3), p0, NAT, dt=5e-3, steps=400
-    )
-    duality_defect = float(np.max(np.abs(free.p - p0)))  # grad S = p0
-
-    pot = Potential.harmonic(1.0)
-    dts, drifts = [], []
-    for dt in (2e-2, 1e-2, 5e-3):
-        traj_h = integrate_newton(
-            pot, np.array([1.0, 0, 0]), np.zeros(3), NAT,
-            dt=dt, steps=int(round(2.0 / dt)),
-        )
-        energies = traj_h.energies(pot, NAT)
-        dts.append(dt)
-        drifts.append(float(np.max(np.abs(energies - energies[0]))))
-    energy_order = fit_order(dts, drifts).order
-
-    grid = Grid.cube(24, 2 * math.pi)
-    xs, ys, zs = grid.meshgrid()
-    grad_defect = curl_check(np.stack([2 * xs, 2 * ys, np.zeros_like(zs)]), grid)
-    rot_defect = curl_check(np.stack([-ys, xs, np.zeros_like(zs)]), grid)
-
-    elapsed = time.perf_counter() - start
-    ok = (
-        momentum_defect <= 1e-10
-        and duality_defect <= 1e-12
-        and abs(energy_order - 4.0) <= 0.2
-        and grad_defect <= 1e-6
-        and rot_defect > 1.0
-        and elapsed < 10.0
-    )
-    report(9, ok, f"constant-force defect {momentum_defect:.2e}, grad-S duality "
-                  f"{duality_defect:.2e}, energy order {energy_order:.2f}, curl "
-                  f"witnesses {grad_defect:.1e} vs {rot_defect:.2f} ({elapsed:.2f}s)")
+    certify(9)
 
 
 def test_criterion_10_round_trips():
-    start = time.perf_counter()
-
-    # psi -> S -> psi on a unimodular field with |k| h < pi
-    grid = Grid.line(128, 2 * math.pi)
-    rng = np.random.default_rng(23)
-    x = grid.axes()[0]
-    theta = sum(
-        (0.6 / m) * np.sin(m * x + 2 * np.pi * rng.random()) for m in (1, 2, 3)
-    )
-    psi = ScalarField(grid, np.exp(1j * theta))
-    back = wavefunction_from_action(action_from_wavefunction(psi, NAT), NAT)
-    field_err = float(np.max(np.abs(back.values - psi.values)))
-
-    # PdeSpec JSON byte round trip
-    spec = hje_pde_spec(PhysicalConstants(1.0, 2.9979, 0.511))
-    text = pde_spec_dumps(spec)
-    json_exact = pde_spec_dumps(pde_spec_loads(text)) == text
-
-    # field binary byte round trip
-    rnd = ScalarField(
-        Grid.cube(8, 2 * math.pi),
-        rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8)),
-        time_stamp=0.375,
-    )
-    blob = field_to_bytes(rnd)
-    binary_exact = field_to_bytes(field_from_bytes(blob)) == blob
-
-    elapsed = time.perf_counter() - start
-    ok = field_err <= 1e-12 and json_exact and binary_exact and elapsed < 5.0
-    report(10, ok, f"psi->S->psi error {field_err:.2e}, JSON byte-exact "
-                   f"{json_exact}, binary byte-exact {binary_exact} ({elapsed:.2f}s)")
+    certify(10)

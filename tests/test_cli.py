@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from hjwave import load_field
-from hjwave.reporting import fmt_float, json_dumps, write_csv
+from hjwave import NumericalError, load_field
+from hjwave.reporting import fmt_float, json_dumps, write_csv, write_json
 
 
 def run_cli(*args):
@@ -89,6 +89,20 @@ class TestTransformCommand:
         res = run_cli("transform", "--A", "i/hbar", "--out", str(tmp_path / "x"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("drop", ["b", "terms"])
+    def test_spec_without_required_key(self, tmp_path, drop):
+        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
+
+        obj = json.loads(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
+        del obj[drop]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        res = run_cli("transform", "--spec", str(spec_path),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        error = json.loads(res.stderr)["error"]
+        assert error["type"] == "FormatError" and drop in error["message"]
+
     def test_missing_spec_file(self, tmp_path):
         res = run_cli("transform", "--spec", "nope.json",
                       "--out", str(tmp_path / "x"))
@@ -167,6 +181,29 @@ class TestNewtonCommand:
         assert len(lines) == 22
         summary = json.loads((out / "summary.json").read_text())
         assert summary["energy_drift_rel"] <= 1e-12
+
+    def test_huge_momentum_stays_finite(self, tmp_path):
+        out = tmp_path / "n"
+        res = run_cli("newton", "--potential", "harmonic", "--p0", "1e300",
+                      "--p0", "0", "--p0", "0", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=pytest.fail)
+        assert math.isfinite(summary["energy_drift_rel"])
+        assert summary["max_speed_over_c"] == pytest.approx(1.0)
+
+    def test_infinite_energy_exits_numerical(self, tmp_path):
+        out = tmp_path / "n"
+        res = run_cli("newton", "--potential", "harmonic", "--r0", "1e160",
+                      "--r0", "0", "--r0", "0", "--steps", "10",
+                      "--out", str(out))
+        assert res.returncode == 3
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "NumericalError"
+        assert "energy_drift_rel" in error["message"]
+        assert not (out / "summary.json").exists()
 
     def test_unknown_potential(self, tmp_path):
         res = run_cli("newton", "--potential", "coulomb",
@@ -259,6 +296,15 @@ class TestReportingHelpers:
         obj = {"a": 1.5, "b": [1, 2, 3], "c": {"nested": True}, "z": complex(1, -2)}
         assert json_dumps(obj) == json_dumps(obj)
         assert '"z": [1.0, -2.0]' in json_dumps(obj)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -np.inf, complex(0.0, np.nan),
+    ])
+    def test_json_refuses_non_finite(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        with pytest.raises(NumericalError, match="rows: value"):
+            write_json(path, {"rows": [{"value": value}]})
+        assert not path.exists()
 
     def test_negative_zero_survives_json_round_trip(self):
         assert fmt_float(-0.0) == "-0.0"

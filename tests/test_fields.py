@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hjwave import (
+    FormatError,
     Grid,
     InsufficientResolutionError,
     ScalarField,
@@ -18,8 +19,9 @@ from hjwave import (
 def test_grid_validation():
     with pytest.raises(InsufficientResolutionError):
         Grid((3,), (1.0,))
-    with pytest.raises(ValueError):
-        Grid((8,), (-1.0,))
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Grid((8,), (bad,))
     with pytest.raises(ValueError):
         Grid((8, 8), (1.0,))
 
@@ -90,6 +92,16 @@ def test_binary_header_layout():
     assert payload.size == 16
     assert np.array_equal(payload[0::2], np.arange(8.0))  # interleaved re, im
     assert np.all(payload[1::2] == 0.0)
+
+
+@pytest.mark.parametrize("blob", [
+    b"abc",  # shorter than the header
+    field_to_bytes(ScalarField(Grid.line(8, 1.0), np.ones(8)))[:-1],
+    (4).to_bytes(8, "little") + bytes(24),  # four axes
+])
+def test_malformed_blob_raises_format_error(blob):
+    with pytest.raises(FormatError):
+        field_from_bytes(blob)
 
 
 def test_non_cubic_serialization_rejected():

@@ -157,6 +157,15 @@ class TestIntegrateNewton:
         assert err.value.partial is not None
         assert err.value.last_valid_step == err.value.partial.t.size - 1
 
+    def test_late_divergence_reports_its_first_step(self):
+        # p_n = n * 1e305 overflows at n = 1798, past several check strides
+        with pytest.raises(DivergenceError) as err:
+            integrate_newton(Potential.linear([1e305, 0.0, 0.0]), np.zeros(3),
+                             np.zeros(3), NAT, dt=1.0, steps=5000)
+        assert err.value.last_valid_step == 1797
+        assert np.all(np.isfinite(err.value.partial.p))
+        assert err.value.partial.p[-1, 0] == pytest.approx(1797e305)
+
     def test_argument_validation(self):
         with pytest.raises(DomainError):
             integrate_newton(Potential.free(), np.zeros(3), np.zeros(3), NAT,

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hjwave import (
     AnalyticField,
     DegenerateQuadraticError,
     DomainError,
+    FormatError,
     Grid,
     LinearPdeSpec,
     PdeSpec,
@@ -550,6 +552,22 @@ class TestJsonSerialization:
         again = pde_spec_loads(text)
         assert again == image
         assert again.homogeneous and again.transform_constant == A_QM
+
+    @pytest.mark.parametrize("drop", ["n", "m", "terms", "b"])
+    def test_missing_key_raises_format_error(self, drop):
+        obj = json.loads(pde_spec_dumps(hje_pde_spec(NAT)))
+        del obj[drop]
+        with pytest.raises(FormatError, match=f"'{drop}'"):
+            pde_spec_loads(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"n": 1, "m": 2, "terms": [{"degree": 2}], "b": [0, 0]}',
+        '{"n": 1, "m": 2, "terms": [], "b": 1.5}',
+    ])
+    def test_malformed_spec_raises_format_error(self, text):
+        with pytest.raises(FormatError):
+            pde_spec_loads(text)
 
     def test_file_round_trip(self, tmp_path):
         spec = hje_pde_spec_1d(PhysicalConstants(0.3, 1.7, 2.2))
