@@ -3,8 +3,8 @@
 A Grid may have any number of axes with per-axis extent; the time-stepping
 solvers restrict themselves to cubic 1D/3D grids, while the PDE-algebra
 residual evaluators use general n-axis grids (one axis per PDE argument,
-time last).  Fields are immutable by convention: operations return new
-instances and never mutate ``values`` in place.
+time last).  Fields are immutable: ``values`` is a read-only view, and
+operations return new instances.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class Grid:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.shape))
 
@@ -91,7 +92,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Complex samples on a Grid, tagged with the instant they represent."""
+    """Complex samples on a Grid, tagged with the instant they represent.
+
+    ``values`` is a read-only view of the samples.  A complex128 input is
+    viewed, not copied, so the caller's own array stays writable; changing
+    it afterwards changes the field and leaves ``max_abs`` stale.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -103,6 +109,8 @@ class ScalarField:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
             )
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time_stamp", float(self.time_stamp))
 
@@ -117,6 +125,10 @@ class ScalarField:
         )
 
     def max_abs(self) -> float:
+        return self._peak
+
+    @cached_property
+    def _peak(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
@@ -150,6 +162,13 @@ def central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (
         np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
     ) / (2 * h)
+
+
+def second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Periodic second-order central second difference along one axis."""
+    return (
+        np.roll(values, -1, axis=axis) - 2 * values + np.roll(values, 1, axis=axis)
+    ) / h**2
 
 
 def central_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:

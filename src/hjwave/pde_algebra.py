@@ -193,12 +193,12 @@ def log_transform(spec: PdeSpec, A: complex) -> PdeSpec:
     )
 
 
-def quadratic_matrix(spec: PdeSpec, A: complex | None = None
-                     ) -> tuple[np.ndarray, complex]:
-    """Effective (M, b) with M_jk = A^2 a_jk for a purely quadratic spec.
+def _quadratic_entries(spec: PdeSpec, A: complex | None = None
+                       ) -> tuple[list[tuple[int, int, complex]], complex]:
+    """Nonzero (j, k, M_jk) of quadratic_matrix in row-major order, and b.
 
-    For a homogeneous spec the A^2 factor is already folded into the stored
-    coefficients; a supplied A must then match the recorded constant.
+    Indices are 0-based; entries hit by several terms are summed in term
+    order before the zero test.
     """
     if spec.m != 2:
         raise UnsupportedOrderError("only quadratic (m = 2) specs are supported")
@@ -215,11 +215,26 @@ def quadratic_matrix(spec: PdeSpec, A: complex | None = None
         if A is None:
             raise DomainError("A is required for a spec not yet transformed")
         factor = complex(A) ** 2
-    mat = np.zeros((spec.n, spec.n), dtype=np.complex128)
+    acc: dict[tuple[int, int], complex] = {}
     for t in spec.terms:
         j, k = t.indices
-        mat[j - 1, k - 1] += factor * t.coeff
-    return mat, spec.b
+        acc[j - 1, k - 1] = acc.get((j - 1, k - 1), 0j) + factor * t.coeff
+    entries = [(j, k, m) for (j, k), m in sorted(acc.items()) if m != 0]
+    return entries, spec.b
+
+
+def quadratic_matrix(spec: PdeSpec, A: complex | None = None
+                     ) -> tuple[np.ndarray, complex]:
+    """Effective (M, b) with M_jk = A^2 a_jk for a purely quadratic spec.
+
+    For a homogeneous spec the A^2 factor is already folded into the stored
+    coefficients; a supplied A must then match the recorded constant.
+    """
+    entries, b = _quadratic_entries(spec, A)
+    mat = np.zeros((spec.n, spec.n), dtype=np.complex128)
+    for j, k, m in entries:
+        mat[j, k] = m
+    return mat, b
 
 
 def linearize(spec: PdeSpec, A: complex | None = None) -> LinearPdeSpec:
@@ -368,69 +383,80 @@ class AnalyticField:
 # Grid stencils (pointwise, periodic wrap)
 # ---------------------------------------------------------------------------
 
-def _shifted(point, axis, delta, shape):
-    idx = list(point)
-    idx[axis] = (idx[axis] + delta) % shape[axis]
-    return tuple(idx)
+class _Stencil:
+    """Central-difference reads around one validated point of a ScalarField.
 
+    The point's row-major flat index and the flat offsets of its +1 and -1
+    neighbours along each axis (periodic wrap) are computed once.  The
+    point and its axis neighbours are read on construction, the corners of
+    mixed second differences on demand, all as Python complex numbers.
+    """
 
-def _check_point(field: ScalarField, point, n: int) -> tuple[int, ...]:
-    point = tuple(int(i) for i in point)
-    if field.grid.ndim != n:
-        raise DomainError(
-            f"field has {field.grid.ndim} axes but the equation has {n} arguments"
-        )
-    if len(point) != n:
-        raise DomainError("point must carry one index per grid axis")
-    if any(not (0 <= i < s) for i, s in zip(point, field.grid.shape)):
-        raise DomainError("point lies outside the grid")
-    return point
+    __slots__ = ("value", "plus", "minus", "_read", "_at", "_up", "_down",
+                 "_h")
 
+    def __init__(self, field: ScalarField, point, n: int):
+        point = tuple(map(int, point))
+        grid = field.grid
+        shape = grid.shape
+        if len(shape) != n:
+            raise DomainError(
+                f"field has {len(shape)} axes but the equation has {n} arguments"
+            )
+        if len(point) != n:
+            raise DomainError("point must carry one index per grid axis")
+        at, stride = 0, 1
+        up, down = [0] * n, [0] * n
+        for ax in range(n - 1, -1, -1):
+            i, s = point[ax], shape[ax]
+            if not 0 <= i < s:
+                raise DomainError("point lies outside the grid")
+            at += i * stride
+            up[ax] = stride if i < s - 1 else (1 - s) * stride
+            down[ax] = -stride if i > 0 else (s - 1) * stride
+            stride *= s
+        read = field.values.item
+        self.value = read(at)
+        self.plus = [read(at + d) for d in up]
+        self.minus = [read(at + d) for d in down]
+        self._read, self._at, self._up, self._down = read, at, up, down
+        self._h = grid.spacings
 
-def _d1(field: ScalarField, point, axis: int) -> complex:
-    shape = field.grid.shape
-    h = field.grid.spacings[axis]
-    vp = field.values[_shifted(point, axis, +1, shape)]
-    vm = field.values[_shifted(point, axis, -1, shape)]
-    return (vp - vm) / (2 * h)
+    def d1(self, axis: int) -> complex:
+        return (self.plus[axis] - self.minus[axis]) / (2 * self._h[axis])
 
+    def _corners(self, ax1: int, ax2: int) -> tuple[complex, ...]:
+        """Samples at (+1, +1), (+1, -1), (-1, +1), (-1, -1) along (ax1, ax2)."""
+        read = self._read
+        p1, m1 = self._at + self._up[ax1], self._at + self._down[ax1]
+        p2, m2 = self._up[ax2], self._down[ax2]
+        return read(p1 + p2), read(p1 + m2), read(m1 + p2), read(m1 + m2)
 
-def _d2(field: ScalarField, point, ax1: int, ax2: int) -> complex:
-    shape = field.grid.shape
-    hs = field.grid.spacings
-    if ax1 == ax2:
-        vp = field.values[_shifted(point, ax1, +1, shape)]
-        v0 = field.values[point]
-        vm = field.values[_shifted(point, ax1, -1, shape)]
-        return (vp - 2 * v0 + vm) / hs[ax1] ** 2
-    vpp = field.values[_shifted(_shifted(point, ax1, +1, shape), ax2, +1, shape)]
-    vpm = field.values[_shifted(_shifted(point, ax1, +1, shape), ax2, -1, shape)]
-    vmp = field.values[_shifted(_shifted(point, ax1, -1, shape), ax2, +1, shape)]
-    vmm = field.values[_shifted(_shifted(point, ax1, -1, shape), ax2, -1, shape)]
-    return (vpp - vpm - vmp + vmm) / (4 * hs[ax1] * hs[ax2])
+    def d2(self, ax1: int, ax2: int) -> complex:
+        hs = self._h
+        if ax1 == ax2:
+            return (
+                (self.plus[ax1] - 2 * self.value + self.minus[ax1]) / hs[ax1] ** 2
+            )
+        vpp, vpm, vmp, vmm = self._corners(ax1, ax2)
+        return (vpp - vpm - vmp + vmm) / (4 * hs[ax1] * hs[ax2])
 
+    def log_d2(self, ax1: int, ax2: int) -> complex:
+        """Second derivative of ln(psi) from principal logs of neighbour ratios.
 
-def _log_d1(field: ScalarField, point, axis: int) -> complex:
-    """d ln(psi)/dx via the principal log of the neighbor ratio (winding-safe)."""
-    shape = field.grid.shape
-    h = field.grid.spacings[axis]
-    vp = field.values[_shifted(point, axis, +1, shape)]
-    vm = field.values[_shifted(point, axis, -1, shape)]
-    return cmath.log(vp / vm) / (2 * h)
-
-
-def _log_d2(field: ScalarField, point, ax1: int, ax2: int) -> complex:
-    """Second derivative of ln(psi) from ratio logs (independent of _d1/_d2)."""
-    shape = field.grid.shape
-    hs = field.grid.spacings
-    if ax1 == ax2:
-        vp = field.values[_shifted(point, ax1, +1, shape)]
-        v0 = field.values[point]
-        vm = field.values[_shifted(point, ax1, -1, shape)]
-        return (cmath.log(vp / v0) - cmath.log(v0 / vm)) / hs[ax1] ** 2
-    gp = _log_d1(field, _shifted(point, ax1, +1, shape), ax2)
-    gm = _log_d1(field, _shifted(point, ax1, -1, shape), ax2)
-    return (gp - gm) / (2 * hs[ax1])
+        Independent of d1/d2, and winding-safe.
+        """
+        hs, log = self._h, cmath.log
+        if ax1 == ax2:
+            v0 = self.value
+            return (
+                (log(self.plus[ax1] / v0) - log(v0 / self.minus[ax1]))
+                / hs[ax1] ** 2
+            )
+        vpp, vpm, vmp, vmm = self._corners(ax1, ax2)
+        gp = log(vpp / vpm) / (2 * hs[ax2])
+        gm = log(vmp / vmm) / (2 * hs[ax2])
+        return (gp - gm) / (2 * hs[ax1])
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +479,17 @@ def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
         v = field.value(x) if spec.homogeneous else None
         deriv = lambda axis: g[axis]
     elif isinstance(field, ScalarField):
-        point = _check_point(field, point, spec.n)
-        v = field.values[point] if spec.homogeneous else None
-        deriv = lambda axis: _d1(field, point, axis)
+        stencil = _Stencil(field, point, spec.n)
+        v = stencil.value if spec.homogeneous else None
+        deriv = stencil.d1
     else:
         raise TypeError("field must be an AnalyticField or a ScalarField")
-
-    first = {}
-
-    def d(axis):
-        if axis not in first:
-            first[axis] = deriv(axis)
-        return first[axis]
 
     total = 0.0 + 0.0j
     for t in spec.terms:
         prod = t.coeff
         for i in t.indices:
-            prod *= d(i - 1)
+            prod *= deriv(i - 1)
         if spec.homogeneous and spec.m != t.degree:
             prod *= v ** (spec.m - t.degree)
         total += prod
@@ -492,12 +511,12 @@ def residual_linear(lspec: LinearPdeSpec, field, point) -> complex:
             np.sum(mat * field.hess(x)) + lspec.zeroth_coeff * field.value(x)
         )
     if isinstance(field, ScalarField):
-        point = _check_point(field, point, lspec.n)
-        total = lspec.zeroth_coeff * field.values[point]
-        for j in range(lspec.n):
-            for k in range(lspec.n):
-                if mat[j, k] != 0:
-                    total += mat[j, k] * _d2(field, point, j, k)
+        stencil = _Stencil(field, point, lspec.n)
+        total = lspec.zeroth_coeff * stencil.value
+        for j, row in enumerate(mat.tolist()):
+            for k, m in enumerate(row):
+                if m != 0:
+                    total += m * stencil.d2(j, k)
         return complex(total)
     raise TypeError("field must be an AnalyticField or a ScalarField")
 
@@ -526,53 +545,47 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
     exact derivatives).  On sampled fields the correction is estimated
     from second differences of ln(psi) - deliberately *not* from the same
     stencils as the residuals - so the mismatch measures genuine O(h^2)
-    discretization error instead of cancelling algebraically.
+    discretization error instead of cancelling algebraically.  The sums
+    run over the nonzero M_jk in row-major order, then add the b terms.
     """
-    mat, b = quadratic_matrix(spec, A)
-    n = spec.n
+    entries, b = _quadratic_entries(spec, A)
 
     if isinstance(field, AnalyticField):
         x = np.asarray(point, dtype=float)
-        v = field.value(x)
+        v = complex(field.value(x))
         if v == 0:
             raise ZeroFieldError("identity divides by psi^2")
-        g = field.grad(x)
-        h = field.hess(x)
-        log_hess = field.log_hessian(x)
+        g = field.grad(x).tolist()
+        hess, log_hess = field.hess(x).tolist(), field.log_hessian(x).tolist()
+        d2 = lambda j, k: hess[j][k]
+        log_d2 = lambda j, k: log_hess[j][k]
     elif isinstance(field, ScalarField):
-        point = _check_point(field, point, n)
-        peak = field.max_abs()
-        v = field.values[point]
-        if abs(v) < _ZERO_FIELD_CUTOFF * peak:
+        stencil = _Stencil(field, point, spec.n)
+        cutoff = _ZERO_FIELD_CUTOFF * field.max_abs()
+        v = stencil.value
+        if abs(v) < cutoff:
             raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
-        neighborhood = [point]
-        for ax in range(n):
-            neighborhood.append(_shifted(point, ax, +1, field.grid.shape))
-            neighborhood.append(_shifted(point, ax, -1, field.grid.shape))
-        if any(abs(field.values[q]) < _ZERO_FIELD_CUTOFF * peak
-               for q in neighborhood):
+        if any(abs(q) < cutoff for q in stencil.plus + stencil.minus):
             raise ZeroFieldError("stencil touches a near-zero of the field")
-        g = np.array([_d1(field, point, ax) for ax in range(n)])
-        h = np.array(
-            [[_d2(field, point, j, k) for k in range(n)] for j in range(n)]
-        )
-        log_hess = np.array(
-            [[_log_d2(field, point, j, k) if mat[j, k] != 0 else 0.0
-              for k in range(n)] for j in range(n)]
-        )
+        g = [stencil.d1(ax) for ax in range(spec.n)]
+        d2, log_d2 = stencil.d2, stencil.log_d2
     else:
         raise TypeError("field must be an AnalyticField or a ScalarField")
 
-    lhs = complex(g @ mat @ g + b * v * v)
-    linear = complex(np.sum(mat * h) + b * v)
-    correction = complex(-(v * v) * np.sum(mat * log_hess))
+    lhs = linear = curvature = 0j
+    scale = 0.0
+    for j, k, m in entries:
+        gg = g[j] * g[k]
+        lhs += m * gg
+        linear += m * d2(j, k)
+        curvature += m * log_d2(j, k)
+        scale += abs(m) * abs(gg)
+    lhs += b * v * v
+    linear += b * v
+    correction = -(v * v) * curvature
     rhs = v * linear + correction
 
-    scale = (
-        float(np.sum(np.abs(mat) * np.abs(np.outer(g, g))))
-        + abs(b) * abs(v) ** 2
-        + abs(correction)
-    )
+    scale += abs(b) * abs(v) ** 2 + abs(correction)
     diff = abs(lhs - rhs)
     mismatch = 0.0 if diff == 0.0 else diff / max(scale, 1e-300)
     return ResidualDecomposition(
@@ -658,7 +671,7 @@ def pde_spec_from_obj(obj: dict) -> PdeSpec:
         )
     except KeyError as exc:
         raise FormatError(f"PDE spec lacks the key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed PDE spec: {exc}") from None
 
 

@@ -53,6 +53,7 @@ from .fields import (
     central_gradient,
     nonzero_peak,
     plane_wave_field,
+    second_difference,
 )
 from .kinematics import PhysicalConstants
 from .reporting import write_csv
@@ -113,11 +114,7 @@ def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order periodic central Laplacian."""
     out = np.zeros_like(values)
     for ax, h in enumerate(grid.spacings):
-        out += (
-            np.roll(values, 1, axis=ax)
-            + np.roll(values, -1, axis=ax)
-            - 2 * values
-        ) / h**2
+        out += second_difference(values, ax, h)
     return out
 
 
@@ -509,9 +506,7 @@ def log_curvature_check(psi_triple) -> tuple[float, float]:
     space_defect = 0.0
     for ax, h in enumerate(grid.spacings):
         d1 = central_difference(v, ax, h)
-        d2 = (
-            np.roll(v, -1, axis=ax) - 2 * v + np.roll(v, 1, axis=ax)
-        ) / h**2
+        d2 = second_difference(v, ax, h)
         curv = (v * d2 - d1**2) / v**2
         interior = [slice(None)] * grid.ndim
         interior[ax] = slice(1, grid.shape[ax] - 1)

@@ -103,6 +103,20 @@ class TestTransformCommand:
         error = json.loads(res.stderr)["error"]
         assert error["type"] == "FormatError" and drop in error["message"]
 
+    def test_spec_with_overflowing_number(self, tmp_path):
+        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
+
+        text = pde_spec_dumps(hje_pde_spec(PhysicalConstants()))
+        text = json.dumps(json.loads(text)).replace('"n": 4,', '"n": 1e999,')
+        assert '"n": 1e999,' in text
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        res = run_cli("transform", "--spec", str(spec_path),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        error = json.loads(res.stderr)["error"]
+        assert error["type"] == "FormatError"
+
     def test_missing_spec_file(self, tmp_path):
         res = run_cli("transform", "--spec", "nope.json",
                       "--out", str(tmp_path / "x"))

@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjwave import (
     FormatError,
@@ -14,6 +16,7 @@ from hjwave import (
     plane_wave_field,
     save_field,
 )
+from hjwave.fields import second_difference
 
 
 def test_grid_validation():
@@ -108,3 +111,77 @@ def test_non_cubic_serialization_rejected():
     f = ScalarField(Grid((8, 16), (1.0, 2.0)), np.zeros((8, 16)))
     with pytest.raises(ValueError):
         field_to_bytes(f)
+
+
+def test_values_are_a_read_only_view_of_the_callers_array():
+    g = Grid.line(8, 1.0)
+    values = np.arange(8, dtype=complex) - 3.5j
+    f = ScalarField(g, values)
+    with pytest.raises(ValueError):
+        f.values[0] = 1.0
+    with pytest.raises(ValueError):
+        f.values *= 2
+    assert np.shares_memory(f.values, values)  # no copy
+    values[1] = 5.0  # the caller's own array stays writable
+    assert values.flags.writeable
+
+
+def test_max_abs_is_the_peak_magnitude():
+    g = Grid((8, 6), (1.0, 2.0))
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    f = ScalarField(g, values)
+    assert f.max_abs() == np.max(np.abs(values))
+
+
+def test_with_values_and_field_from_bytes_give_read_only_fields():
+    g = Grid.line(8, 2.0)
+    f = ScalarField(g, np.ones(8), time_stamp=0.5)
+    doubled = f.with_values(2 * f.values)
+    assert doubled.max_abs() == 2.0 and doubled.time_stamp == 0.5
+    assert not doubled.values.flags.writeable
+    back = field_from_bytes(field_to_bytes(doubled))
+    assert np.array_equal(back.values, doubled.values)
+    assert back.max_abs() == 2.0
+    assert not back.values.flags.writeable
+
+
+def test_second_difference_matches_the_stencil_symbol():
+    # exp(ikx) is an eigenfunction: symbol -(2/h sin(kh/2))^2
+    g = Grid.line(32, 2 * math.pi)
+    h, k = g.spacing, 3.0
+    f = plane_wave_field(g, k, omega=0.0)
+    symbol = -(2 / h * math.sin(k * h / 2)) ** 2
+    assert np.allclose(second_difference(f.values, 0, h), symbol * f.values,
+                       rtol=0, atol=1e-12 * abs(symbol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=160))
+def test_any_bytes_give_a_field_or_a_value_error(blob):
+    try:
+        f = field_from_bytes(blob)
+    except ValueError:
+        return
+    assert isinstance(f, ScalarField)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dims=st.integers(-1, 4),
+    points=st.integers(-2, 6),
+    spacing=st.floats(),
+    stamp=st.floats(),
+    extra=st.integers(-16, 16),
+)
+def test_headers_give_a_field_or_a_value_error(dims, points, spacing, stamp,
+                                               extra):
+    # payloads sized from the header (give or take), so size checks pass
+    size = 16 * max(points, 0) ** max(dims, 0) + extra
+    blob = struct.pack("<qqdd", dims, points, spacing, stamp) + bytes(max(size, 0))
+    try:
+        f = field_from_bytes(blob)
+    except ValueError:
+        return
+    assert isinstance(f, ScalarField)
+    assert f.grid.shape == (points,) * dims

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hjwave import (
     AnalyticField,
@@ -16,6 +16,7 @@ from hjwave import (
     PdeSpec,
     PdeTerm,
     PhysicalConstants,
+    ResidualDecomposition,
     ScalarField,
     UnsupportedOrderError,
     ZeroFieldError,
@@ -38,6 +39,7 @@ from hjwave import (
     save_pde_spec,
     wavefunction_from_action,
 )
+from hjwave.pde_algebra import pde_spec_from_obj
 
 NAT = PhysicalConstants.natural()
 A_QM = NAT.hbar / 1j  # the physical transform constant
@@ -434,6 +436,293 @@ class TestResidualDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# Stencil oracle: the per-point evaluators on sampled fields as they were
+# written with shifted index tuples, kept as the reference for the
+# flat-index stencil reader
+# ---------------------------------------------------------------------------
+
+def _ref_shifted(point, axis, delta, shape):
+    idx = list(point)
+    idx[axis] = (idx[axis] + delta) % shape[axis]
+    return tuple(idx)
+
+
+def _ref_check_point(field, point, n):
+    point = tuple(int(i) for i in point)
+    if field.grid.ndim != n:
+        raise DomainError(
+            f"field has {field.grid.ndim} axes but the equation has {n} arguments"
+        )
+    if len(point) != n:
+        raise DomainError("point must carry one index per grid axis")
+    if any(not (0 <= i < s) for i, s in zip(point, field.grid.shape)):
+        raise DomainError("point lies outside the grid")
+    return point
+
+
+def _ref_d1(field, point, axis):
+    shape = field.grid.shape
+    h = field.grid.spacings[axis]
+    vp = field.values[_ref_shifted(point, axis, +1, shape)]
+    vm = field.values[_ref_shifted(point, axis, -1, shape)]
+    return (vp - vm) / (2 * h)
+
+
+def _ref_d2(field, point, ax1, ax2):
+    shape = field.grid.shape
+    hs = field.grid.spacings
+    sh = lambda p, ax, d: _ref_shifted(p, ax, d, shape)
+    if ax1 == ax2:
+        vp = field.values[sh(point, ax1, +1)]
+        v0 = field.values[point]
+        vm = field.values[sh(point, ax1, -1)]
+        return (vp - 2 * v0 + vm) / hs[ax1] ** 2
+    vpp = field.values[sh(sh(point, ax1, +1), ax2, +1)]
+    vpm = field.values[sh(sh(point, ax1, +1), ax2, -1)]
+    vmp = field.values[sh(sh(point, ax1, -1), ax2, +1)]
+    vmm = field.values[sh(sh(point, ax1, -1), ax2, -1)]
+    return (vpp - vpm - vmp + vmm) / (4 * hs[ax1] * hs[ax2])
+
+
+def _ref_log_d1(field, point, axis):
+    shape = field.grid.shape
+    h = field.grid.spacings[axis]
+    vp = field.values[_ref_shifted(point, axis, +1, shape)]
+    vm = field.values[_ref_shifted(point, axis, -1, shape)]
+    return cmath.log(vp / vm) / (2 * h)
+
+
+def _ref_log_d2(field, point, ax1, ax2):
+    shape = field.grid.shape
+    hs = field.grid.spacings
+    if ax1 == ax2:
+        vp = field.values[_ref_shifted(point, ax1, +1, shape)]
+        v0 = field.values[point]
+        vm = field.values[_ref_shifted(point, ax1, -1, shape)]
+        return (cmath.log(vp / v0) - cmath.log(v0 / vm)) / hs[ax1] ** 2
+    gp = _ref_log_d1(field, _ref_shifted(point, ax1, +1, shape), ax2)
+    gm = _ref_log_d1(field, _ref_shifted(point, ax1, -1, shape), ax2)
+    return (gp - gm) / (2 * hs[ax1])
+
+
+def _ref_matrix(spec, A):
+    factor = 1.0 if spec.homogeneous else complex(A) ** 2
+    mat = np.zeros((spec.n, spec.n), dtype=complex)
+    for t in spec.terms:
+        j, k = t.indices
+        mat[j - 1, k - 1] += factor * t.coeff
+    return mat, spec.b
+
+
+def ref_nonlinear(spec, field, point):
+    """(residual, summed term magnitude) by the index-tuple stencils."""
+    point = _ref_check_point(field, point, spec.n)
+    v = field.values[point] if spec.homogeneous else None
+    first = {}
+    total, size = 0j, 0.0
+    for t in spec.terms:
+        prod = t.coeff
+        for i in t.indices:
+            if i - 1 not in first:
+                first[i - 1] = _ref_d1(field, point, i - 1)
+            prod *= first[i - 1]
+        if spec.homogeneous and spec.m != t.degree:
+            prod *= v ** (spec.m - t.degree)
+        total += prod
+        size += abs(prod)
+    free = spec.b * v**spec.m if spec.homogeneous else spec.b
+    return complex(total + free), size + abs(free)
+
+
+def ref_linear(lspec, field, point):
+    point = _ref_check_point(field, point, lspec.n)
+    mat = lspec.second_order_coeffs
+    total = lspec.zeroth_coeff * field.values[point]
+    size = abs(total)
+    for j in range(lspec.n):
+        for k in range(lspec.n):
+            if mat[j, k] != 0:
+                term = mat[j, k] * _ref_d2(field, point, j, k)
+                total += term
+                size += abs(term)
+    return complex(total), size
+
+
+def ref_decomposition(spec, A, field, point):
+    """(ResidualDecomposition, summed magnitude of every term it adds)."""
+    mat, b = _ref_matrix(spec, A)
+    n = spec.n
+    point = _ref_check_point(field, point, n)
+    peak = float(np.max(np.abs(field.values)))
+    v = field.values[point]
+    if abs(v) < 1e-12 * peak:
+        raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
+    neighborhood = [point]
+    for ax in range(n):
+        neighborhood.append(_ref_shifted(point, ax, +1, field.grid.shape))
+        neighborhood.append(_ref_shifted(point, ax, -1, field.grid.shape))
+    if any(abs(field.values[q]) < 1e-12 * peak for q in neighborhood):
+        raise ZeroFieldError("stencil touches a near-zero of the field")
+    g = np.array([_ref_d1(field, point, ax) for ax in range(n)])
+    h = np.array([[_ref_d2(field, point, j, k) for k in range(n)]
+                  for j in range(n)])
+    log_hess = np.array(
+        [[_ref_log_d2(field, point, j, k) if mat[j, k] != 0 else 0.0
+          for k in range(n)] for j in range(n)]
+    )
+    lhs = complex(g @ mat @ g + b * v * v)
+    linear = complex(np.sum(mat * h) + b * v)
+    correction = complex(-(v * v) * np.sum(mat * log_hess))
+    rhs = v * linear + correction
+    scale = (
+        float(np.sum(np.abs(mat) * np.abs(np.outer(g, g))))
+        + abs(b) * abs(v) ** 2
+        + abs(correction)
+    )
+    diff = abs(lhs - rhs)
+    mismatch = 0.0 if diff == 0.0 else diff / max(scale, 1e-300)
+    size = float(np.sum(np.abs(mat) * (
+        np.abs(np.outer(g, g)) + abs(v) * np.abs(h)
+        + abs(v) ** 2 * np.abs(log_hess)
+    ))) + 2 * abs(b) * abs(v) ** 2
+    chk = ResidualDecomposition(lhs=lhs, rhs=complex(rhs), mismatch=mismatch,
+                                log_curvature_term=correction)
+    return chk, size
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (DomainError, ZeroFieldError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Unequal spacings on every axis; at least 4 points per axis.
+ORACLE_GRIDS = {
+    1: Grid((9,), (2.0,)),
+    2: Grid((7, 5), (2 * math.pi, 1.3)),
+    3: Grid((5, 4, 6), (1.0, 2.5, 0.7)),
+    4: Grid((4, 5, 4, 4), (1.1, 0.9, 2.0, 1.7)),
+}
+A_ORACLE = 0.8 + 0.3j
+
+
+def oracle_field(grid, seed):
+    """Unit background plus three random integer modes; |psi| >= 0.55."""
+    rng = np.random.default_rng(seed)
+    coords = grid.meshgrid()
+    values = np.ones(grid.shape, dtype=complex)
+    for _ in range(3):
+        alpha = rng.integers(-2, 3, size=grid.ndim)
+        amp = 0.1 * (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        values = values + amp * np.exp(
+            1j * sum(a * x for a, x in zip(alpha, coords))
+        )
+    return ScalarField(grid, values)
+
+
+def oracle_specs(n, seed):
+    """A diagonal spec and, for n >= 2, one with off-diagonal terms.
+
+    Both include a repeated diagonal entry, so accumulation is exercised.
+    """
+    rng = np.random.default_rng(seed)
+    rand = lambda: complex(rng.standard_normal(), rng.standard_normal())
+    diag = [PdeTerm(2, (j, j), rand()) for j in range(1, n + 1)]
+    diag.append(PdeTerm(2, (1, 1), rand()))
+    specs = [PdeSpec(n=n, m=2, terms=tuple(diag), b=rand())]
+    if n >= 2:
+        mixed = diag + [PdeTerm(2, (1, n), rand()), PdeTerm(2, (n, 1), rand())]
+        if n >= 3:
+            mixed.append(PdeTerm(2, (2, 3), rand()))
+        specs.append(PdeSpec(n=n, m=2, terms=tuple(mixed), b=rand()))
+    return specs
+
+
+class TestStencilOracle:
+    @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
+    def test_evaluators_match_index_tuple_reference(self, n):
+        grid = ORACLE_GRIDS[n]
+        field = oracle_field(grid, seed=n)
+        quadratic = oracle_specs(n, seed=10 + n)
+        mixed_degree = PdeSpec(
+            n=n, m=2, b=0.7 - 0.2j,
+            terms=(PdeTerm(1, (n,), 0.5 + 0.1j), PdeTerm(2, (1, 1), -1.3)),
+        )
+        nonlinear_specs = quadratic + [mixed_degree]
+        nonlinear_specs += [log_transform(s, A_ORACLE) for s in nonlinear_specs]
+        decomposition_specs = quadratic + [log_transform(s, A_ORACLE)
+                                           for s in quadratic]
+        linear_specs = [linearize(s, A_ORACLE) for s in quadratic]
+        for point in np.ndindex(grid.shape):
+            for spec in decomposition_specs:
+                got = residual_decomposition_check(spec, A_ORACLE, field, point)
+                want, size = ref_decomposition(spec, A_ORACLE, field, point)
+                assert abs(got.lhs - want.lhs) <= 1e-12 * size
+                assert abs(got.rhs - want.rhs) <= 1e-12 * size
+                assert (abs(got.log_curvature_term - want.log_curvature_term)
+                        <= 1e-12 * size)
+                assert abs(got.mismatch - want.mismatch) <= 1e-13
+            for spec in nonlinear_specs:
+                want, size = ref_nonlinear(spec, field, point)
+                got = residual_nonlinear(spec, field, point)
+                assert abs(got - want) <= 1e-12 * size
+            for lspec in linear_specs:
+                want, size = ref_linear(lspec, field, point)
+                assert abs(residual_linear(lspec, field, point) - want) <= 1e-12 * size
+
+    @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
+    def test_zero_field_rejects_match_reference(self, n):
+        grid = ORACLE_GRIDS[n]
+        values = np.array(oracle_field(grid, seed=n).values)
+        zero = tuple(s // 2 for s in grid.shape)
+        values[zero] = 1e-15
+        field = ScalarField(grid, values)
+        spec = oracle_specs(n, seed=10 + n)[-1]
+        rejected = {}
+        for point in np.ndindex(grid.shape):
+            got = _outcome(residual_decomposition_check, spec, A_ORACLE, field, point)
+            want = _outcome(ref_decomposition, spec, A_ORACLE, field, point)
+            assert got[0] == want[0]
+            if got[0] != "ok":
+                assert got == want
+                rejected[point] = got[1]
+        # the zero itself, then its 2n axis neighbours
+        assert len(rejected) == 2 * n + 1
+        assert rejected.pop(zero) == "field magnitude below 1e-12 of its maximum"
+        assert set(rejected.values()) == {"stencil touches a near-zero of the field"}
+
+    @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
+    def test_bad_points_raise_the_same_domain_errors(self, n):
+        grid = ORACLE_GRIDS[n]
+        field = oracle_field(grid, seed=n)
+        spec = oracle_specs(n, seed=10 + n)[-1]
+        lspec = linearize(spec, A_ORACLE)
+        other = ORACLE_GRIDS[n % 4 + 1]
+        wrong_dims = oracle_field(other, seed=0)
+        cases = [
+            (field, (-1,) + (0,) * (n - 1)),
+            (field, (0,) * (n - 1) + (grid.shape[-1],)),
+            (field, (0,) * (n - 1)),
+            (field, (0,) * (n + 1)),
+            (wrong_dims, (0,) * other.ndim),
+        ]
+        pairs = [
+            (lambda f, p: residual_decomposition_check(spec, A_ORACLE, f, p),
+             lambda f, p: ref_decomposition(spec, A_ORACLE, f, p)),
+            (lambda f, p: residual_nonlinear(spec, f, p),
+             lambda f, p: ref_nonlinear(spec, f, p)),
+            (lambda f, p: residual_linear(lspec, f, p),
+             lambda f, p: ref_linear(lspec, f, p)),
+        ]
+        for f, point in cases:
+            for new, ref in pairs:
+                got = _outcome(new, f, point)
+                assert got[0] == "DomainError"
+                assert got == _outcome(ref, f, point)
+
+
+# ---------------------------------------------------------------------------
 # Action <-> wave function
 # ---------------------------------------------------------------------------
 
@@ -574,3 +863,57 @@ class TestJsonSerialization:
         path = tmp_path / "spec.json"
         save_pde_spec(path, spec)
         assert load_pde_spec(path) == spec
+
+
+# JSON-shaped values whose object keys are mostly the spec schema's, so
+# that parsing gets past the key lookups; json.loads turns 1e999 into inf,
+# and integers may exceed the float range.
+SPEC_KEYS = ["n", "m", "terms", "b", "degree", "indices", "coeff",
+             "homogeneous", "transform_constant"]
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, 10**400])
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(SPEC_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=8,
+)
+
+
+def _spec_or_format_error(obj):
+    try:
+        spec = pde_spec_from_obj(obj)
+    except FormatError:
+        return
+    assert isinstance(spec, PdeSpec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=JSON_VALUES)
+def test_any_json_value_gives_a_spec_or_a_format_error(obj):
+    _spec_or_format_error(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(SPEC_KEYS), value=JSON_SCALARS | JSON_VALUES,
+       in_term=st.booleans())
+@example(key="n", value=math.inf, in_term=False)
+def test_spec_with_one_value_replaced_gives_a_spec_or_a_format_error(
+        key, value, in_term):
+    obj = json.loads(pde_spec_dumps(log_transform(hje_pde_spec(NAT), A_QM)))
+    (obj["terms"][0] if in_term else obj)[key] = value
+    _spec_or_format_error(obj)
+
+
+def test_overflowing_number_raises_format_error():
+    obj = json.loads(pde_spec_dumps(hje_pde_spec(NAT)))
+    obj["n"] = math.inf  # what json.loads makes of 1e999
+    with pytest.raises(FormatError):
+        pde_spec_from_obj(obj)
+    obj["n"] = 4
+    obj["b"] = [10**400, 0]
+    with pytest.raises(FormatError):
+        pde_spec_from_obj(obj)
