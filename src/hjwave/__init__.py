@@ -90,10 +90,8 @@ from .solvers import (
     CRANK_NICOLSON,
     LEAPFROG,
     Diagnostics,
-    LinearAction,
     SolveReport,
     SolverConfig,
-    WaveAction,
     eigen_checks,
     hje_residual,
     laplacian,

@@ -7,8 +7,9 @@ ill-typed scenario keys abort before any computation.  All outputs are
 CSV tables plus a JSON summary with 17-significant-digit floats, so a
 rerun of the same scenario and seed is byte-identical.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 I/O failure.  Failures emit a one-line JSON error report on stderr.
+Exit codes: 0 success, 2 validation failure, 3 numerical failure
+(overflow included), 4 I/O failure.  Failures emit a one-line JSON
+error report on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import verify
-from .errors import HjwaveError
+from .errors import HjwaveError, NumericalError
 from .fields import Grid, plane_wave_field, save_field
 from .kinematics import (
     PhysicalConstants,
@@ -110,7 +111,7 @@ class Param:
                 if not isinstance(value, list) or not value:
                     raise TypeError
                 return [float(v) for v in value]
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             raise CliValidationError(
                 f"parameter {self.name!r} expects a value of kind {self.kind}"
             ) from None
@@ -289,18 +290,18 @@ def _vec3_param(values, name: str) -> np.ndarray:
 
 def cmd_dispersion(params: dict) -> int:
     consts = _consts(params)
-    out = ensure_dir(params["_out"])
     rows = []
     for k in params["k"]:
-        if k < 0:
-            raise CliValidationError("k must be >= 0")
+        if not 0 <= k < math.inf:
+            raise CliValidationError("k must be finite and >= 0")
         omega = dispersion_omega(k, consts)
-        if k == 0 and consts.m0 > 0:
-            vph = float("nan")
-        else:
-            vph = phase_velocity(k, consts)
-        vgr = float(np.linalg.norm(group_velocity((k, 0.0, 0.0), consts)))
+        # nan, the one non-finite cell: a massive wave at rest has no v_phase
+        vph = math.nan if k == 0 and consts.m0 > 0 else phase_velocity(k, consts)
+        vgr = math.hypot(*group_velocity((k, 0.0, 0.0), consts).tolist())
+        if not (math.isfinite(omega) and math.isfinite(vgr)) or math.isinf(vph):
+            raise NumericalError(f"non-finite dispersion row at k = {k!r}")
         rows.append((float(k), omega, vph, vgr))
+    out = ensure_dir(params["_out"])
     write_csv(
         os.path.join(out, "dispersion.csv"),
         ["k", "omega", "v_phase", "v_group"],
@@ -599,7 +600,8 @@ def main(argv=None) -> int:
         # JSON writer; numpy's warnings would add stray stderr lines
         with np.errstate(all="ignore"):
             return DISPATCH[args.command](params)
-    except (CliValidationError, HjwaveError, ValueError, OSError) as exc:
+    except (CliValidationError, HjwaveError, ValueError, OSError,
+            OverflowError) as exc:
         if isinstance(exc, OSError):
             code = 4
         elif isinstance(exc, ValueError):

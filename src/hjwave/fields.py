@@ -118,12 +118,6 @@ class ScalarField:
         t = self.time_stamp if time_stamp is None else time_stamp
         return ScalarField(self.grid, values, t)
 
-    def l2_norm(self) -> float:
-        """Grid-weighted L2 norm sqrt(prod(h) * sum |psi|^2)."""
-        return float(
-            np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2))
-        )
-
     def max_abs(self) -> float:
         return self._peak
 

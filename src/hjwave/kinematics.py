@@ -26,12 +26,12 @@ class PhysicalConstants:
     m0: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0):
-            raise DomainError("hbar must be positive")
-        if not (self.c > 0):
-            raise DomainError("c must be positive")
-        if not (self.m0 >= 0):
-            raise DomainError("m0 must be non-negative")
+        if not 0 < self.hbar < math.inf:
+            raise DomainError("hbar must be positive and finite")
+        if not 0 < self.c < math.inf:
+            raise DomainError("c must be positive and finite")
+        if not 0 <= self.m0 < math.inf:
+            raise DomainError("m0 must be non-negative and finite")
 
     @classmethod
     def natural(cls, m0: float = 1.0) -> "PhysicalConstants":
@@ -94,10 +94,10 @@ def phase_velocity(k: float, consts: PhysicalConstants) -> float:
 def group_velocity(k, consts: PhysicalConstants) -> np.ndarray:
     """d omega / d k = c^2 k / omega(|k|); subluminal for m0 > 0."""
     k = _vec3(k)
-    omega = dispersion_omega(float(np.linalg.norm(k)), consts)
+    omega = dispersion_omega(math.hypot(*k.tolist()), consts)
     if omega == 0.0:
         return np.zeros(3)
-    return consts.c**2 * k / omega
+    return consts.c * (consts.c * k / omega)  # c^2 k alone can overflow
 
 
 def particle_velocity(p, consts: PhysicalConstants) -> np.ndarray:
@@ -124,7 +124,7 @@ def momentum_from_velocity(v, consts: PhysicalConstants) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Energy-momentum pair, optionally asserted to sit on the mass shell."""
+    """Energy-momentum pair, optionally on shell; the action S = p . r - E t."""
 
     E: float
     p: np.ndarray
@@ -159,7 +159,7 @@ class ParticleState:
 
 @dataclass(frozen=True)
 class PlaneWave:
-    """Monochromatic wave amplitude * exp(i (k . r - omega t))."""
+    """Monochromatic wave amplitude * exp(i (k . r - omega t)), also an action."""
 
     amplitude: complex
     k: np.ndarray
@@ -173,14 +173,9 @@ class PlaneWave:
     @classmethod
     def on_shell(cls, amplitude, k, consts: PhysicalConstants) -> "PlaneWave":
         k = _vec3(k)
-        omega = dispersion_omega(float(np.linalg.norm(k)), consts)
+        omega = dispersion_omega(math.hypot(*k.tolist()), consts)
         return cls(amplitude=amplitude, k=k, omega=omega)
 
     def shell_defect(self, consts: PhysicalConstants) -> float:
-        target = dispersion_omega(float(np.linalg.norm(self.k)), consts)
+        target = dispersion_omega(math.hypot(*self.k.tolist()), consts)
         return abs(self.omega - target) / max(abs(target), 1e-300)
-
-    def __call__(self, r, t: float):
-        r = np.asarray(r, dtype=float)
-        phase = np.tensordot(r, self.k[: r.shape[-1]], axes=([-1], [0]))
-        return self.amplitude * np.exp(1j * (phase - self.omega * t))

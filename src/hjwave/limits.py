@@ -27,7 +27,7 @@ The solvers evaluate both schemes in closed form per Fourier mode, so
 the step count, which grows as c^2 because dt ~ 1/c^2, costs no per-step
 field update and adds no rounding that grows with the number of steps.
 The closed form is the scheme's own discrete solution, not the exact PDE
-solution, so the temporal_safety budget still applies.  Each report row
+solution, so the TEMPORAL_SAFETY budget still applies.  Each report row
 records the leapfrog dt and step count it used.
 """
 
@@ -51,6 +51,10 @@ from .solvers import (
     solve_relativistic,
     solve_schrodinger,
 )
+
+
+TEMPORAL_SAFETY = 0.05  # leapfrog phase-error budget as a gap fraction
+SCHRODINGER_STEPS = 256  # Crank-Nicolson steps of the Schrodinger endpoint
 
 
 def factor_rest_energy(psi: ScalarField, consts: PhysicalConstants,
@@ -80,8 +84,6 @@ class LimitStudyConfig:
     evolution_time: float = 5e-4
     grid_points: int = 64
     mode: int = 1  # the grid length is set to mode * 2*pi / k
-    temporal_safety: float = 0.05  # scheme-error budget as a gap fraction
-    schrodinger_steps: int = 256
 
     def __post_init__(self):
         if len(self.c_values) < 4:
@@ -209,7 +211,7 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     # error at most `safety` of the physical gap everywhere.
     theta = min(
         math.sqrt(
-            24.0 * cfg.temporal_safety * gap / cc.rest_frequency
+            24.0 * TEMPORAL_SAFETY * gap / cc.rest_frequency
         )
         for gap, cc in zip(freq_gaps, consts_per_c)
     )
@@ -219,8 +221,8 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     initial = plane_wave_field(grid, cfg.k, omega=0.0, t=0.0)
     consts_nr = PhysicalConstants(hbar=cfg.hbar, c=1.0, m0=cfg.m0)
     schr_cfg = SolverConfig(
-        dt=tee / cfg.schrodinger_steps,
-        steps=cfg.schrodinger_steps,
+        dt=tee / SCHRODINGER_STEPS,
+        steps=SCHRODINGER_STEPS,
         scheme=CRANK_NICOLSON,
     )
     psi_schr = solve_schrodinger(initial, consts_nr, schr_cfg).final

@@ -132,11 +132,9 @@ class Trajectory:
 
 
 def integrate_newton(potential: Potential, r0, p0,
-                     consts: PhysicalConstants, dt: float, steps: int,
-                     method: str = "rk4") -> Trajectory:
+                     consts: PhysicalConstants, dt: float, steps: int
+                     ) -> Trajectory:
     """Fixed-step RK4 for dr/dt = v(p), dp/dt = -grad Phi(r)."""
-    if method != "rk4":
-        raise DomainError(f"unsupported integrator {method!r}")
     if not (dt > 0):
         raise DomainError("dt must be positive")
     if steps < 1:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -311,77 +310,86 @@ def plane_wave_residual_factor(spec: PdeSpec, A: complex | None, alpha
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Scalar field of n arguments with closed-form value/gradient/Hessian."""
+    """Superposition sum_m a_m exp(r_m . x) of complex exponentials.
 
-    n: int
-    value: Callable[[np.ndarray], complex]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    ``amplitudes`` has shape (modes,) and the complex ``rates`` (modes, n).
+    With t_m = a_m exp(r_m . x) the field is sum_m t_m, its gradient
+    sum_m t_m r_m and its Hessian sum_m t_m r_m r_m^T, all exact.
+    """
+
+    amplitudes: np.ndarray
+    rates: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        rates = np.asarray(self.rates, dtype=np.complex128)
+        if amps.ndim != 1 or rates.ndim != 2 or rates.shape[0] != amps.size:
+            raise ValueError("amplitudes must be (modes,) and rates (modes, n)")
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "rates", rates)
+
+    @property
+    def n(self) -> int:
+        return self.rates.shape[1]
 
     @classmethod
     def exponential(cls, amplitude: complex, rates) -> "AnalyticField":
         """amplitude * exp(sum_l rates_l x_l) with complex rates."""
-        r = np.asarray(rates, dtype=np.complex128)
-        a = complex(amplitude)
-        outer = np.outer(r, r)
-
-        def value(x):
-            return a * np.exp(complex(np.dot(r, np.asarray(x, dtype=float))))
-
-        return cls(
-            n=r.size,
-            value=value,
-            grad=lambda x: r * value(x),
-            hess=lambda x: outer * value(x),
-        )
+        return cls([amplitude], [rates])
 
     @classmethod
     def plane_wave(cls, amplitude: complex, alpha) -> "AnalyticField":
         """amplitude * exp(i sum_l alpha_l x_l) with real exponents alpha."""
-        alpha = np.asarray(alpha, dtype=float)
-        return cls.exponential(amplitude, 1j * alpha)
+        return cls([amplitude], [1j * np.asarray(alpha, dtype=float)])
 
     @classmethod
     def from_modes(cls, amplitudes, alphas) -> "AnalyticField":
-        """Superposition sum_m a_m exp(i alpha_m . x)."""
-        amps = [complex(a) for a in amplitudes]
-        mat = np.asarray(alphas, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != len(amps):
-            raise ValueError("alphas must be (modes, n)")
-        n = mat.shape[1]
-
-        def phases(x):
-            x = np.asarray(x, dtype=float)
-            return [a * np.exp(1j * complex(np.dot(al, x)))
-                    for a, al in zip(amps, mat)]
-
-        def value(x):
-            return sum(phases(x))
-
-        def grad(x):
-            return sum(p * 1j * al for p, al in zip(phases(x), mat))
-
-        def hess(x):
-            return sum(p * -np.outer(al, al) for p, al in zip(phases(x), mat))
-
-        return cls(n=n, value=value, grad=grad, hess=hess)
+        """Superposition sum_m a_m exp(i alpha_m . x) with real alpha_m."""
+        return cls(amplitudes, 1j * np.asarray(alphas, dtype=float))
 
     @classmethod
     def constant(cls, n: int, amplitude: complex) -> "AnalyticField":
-        return cls.exponential(amplitude, np.zeros(n))
+        return cls([amplitude], np.zeros((1, n)))
 
-    def log_hessian(self, x) -> np.ndarray:
-        """Exact d2 ln(psi) / dx_j dx_k = (psi H - g g^T) / psi^2."""
-        v = self.value(x)
-        if v == 0:
-            raise ZeroFieldError("log derivative at a zero of the field")
-        g = self.grad(x)
-        return (v * self.hess(x) - np.outer(g, g)) / (v * v)
+    def _terms(self, x) -> np.ndarray:
+        """t_m = a_m exp(r_m . x) at one point x."""
+        return self.amplitudes * np.exp(self.rates @ np.asarray(x, dtype=float))
+
+    def value(self, x) -> complex:
+        return complex(self._terms(x).sum())
 
 
 # ---------------------------------------------------------------------------
-# Grid stencils (pointwise, periodic wrap)
+# Per-point readers: value, d1, d2 and log_d2 of either kind of field
 # ---------------------------------------------------------------------------
+
+class _Exact:
+    """Exact derivatives of an AnalyticField at one point."""
+
+    __slots__ = ("value", "_grad", "_hess")
+
+    def __init__(self, field: AnalyticField, point, n: int):
+        x = np.asarray(point, dtype=float)
+        if field.n != n or x.shape != (n,):
+            raise DomainError(f"field and point need the spec's {n} arguments")
+        t, r = field._terms(x), field.rates
+        self.value = complex(t.sum())
+        self._grad = (t[:, None] * r).sum(axis=0).tolist()
+        self._hess = (
+            t[:, None, None] * (r[:, :, None] * r[:, None, :])
+        ).sum(axis=0).tolist()
+
+    def d1(self, axis: int) -> complex:
+        return self._grad[axis]
+
+    def d2(self, ax1: int, ax2: int) -> complex:
+        return self._hess[ax1][ax2]
+
+    def log_d2(self, ax1: int, ax2: int) -> complex:
+        # (psi H - g g^T) / psi^2; psi^2 of a tiny nonzero psi underflows to 0
+        v, g = self.value, self._grad
+        return (v * self._hess[ax1][ax2] - g[ax1] * g[ax2]) / v / v
+
 
 class _Stencil:
     """Central-difference reads around one validated point of a ScalarField.
@@ -459,6 +467,14 @@ class _Stencil:
         return (gp - gm) / (2 * hs[ax1])
 
 
+def _reader(field, point, n: int) -> _Stencil | _Exact:
+    if isinstance(field, ScalarField):
+        return _Stencil(field, point, n)
+    if isinstance(field, AnalyticField):
+        return _Exact(field, point, n)
+    raise TypeError("field must be an AnalyticField or a ScalarField")
+
+
 # ---------------------------------------------------------------------------
 # Residual evaluators
 # ---------------------------------------------------------------------------
@@ -471,54 +487,29 @@ def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
     Analytic fields use exact derivatives, sampled fields second-order
     central differences with periodic wrap.
     """
-    if isinstance(field, AnalyticField):
-        if field.n != spec.n:
-            raise DomainError("field dimensionality does not match the spec")
-        x = np.asarray(point, dtype=float)
-        g = field.grad(x)
-        v = field.value(x) if spec.homogeneous else None
-        deriv = lambda axis: g[axis]
-    elif isinstance(field, ScalarField):
-        stencil = _Stencil(field, point, spec.n)
-        v = stencil.value if spec.homogeneous else None
-        deriv = stencil.d1
-    else:
-        raise TypeError("field must be an AnalyticField or a ScalarField")
-
+    f = _reader(field, point, spec.n)
+    v = f.value
     total = 0.0 + 0.0j
     for t in spec.terms:
         prod = t.coeff
         for i in t.indices:
-            prod *= deriv(i - 1)
+            prod *= f.d1(i - 1)
         if spec.homogeneous and spec.m != t.degree:
             prod *= v ** (spec.m - t.degree)
         total += prod
-    if spec.homogeneous:
-        total += spec.b * v**spec.m
-    else:
-        total += spec.b
+    total += spec.b * v**spec.m if spec.homogeneous else spec.b
     return complex(total)
 
 
 def residual_linear(lspec: LinearPdeSpec, field, point) -> complex:
     """Left-hand side sum_jk M_jk d2 psi/dx_j dx_k + b psi at one point."""
-    mat = lspec.second_order_coeffs
-    if isinstance(field, AnalyticField):
-        if field.n != lspec.n:
-            raise DomainError("field dimensionality does not match the spec")
-        x = np.asarray(point, dtype=float)
-        return complex(
-            np.sum(mat * field.hess(x)) + lspec.zeroth_coeff * field.value(x)
-        )
-    if isinstance(field, ScalarField):
-        stencil = _Stencil(field, point, lspec.n)
-        total = lspec.zeroth_coeff * stencil.value
-        for j, row in enumerate(mat.tolist()):
-            for k, m in enumerate(row):
-                if m != 0:
-                    total += m * stencil.d2(j, k)
-        return complex(total)
-    raise TypeError("field must be an AnalyticField or a ScalarField")
+    f = _reader(field, point, lspec.n)
+    total = lspec.zeroth_coeff * f.value
+    for j, row in enumerate(lspec.second_order_coeffs.tolist()):
+        for k, m in enumerate(row):
+            if m != 0:
+                total += m * f.d2(j, k)
+    return complex(total)
 
 
 @dataclass(frozen=True)
@@ -549,36 +540,25 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
     run over the nonzero M_jk in row-major order, then add the b terms.
     """
     entries, b = _quadratic_entries(spec, A)
-
-    if isinstance(field, AnalyticField):
-        x = np.asarray(point, dtype=float)
-        v = complex(field.value(x))
-        if v == 0:
-            raise ZeroFieldError("identity divides by psi^2")
-        g = field.grad(x).tolist()
-        hess, log_hess = field.hess(x).tolist(), field.log_hessian(x).tolist()
-        d2 = lambda j, k: hess[j][k]
-        log_d2 = lambda j, k: log_hess[j][k]
-    elif isinstance(field, ScalarField):
-        stencil = _Stencil(field, point, spec.n)
+    f = _reader(field, point, spec.n)
+    v = f.value
+    if isinstance(f, _Stencil):
         cutoff = _ZERO_FIELD_CUTOFF * field.max_abs()
-        v = stencil.value
         if abs(v) < cutoff:
             raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
-        if any(abs(q) < cutoff for q in stencil.plus + stencil.minus):
+        if any(abs(q) < cutoff for q in f.plus + f.minus):
             raise ZeroFieldError("stencil touches a near-zero of the field")
-        g = [stencil.d1(ax) for ax in range(spec.n)]
-        d2, log_d2 = stencil.d2, stencil.log_d2
-    else:
-        raise TypeError("field must be an AnalyticField or a ScalarField")
+    elif v == 0:
+        raise ZeroFieldError("identity divides by psi^2")
+    g = [f.d1(ax) for ax in range(spec.n)]
 
     lhs = linear = curvature = 0j
     scale = 0.0
     for j, k, m in entries:
         gg = g[j] * g[k]
         lhs += m * gg
-        linear += m * d2(j, k)
-        curvature += m * log_d2(j, k)
+        linear += m * f.d2(j, k)
+        curvature += m * f.log_d2(j, k)
         scale += abs(m) * abs(gg)
     lhs += b * v * v
     linear += b * v
@@ -647,26 +627,41 @@ def pde_spec_to_obj(spec: PdeSpec) -> dict:
     return obj
 
 
+def _json(v, kind, rule: str):
+    """v itself if it is a JSON value of ``kind``; a bool is not a number."""
+    if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        raise ValueError(f"{rule}, got {v!r}")
+    return v
+
+
 def _unpair(v) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
+    if not isinstance(v, list) or len(v) != 2:
         raise ValueError(f"complex values are [re, im] pairs, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    z = complex(*(_json(x, (int, float), "complex parts are numbers")
+                  for x in v))
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex values must be finite, got {v!r}")
+    return z
 
 
 def pde_spec_from_obj(obj: dict) -> PdeSpec:
     """Inverse of pde_spec_to_obj; a malformed object raises FormatError."""
     try:
         terms = tuple(
-            PdeTerm(int(t["degree"]), tuple(t["indices"]), _unpair(t["coeff"]))
+            PdeTerm(_json(t["degree"], int, "degree must be an integer"),
+                    [_json(i, int, "indices are integers")
+                     for i in _json(t["indices"], list, "indices are a list")],
+                    _unpair(t["coeff"]))
             for t in obj["terms"]
         )
         tc = obj.get("transform_constant")
         return PdeSpec(
-            n=int(obj["n"]),
-            m=int(obj["m"]),
+            n=_json(obj["n"], int, "n must be an integer"),
+            m=_json(obj["m"], int, "m must be an integer"),
             terms=terms,
             b=_unpair(obj["b"]),
-            homogeneous=bool(obj.get("homogeneous", False)),
+            homogeneous=_json(obj.get("homogeneous", False), bool,
+                              "homogeneous must be true or false"),
             transform_constant=None if tc is None else _unpair(tc),
         )
     except KeyError as exc:

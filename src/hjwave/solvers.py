@@ -55,7 +55,7 @@ from .fields import (
     plane_wave_field,
     second_difference,
 )
-from .kinematics import PhysicalConstants
+from .kinematics import ParticleState, PhysicalConstants, PlaneWave
 from .reporting import write_csv
 
 LEAPFROG = "leapfrog"
@@ -98,7 +98,6 @@ class Diagnostics:
 class SolveReport:
     final: ScalarField
     diagnostics: Diagnostics
-    measured_order: float | None = None
 
 
 def _require_solver_grid(grid: Grid) -> None:
@@ -344,40 +343,8 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
 
 
 # ---------------------------------------------------------------------------
-# Closed-form action fields
+# Hamilton-Jacobi residuals of action fields
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearAction:
-    """Separated particle-like action S = -E t + p . r."""
-
-    E: float
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (3,):
-            raise DomainError("p must be a 3-vector")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "E", float(self.E))
-
-
-@dataclass(frozen=True)
-class WaveAction:
-    """Wave-like action S = amplitude * exp(i (k . r - omega t))."""
-
-    amplitude: complex
-    k: np.ndarray
-    omega: float
-
-    def __post_init__(self):
-        k = np.asarray(self.k, dtype=float)
-        if k.shape != (3,):
-            raise DomainError("k must be a 3-vector")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "omega", float(self.omega))
-
 
 def _pair_time_levels(pair) -> tuple[ScalarField, ScalarField, float]:
     try:
@@ -403,29 +370,25 @@ def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
 
     ``S`` is either a pair of ScalarFields at two adjacent time levels
     (residual evaluated at the midpoint time: centered dS/dt, averaged
-    gradients) or a closed form (LinearAction / WaveAction) evaluated
-    exactly on ``grid`` at time ``t``.  ``potential_values`` adds a scalar
-    potential inside the squared time derivative (see mechanics).
+    gradients) or a dual closed form evaluated exactly on ``grid`` at time
+    ``t``: the particle-like ParticleState or the wave-like PlaneWave.
+    ``potential_values`` adds a scalar potential inside the squared time
+    derivative (see mechanics).
     """
     mass_term = 0.0 if massless else consts.rest_energy**2
     c2 = consts.c**2
 
-    if isinstance(S, LinearAction):
-        if grid is None:
-            raise InsufficientDataError("closed-form actions need a target grid")
+    if isinstance(S, (ParticleState, PlaneWave)) and grid is None:
+        raise InsufficientDataError("closed-form actions need a target grid")
+    out_t = t
+    if isinstance(S, ParticleState):
         dsdt = np.full(grid.shape, -S.E, dtype=np.complex128)
-        grads = [
-            np.full(grid.shape, S.p[ax], dtype=np.complex128)
-            for ax in range(grid.ndim)
-        ]
-        out_t = t
-    elif isinstance(S, WaveAction):
-        if grid is None:
-            raise InsufficientDataError("closed-form actions need a target grid")
+        grads = [np.full(grid.shape, p, dtype=np.complex128)
+                 for p in S.p[: grid.ndim]]
+    elif isinstance(S, PlaneWave):
         values = plane_wave_field(grid, S.k, S.omega, t, S.amplitude).values
         dsdt = -1j * S.omega * values
         grads = [1j * S.k[ax] * values for ax in range(grid.ndim)]
-        out_t = t
     else:
         s0, s1, dt = _pair_time_levels(S)
         grid = s0.grid

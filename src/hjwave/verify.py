@@ -27,7 +27,9 @@ from .fields import (
     plane_wave_field,
 )
 from .kinematics import (
+    ParticleState,
     PhysicalConstants,
+    PlaneWave,
     dispersion_omega,
     group_velocity,
     particle_velocity,
@@ -53,9 +55,7 @@ from .pde_algebra import (
 )
 from .solvers import (
     CRANK_NICOLSON,
-    LinearAction,
     SolverConfig,
-    WaveAction,
     eigen_checks,
     hje_residual,
     leapfrog_stability_limit,
@@ -106,13 +106,13 @@ def check_dual_solutions(seed: int) -> CheckResult:
     grid = Grid.line(32, 2 * math.pi)
     massless = PhysicalConstants(1.0, 1.0, 0.0)
     p = 2.0
-    particle = LinearAction(E=p * massless.c, p=(p, 0.0, 0.0))
+    particle = ParticleState.from_momentum((p, 0.0, 0.0), massless)
     r1 = hje_residual(particle, massless, massless=True, grid=grid).max_abs()
     k = 3.0
-    wave = WaveAction(1.0, (k, 0.0, 0.0), omega=k * massless.c)
+    wave = PlaneWave.on_shell(1.0, (k, 0.0, 0.0), massless)
     r2 = hje_residual(wave, massless, massless=True, grid=grid).max_abs()
     off = hje_residual(
-        LinearAction(E=1.0, p=(1.0, 0.0, 0.0)), NATURAL, grid=grid
+        ParticleState(E=1.0, p=(1.0, 0.0, 0.0)), NATURAL, grid=grid
     )
     exact = bool(np.all(off.values == -1.0))
     ok = r1 <= 1e-12 and r2 <= 1e-12 and exact

@@ -1,10 +1,16 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjwave import NumericalError, load_field
 from hjwave.reporting import fmt_float, json_dumps, write_csv, write_json
@@ -49,6 +55,30 @@ class TestDispersionCommand:
         assert res.returncode == 2
         report = json.loads(res.stderr)
         assert report["error"]["exit_code"] == 2
+
+    @pytest.mark.parametrize("args, code", [
+        (["--k", "nan"], 2),
+        (["--k", "inf"], 2),
+        (["--c", "1.7e308"], 3),
+        (["--hbar", "1e-320", "--k", "1"], 3),
+        (["--c", "1e154", "--m0", "2.9979"], 3),
+    ])
+    def test_non_finite_rows_fail_without_output(self, tmp_path, args, code):
+        out = tmp_path / "x"
+        res = run_cli("dispersion", *args, "--out", str(out))
+        assert res.returncode == code
+        assert json.loads(res.stderr)["error"]["exit_code"] == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, speed", [
+        (["--k", "1e300"], 1.0),
+        (["--k", "1e154", "--c", "1e154", "--m0", "0"], 1e154),
+    ])
+    def test_huge_wavenumber_group_velocity(self, tmp_path, args, speed):
+        out = tmp_path / "d"
+        assert run_cli("dispersion", *args, "--out", str(out)).returncode == 0
+        row = (out / "dispersion.csv").read_text().strip().splitlines()[1]
+        assert [float(v) for v in row.split(",")[2:]] == [speed, speed]
 
 
 class TestTransformCommand:
@@ -116,6 +146,24 @@ class TestTransformCommand:
         assert res.returncode == 2
         error = json.loads(res.stderr)["error"]
         assert error["type"] == "FormatError"
+
+    def test_overflowing_transform_constant(self, tmp_path):
+        res = run_cli("transform", "--hbar", "1.7e308",
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 3
+        assert json.loads(res.stderr)["error"]["type"] == "OverflowError"
+
+    def test_ill_typed_spec_value(self, tmp_path):
+        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
+
+        obj = json.loads(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
+        obj["homogeneous"] = "no"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        res = run_cli("transform", "--spec", str(spec_path),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["type"] == "FormatError"
 
     def test_missing_spec_file(self, tmp_path):
         res = run_cli("transform", "--spec", "nope.json",
@@ -334,3 +382,91 @@ def test_verify_all_passes_and_is_deterministic(tmp_path):
     assert "verified" in res.stdout
     assert run_cli("verify-all", "--out", str(out2)).returncode == 0
     assert read_all_bytes(out1) == read_all_bytes(out2)
+
+
+# ---------------------------------------------------------------------------
+# Property: any scenario file gives exit 0 with parseable outputs, or exit
+# 2, 3 or 4 with one JSON error line
+# ---------------------------------------------------------------------------
+
+SPEC_FILE = "<spec file>"  # replaced by a real spec file in the test
+NUMBERS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7e308,
+    math.nan, math.inf, -math.inf, 1.0, 2.5, -1.0, 0, 3, 10**400,
+]) | st.floats()
+# stands in for one parameter of a scenario
+OTHER_JSON = st.sampled_from(
+    ["", "1.5", "nan", True, False, None, [], [1.0], [math.nan, 0.0], {}]
+) | st.text(max_size=4)
+SPEC_NAMES = st.sampled_from(
+    ["hje-massive", "hje-massless", SPEC_FILE, "no-such-spec", "", "{}"])
+A_STRINGS = st.sampled_from(
+    ["hbar/i", "1.5", "-2", "0", "nan", "1e309", "[1, 2]", "[1e308, 1e308]",
+     "[NaN, 0]", "[1]", "i/hbar"])
+COMMON = {"hbar": NUMBERS, "c": NUMBERS, "m0": NUMBERS, "seed": st.integers()}
+SCENARIO_PARAMS = {
+    "dispersion": {"k": st.lists(NUMBERS, min_size=1, max_size=3)},
+    "transform": {"spec": SPEC_NAMES, "A": A_STRINGS,
+                  "emit_linear": st.booleans()},
+    "residual": {"spec": SPEC_NAMES, "A": A_STRINGS, "kx": NUMBERS,
+                 "ky": NUMBERS, "kz": NUMBERS, "omega": NUMBERS,
+                 "on_shell": st.booleans()},
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _check_csv(path):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    header = rows[0]
+    for row in rows[1:]:
+        for name, cell in zip(header, row):
+            value = float(cell)
+            if math.isnan(value) and name == "v_phase" and float(row[0]) == 0:
+                continue  # the phase velocity of a massive wave at rest
+            assert math.isfinite(value), (path.name, name, cell)
+
+
+@pytest.fixture(scope="module")
+def spec_file(tmp_path_factory):
+    from hjwave import PhysicalConstants, hje_pde_spec, save_pde_spec
+
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    save_pde_spec(path, hje_pde_spec(PhysicalConstants(), massless=True))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_PARAMS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_scenario_exits_cleanly(spec_file, command, data):
+    from hjwave import cli
+
+    params = data.draw(st.fixed_dictionaries(
+        {}, optional={**SCENARIO_PARAMS[command], **COMMON}))
+    if params and data.draw(st.booleans()):
+        params[data.draw(st.sampled_from(sorted(params)))] = data.draw(OTHER_JSON)
+    if params.get("spec") == SPEC_FILE:
+        params["spec"] = spec_file
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        scenario = pathlib.Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"command": command, "parameters": params, "output_dir": str(out)}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--scenario", str(scenario)])
+        if code == 0:
+            assert stderr.getvalue() == ""
+            for path in sorted(out.iterdir()):
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=_reject_constant)
+                else:
+                    _check_csv(path)
+        else:
+            assert code in (2, 3, 4)
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["exit_code"] == code

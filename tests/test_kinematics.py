@@ -220,3 +220,17 @@ class TestStateTypes:
             PhysicalConstants(c=-1.0)
         with pytest.raises(DomainError):
             PhysicalConstants(m0=-0.1)
+
+    @pytest.mark.parametrize("name", ["hbar", "c", "m0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_constants_rejected(self, name, value):
+        with pytest.raises(DomainError):
+            PhysicalConstants(**{name: value})
+
+    def test_huge_wavevector_magnitudes_do_not_overflow(self):
+        k = (1e300, 1e300, 0.0)
+        assert np.allclose(group_velocity(k, NAT), [2**-0.5, 2**-0.5, 0.0],
+                           rtol=1e-15)
+        wave = PlaneWave.on_shell(1.0, k, NAT)
+        assert wave.omega == pytest.approx(2**0.5 * 1e300, rel=1e-15)
+        assert wave.shell_defect(NAT) == 0.0

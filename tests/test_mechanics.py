@@ -7,7 +7,7 @@ from hjwave import (
     DivergenceError,
     DomainError,
     Grid,
-    LinearAction,
+    ParticleState,
     PhysicalConstants,
     Potential,
     curl_check,
@@ -170,9 +170,6 @@ class TestIntegrateNewton:
         with pytest.raises(DomainError):
             integrate_newton(Potential.free(), np.zeros(3), np.zeros(3), NAT,
                              dt=-1.0, steps=5)
-        with pytest.raises(DomainError):
-            integrate_newton(Potential.free(), np.zeros(3), np.zeros(3), NAT,
-                             dt=0.1, steps=5, method="euler")
 
     def test_trajectory_field_duality_free_case(self):
         # grad S of the on-shell action equals p(t) along the free motion
@@ -244,7 +241,7 @@ class TestHjePotentialResidual:
     def test_on_shell_action_free_case(self):
         grid = Grid.line(16, 2 * math.pi)
         p = np.array([0.8, 0.0, 0.0])
-        action = LinearAction(E=energy_from_momentum(p, NAT), p=p)
+        action = ParticleState.from_momentum(p, NAT)
         res = hje_potential_residual(
             action, Potential.free(), NAT, grid=grid
         )
@@ -260,7 +257,7 @@ class TestHjePotentialResidual:
         )
         p = np.array([1.5, 0.0, 0.0])
         e_shell = energy_from_momentum(p, NAT)
-        action = LinearAction(E=e_shell + phi0, p=p)
+        action = ParticleState(E=e_shell + phi0, p=p)
         res = hje_potential_residual(action, const_pot, NAT, grid=grid)
         assert res.max_abs() <= 1e-12
 

@@ -349,6 +349,26 @@ class TestPlaneWaveResiduals:
         assert 1.9 <= math.log2(errors[1] / errors[2]) <= 2.1
 
 
+class TestAnalyticField:
+    def test_constructors_share_one_representation(self):
+        wave = AnalyticField.plane_wave(2.0, [1.0, -0.5])
+        assert wave.amplitudes.shape == (1,) and wave.rates.shape == (1, 2)
+        assert np.array_equal(wave.rates, [[1j, -0.5j]])
+        modes = AnalyticField.from_modes([1.0, 0.5], [[1.0, 0.0], [0.0, 2.0]])
+        assert modes.n == 2 and modes.rates.shape == (2, 2)
+        assert AnalyticField.constant(3, 0.5).value(np.ones(3)) == 0.5
+
+    def test_modes_and_rates_must_agree(self):
+        with pytest.raises(ValueError, match="modes"):
+            AnalyticField.from_modes([1.0, 2.0], [[1.0, 0.0]])
+
+    def test_value_is_the_sum_of_the_modes(self):
+        x = np.array([0.4, -1.1])
+        field = AnalyticField([0.5, 2j], [[1.0, 0.5j], [-0.3, 0.0]])
+        expected = 0.5 * cmath.exp(0.4 - 0.55j) + 2j * cmath.exp(-0.12)
+        assert cmath.isclose(field.value(x), expected, rel_tol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Residual decomposition certificate
 # ---------------------------------------------------------------------------
@@ -424,6 +444,29 @@ class TestResidualDecomposition:
             mismatches.append(worst)
         assert mismatches[1] <= 1e-7
         assert 1.5 <= math.log2(mismatches[0] / mismatches[1]) <= 2.5
+
+    def test_analytic_field_of_wrong_dimension_rejected(self):
+        spec = log_transform(hje_pde_spec(NAT), A_QM)
+        wave = AnalyticField.plane_wave(1.0, [1.0, 0.0, 0.0])
+        for point in (np.zeros(3), np.zeros(4)):
+            with pytest.raises(DomainError, match="4 arguments"):
+                residual_decomposition_check(spec, A_QM, wave, point)
+            with pytest.raises(DomainError, match="4 arguments"):
+                residual_nonlinear(spec, wave, point)
+            with pytest.raises(DomainError, match="4 arguments"):
+                residual_linear(linearize(spec), wave, point)
+
+    def test_analytic_point_of_wrong_length_rejected(self):
+        spec = log_transform(hje_pde_spec(NAT), A_QM)
+        wave = AnalyticField.plane_wave(1.0, [1.0, 0.0, 0.0, 1.5])
+        with pytest.raises(DomainError, match="4 arguments"):
+            residual_decomposition_check(spec, A_QM, wave, np.zeros(3))
+
+    def test_zero_analytic_field_rejected(self):
+        spec = PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.0)
+        with pytest.raises(ZeroFieldError):
+            residual_decomposition_check(
+                spec, 1.0, AnalyticField.constant(1, 0.0), np.zeros(1))
 
     def test_near_zero_field_rejected(self):
         spec = PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.0)
@@ -857,6 +900,34 @@ class TestJsonSerialization:
     def test_malformed_spec_raises_format_error(self, text):
         with pytest.raises(FormatError):
             pde_spec_loads(text)
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("spec", "homogeneous", "no"),
+        ("spec", "homogeneous", 1),
+        ("spec", "n", 2.9),
+        ("spec", "n", 4.0),
+        ("spec", "n", True),
+        ("term", "degree", 2.5),
+        ("term", "indices", "11"),
+        ("term", "indices", [1, 1.0]),
+        ("term", "indices", {"1": 1, "2": 1}),
+        ("term", "coeff", ["1e3", 0]),
+        ("term", "coeff", [True, 0]),
+        ("term", "coeff", [math.nan, 0]),
+        ("spec", "b", [0, math.inf]),
+        ("spec", "transform_constant", [1, None]),
+    ])
+    def test_ill_typed_value_raises_format_error(self, where, key, value):
+        spec = PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.5)
+        obj = json.loads(pde_spec_dumps(log_transform(spec, A_QM)))
+        (obj["terms"][0] if where == "term" else obj)[key] = value
+        with pytest.raises(FormatError):
+            pde_spec_from_obj(obj)
+
+    def test_integer_coefficients_are_numbers(self):
+        obj = json.loads(pde_spec_dumps(hje_pde_spec(NAT)))
+        obj["terms"][0]["coeff"] = [-1, 0]
+        assert pde_spec_from_obj(obj) == hje_pde_spec(NAT)
 
     def test_file_round_trip(self, tmp_path):
         spec = hje_pde_spec_1d(PhysicalConstants(0.3, 1.7, 2.2))

@@ -8,13 +8,13 @@ from hjwave import (
     DomainError,
     Grid,
     InsufficientDataError,
-    LinearAction,
     NumericalError,
+    ParticleState,
     PhysicalConstants,
+    PlaneWave,
     ScalarField,
     SolverConfig,
     StabilityError,
-    WaveAction,
     ZeroFieldError,
     dispersion_omega,
     eigen_checks,
@@ -351,19 +351,19 @@ class TestSchrodingerSolver:
 class TestHjeResidual:
     def test_particle_action_on_shell_massless(self):
         grid = Grid.line(16, 2 * math.pi)
-        action = LinearAction(E=2.0, p=(2.0, 0.0, 0.0))  # E = p c
+        action = ParticleState.from_momentum((2.0, 0.0, 0.0), MASSLESS)
         res = hje_residual(action, MASSLESS, massless=True, grid=grid)
         assert res.max_abs() == 0.0
 
     def test_wave_action_on_shell_massless(self):
         grid = Grid.line(64, 2 * math.pi)
-        action = WaveAction(0.7, (3.0, 0.0, 0.0), omega=3.0)
+        action = PlaneWave.on_shell(0.7, (3.0, 0.0, 0.0), MASSLESS)
         res = hje_residual(action, MASSLESS, massless=True, grid=grid)
         assert res.max_abs() <= 1e-12
 
     def test_off_shell_witness_is_minus_one(self):
         grid = Grid.line(16, 2 * math.pi)
-        action = LinearAction(E=1.0, p=(1.0, 0.0, 0.0))
+        action = ParticleState(E=1.0, p=(1.0, 0.0, 0.0))
         res = hje_residual(action, NAT, grid=grid)
         assert np.all(res.values == -1.0)
 
