@@ -20,6 +20,7 @@ from .errors import (
     NumericalError,
     StabilityError,
     UnsupportedOrderError,
+    VerificationError,
     ZeroFieldError,
 )
 from .fields import (
@@ -55,12 +56,10 @@ from .mechanics import (
     Potential,
     Trajectory,
     curl_check,
-    gradient_consistency,
     gradient_field,
     hje_potential_residual,
     integrate_newton,
     total_energy,
-    velocity_from_momentum,
 )
 from .pde_algebra import (
     AnalyticField,
@@ -79,7 +78,6 @@ from .pde_algebra import (
     log_transform,
     pde_spec_dumps,
     pde_spec_loads,
-    plane_wave_residual_factor,
     quadratic_matrix,
     residual_linear,
     residual_nonlinear,
@@ -94,7 +92,6 @@ from .solvers import (
     SolverConfig,
     eigen_checks,
     hje_residual,
-    laplacian,
     leapfrog_stability_limit,
     log_curvature_check,
     solve_relativistic,

@@ -7,9 +7,16 @@ ill-typed scenario keys abort before any computation.  All outputs are
 CSV tables plus a JSON summary with 17-significant-digit floats, so a
 rerun of the same scenario and seed is byte-identical.
 
+Each ``cmd_*`` computes and returns a CommandResult: its files, its
+stdout lines and its failure, if any.  ``main`` alone writes: it creates
+the output directory only after the command has succeeded and every JSON
+output has been encoded, so a failed command leaves no directory and no
+file.  A failed verify-all check is the one failure reported after the
+files: the report is written, then the error line follows.
+
 Exit codes: 0 success, 2 validation failure, 3 numerical failure
-(overflow included), 4 I/O failure.  Failures emit a one-line JSON
-error report on stderr.
+(overflow and division by zero included) or failed verify-all check,
+4 I/O failure.  Failures emit a one-line JSON error report on stderr.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from . import verify
-from .errors import HjwaveError, NumericalError
-from .fields import Grid, plane_wave_field, save_field
+from .errors import HjwaveError, NumericalError, VerificationError
+from .fields import Grid, ScalarField, plane_wave_field, save_field
 from .kinematics import (
     PhysicalConstants,
     dispersion_omega,
@@ -47,7 +54,7 @@ from .pde_algebra import (
     residual_linear,
     residual_nonlinear,
 )
-from .reporting import ensure_dir, write_csv, write_json
+from .reporting import json_dumps, write_csv, write_json
 from .solvers import (
     CRANK_NICOLSON,
     LEAPFROG,
@@ -63,7 +70,11 @@ class CliValidationError(ValueError):
     """Bad command line, scenario file, or parameter combination."""
 
 
-_UNSET = object()
+def _as_float(value) -> float:
+    """A scenario number: JSON strings, bools, lists and objects are not."""
+    if isinstance(value, (bool, list, dict, str)):
+        raise TypeError
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -92,9 +103,7 @@ class Param:
         """Validate a scenario-file value for this parameter."""
         try:
             if self.kind == "float":
-                if isinstance(value, bool) or isinstance(value, (list, dict, str)):
-                    raise TypeError
-                return float(value)
+                return _as_float(value)
             if self.kind == "int":
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise TypeError
@@ -110,7 +119,7 @@ class Param:
             if self.kind == "float_list":
                 if not isinstance(value, list) or not value:
                     raise TypeError
-                return [float(v) for v in value]
+                return [_as_float(v) for v in value]
         except (OverflowError, TypeError, ValueError):
             raise CliValidationError(
                 f"parameter {self.name!r} expects a value of kind {self.kind}"
@@ -186,19 +195,14 @@ def parse_transform_constant(text: str, hbar: float) -> complex:
     text = text.strip()
     if text == "hbar/i":
         return hbar / 1j
-    if text.startswith("["):
-        try:
+    try:
+        if text.startswith("["):
             pair = json.loads(text)
             if (not isinstance(pair, list)) or len(pair) != 2:
                 raise ValueError
             return complex(float(pair[0]), float(pair[1]))
-        except (ValueError, TypeError):
-            raise CliValidationError(
-                f"cannot parse transform constant {text!r}"
-            ) from None
-    try:
         return complex(float(text))
-    except ValueError:
+    except (ValueError, TypeError):
         raise CliValidationError(
             f"cannot parse transform constant {text!r}"
         ) from None
@@ -230,8 +234,6 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict:
         try:
             with open(args.scenario) as fh:
                 scenario = json.load(fh)
-        except OSError:
-            raise
         except json.JSONDecodeError as exc:
             raise CliValidationError(f"scenario is not valid JSON: {exc}")
         if not isinstance(scenario, dict):
@@ -285,10 +287,24 @@ def _vec3_param(values, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: each computes and returns; main writes
 # ---------------------------------------------------------------------------
 
-def cmd_dispersion(params: dict) -> int:
+@dataclass(frozen=True)
+class CommandResult:
+    """A command's output files, its stdout lines and its failure, if any.
+
+    ``files`` maps a file name to a CSV table ``(header, rows)``, a JSON
+    object (a dict) or a ScalarField.  An ``error`` (failed verify-all
+    checks) is reported, and sets the exit code, after the files are written.
+    """
+
+    files: dict[str, object]
+    lines: list[str]
+    error: HjwaveError | None = None
+
+
+def cmd_dispersion(params: dict) -> CommandResult:
     consts = _consts(params)
     rows = []
     for k in params["k"]:
@@ -301,61 +317,43 @@ def cmd_dispersion(params: dict) -> int:
         if not (math.isfinite(omega) and math.isfinite(vgr)) or math.isinf(vph):
             raise NumericalError(f"non-finite dispersion row at k = {k!r}")
         rows.append((float(k), omega, vph, vgr))
-    out = ensure_dir(params["_out"])
-    write_csv(
-        os.path.join(out, "dispersion.csv"),
-        ["k", "omega", "v_phase", "v_group"],
-        rows,
-    )
-    write_json(
-        os.path.join(out, "summary.json"),
+    return CommandResult(
         {
-            "command": "dispersion",
-            "hbar": consts.hbar,
-            "c": consts.c,
-            "m0": consts.m0,
-            "count": len(rows),
+            "dispersion.csv": (["k", "omega", "v_phase", "v_group"], rows),
+            "summary.json": {"command": "dispersion", "hbar": consts.hbar,
+                             "c": consts.c, "m0": consts.m0,
+                             "count": len(rows)},
         },
+        [f"wrote {len(rows)} dispersion rows to {params['_out']}"],
     )
-    print(f"wrote {len(rows)} dispersion rows to {out}")
-    return 0
 
 
-def cmd_transform(params: dict) -> int:
+def cmd_transform(params: dict) -> CommandResult:
     consts = _consts(params)
-    out = ensure_dir(params["_out"])
     spec = _load_spec(params["spec"], consts)
     a_const = parse_transform_constant(params["A"], consts.hbar)
     transformed = log_transform(spec, a_const)
-    write_json(
-        os.path.join(out, "transformed_spec.json"), pde_spec_to_obj(transformed)
-    )
-    summary = {
+    files = {"transformed_spec.json": pde_spec_to_obj(transformed)}
+    if params["emit_linear"]:
+        lin = linearize(transformed)
+        files["linear_spec.json"] = {
+            "n": lin.n,
+            "second_order_coeffs": [
+                [complex(z) for z in row] for row in lin.second_order_coeffs
+            ],
+            "zeroth_coeff": complex(lin.zeroth_coeff),
+        }
+    files["summary.json"] = {
         "command": "transform",
         "spec": params["spec"],
         "A": a_const,
         "emit_linear": bool(params["emit_linear"]),
     }
-    if params["emit_linear"]:
-        lin = linearize(transformed)
-        write_json(
-            os.path.join(out, "linear_spec.json"),
-            {
-                "n": lin.n,
-                "second_order_coeffs": [
-                    [complex(z) for z in row] for row in lin.second_order_coeffs
-                ],
-                "zeroth_coeff": complex(lin.zeroth_coeff),
-            },
-        )
-    write_json(os.path.join(out, "summary.json"), summary)
-    print(f"wrote transformed spec to {out}")
-    return 0
+    return CommandResult(files, [f"wrote transformed spec to {params['_out']}"])
 
 
-def cmd_solve(params: dict) -> int:
+def cmd_solve(params: dict) -> CommandResult:
     consts = _consts(params)
-    out = ensure_dir(params["_out"])
     equation = params["equation"]
     if equation not in ("wave", "relativistic", "schrodinger"):
         raise CliValidationError(f"unknown equation {equation!r}")
@@ -388,36 +386,33 @@ def cmd_solve(params: dict) -> int:
     tee = report.final.time_stamp
     analytic = plane_wave_field(grid, k_vec, omega=omega, t=tee)
     error = float(np.max(np.abs(report.final.values - analytic.values)))
-
-    save_field(os.path.join(out, "final.field"), report.final)
-    report.diagnostics.to_csv(os.path.join(out, "diagnostics.csv"))
     norms = report.diagnostics.norm
     drift = float(np.max(np.abs(norms / norms[0] - 1.0))) if norms.size else 0.0
-    write_json(
-        os.path.join(out, "summary.json"),
+    summary = {
+        "command": "solve",
+        "equation": equation,
+        "k": k,
+        "omega_analytic": omega,
+        "dt": dt,
+        "steps": steps,
+        "final_time": tee,
+        "final_norm": float(norms[-1]),
+        "max_norm_drift": drift,
+        "error_vs_analytic": error,
+    }
+    return CommandResult(
         {
-            "command": "solve",
-            "equation": equation,
-            "k": k,
-            "omega_analytic": omega,
-            "dt": dt,
-            "steps": steps,
-            "final_time": tee,
-            "final_norm": float(norms[-1]),
-            "max_norm_drift": drift,
-            "error_vs_analytic": error,
+            "final.field": report.final,
+            "diagnostics.csv": report.diagnostics.table(),
+            "summary.json": summary,
         },
+        [f"{equation}: {steps} steps to t={tee:.6g}, "
+         f"plane-wave error {error:.3e} (results in {params['_out']})"],
     )
-    print(
-        f"{equation}: {steps} steps to t={tee:.6g}, "
-        f"plane-wave error {error:.3e} (results in {out})"
-    )
-    return 0
 
 
-def cmd_residual(params: dict) -> int:
+def cmd_residual(params: dict) -> CommandResult:
     consts = _consts(params)
-    out = ensure_dir(params["_out"])
     spec = _load_spec(params["spec"], consts)
     a_const = parse_transform_constant(params["A"], consts.hbar)
     k = np.array([params["kx"], params["ky"], params["kz"]])
@@ -438,32 +433,28 @@ def cmd_residual(params: dict) -> int:
     linear = residual_linear(linearize(transformed), wave, origin)
     decomp = residual_decomposition_check(transformed, a_const, wave, origin)
 
-    write_json(
-        os.path.join(out, "residual.json"),
-        {
-            "command": "residual",
-            "alpha": [float(a) for a in alpha],
-            "dispersion_roots": [complex(r) for r in disp.roots],
-            "nonlinear_residual": complex(nonlinear),
-            "linear_residual": complex(linear),
-            "decomposition": {
-                "lhs": complex(decomp.lhs),
-                "rhs": complex(decomp.rhs),
-                "mismatch": decomp.mismatch,
-                "log_curvature_term": complex(decomp.log_curvature_term),
-            },
+    residual = {
+        "command": "residual",
+        "alpha": [float(a) for a in alpha],
+        "dispersion_roots": [complex(r) for r in disp.roots],
+        "nonlinear_residual": complex(nonlinear),
+        "linear_residual": complex(linear),
+        "decomposition": {
+            "lhs": complex(decomp.lhs),
+            "rhs": complex(decomp.rhs),
+            "mismatch": decomp.mismatch,
+            "log_curvature_term": complex(decomp.log_curvature_term),
         },
+    }
+    return CommandResult(
+        {"residual.json": residual},
+        [f"residuals at omega={omega:.6g}: nonlinear {abs(nonlinear):.3e}, "
+         f"linear {abs(linear):.3e} (results in {params['_out']})"],
     )
-    print(
-        f"residuals at omega={omega:.6g}: nonlinear {abs(nonlinear):.3e}, "
-        f"linear {abs(linear):.3e} (results in {out})"
-    )
-    return 0
 
 
-def cmd_newton(params: dict) -> int:
+def cmd_newton(params: dict) -> CommandResult:
     consts = _consts(params)
-    out = ensure_dir(params["_out"])
     kind = params["potential"]
     if kind == "free":
         potential = Potential.free()
@@ -479,33 +470,31 @@ def cmd_newton(params: dict) -> int:
     traj = integrate_newton(
         potential, r0, p0, consts, dt=params["dt"], steps=params["steps"]
     )
-    traj.to_csv(os.path.join(out, "trajectory.csv"), potential, consts)
     energies = traj.energies(potential, consts)
     e0 = float(energies[0])
     drift = float(np.max(np.abs(energies - e0))) / max(abs(e0), 1e-300)
     speeds = traj.speeds(consts)
-    write_json(
-        os.path.join(out, "summary.json"),
+    summary = {
+        "command": "newton",
+        "potential": kind,
+        "steps": params["steps"],
+        "dt": params["dt"],
+        "energy_drift_rel": drift,
+        "max_speed_over_c": float(np.max(speeds)) / consts.c,
+        "final_r": [float(v) for v in traj.r[-1]],
+        "final_p": [float(v) for v in traj.p[-1]],
+    }
+    return CommandResult(
         {
-            "command": "newton",
-            "potential": kind,
-            "steps": params["steps"],
-            "dt": params["dt"],
-            "energy_drift_rel": drift,
-            "max_speed_over_c": float(np.max(speeds)) / consts.c,
-            "final_r": [float(v) for v in traj.r[-1]],
-            "final_p": [float(v) for v in traj.p[-1]],
+            "trajectory.csv": traj.table(potential, consts),
+            "summary.json": summary,
         },
+        [f"{kind} trajectory: {params['steps']} steps, relative energy drift "
+         f"{drift:.3e} (results in {params['_out']})"],
     )
-    print(
-        f"{kind} trajectory: {params['steps']} steps, relative energy drift "
-        f"{drift:.3e} (results in {out})"
-    )
-    return 0
 
 
-def cmd_limit_study(params: dict) -> int:
-    out = ensure_dir(params["_out"])
+def cmd_limit_study(params: dict) -> CommandResult:
     cfg = LimitStudyConfig(
         k=params["k"],
         c_values=tuple(params["c_values"]),
@@ -516,54 +505,53 @@ def cmd_limit_study(params: dict) -> int:
         mode=params["mode"],
     )
     report = run_limit_study(cfg)
-    report.to_csv(os.path.join(out, "limit_study.csv"))
-    report.to_json(os.path.join(out, "limit_study.json"))
-    freq = report.frequency_fit
-    fld = report.field_fit
-    print(
-        "limit study: frequency-gap order "
-        + (f"{freq.order:.3f}" if freq else "n/a")
-        + ", field-gap order "
-        + (f"{fld.order:.3f}" if fld else "n/a")
-        + f" (results in {out})"
-    )
-    for w in report.warnings:
-        print(f"warning: {w}")
-    return 0
-
-
-def cmd_verify_all(params: dict) -> int:
-    out = ensure_dir(params["_out"])
-    results = verify.run_all(seed=params["seed"])
-    rows = []
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  {r.detail}")
-        rows.append((r.name, r.passed, r.detail))
-    passed = sum(r.passed for r in results)
-    print(f"verified {passed}/{len(results)} checks")
-    write_csv(
-        os.path.join(out, "verify_report.csv"),
-        ["check", "passed", "detail"],
-        rows,
-    )
-    write_json(
-        os.path.join(out, "verify_report.json"),
+    freq, fld = (f"{fit.order:.3f}" if fit else "n/a"
+                 for fit in (report.frequency_fit, report.field_fit))
+    headline = (f"limit study: frequency-gap order {freq}, field-gap order "
+                f"{fld} (results in {params['_out']})")
+    return CommandResult(
         {
-            "command": "verify-all",
-            "passed": passed,
-            "total": len(results),
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
+            "limit_study.csv": report.table(),
+            "limit_study.json": report.summary(),
         },
+        [headline] + [f"warning: {w}" for w in report.warnings],
     )
-    return 0 if passed == len(results) else 3
 
 
-DISPATCH: dict[str, Callable[[dict], int]] = {
+def cmd_verify_all(params: dict) -> CommandResult:
+    results = verify.run_all(seed=params["seed"])
+    width = max(len(r.name) for r in results)
+    lines = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}"
+        for r in results
+    ]
+    passed = sum(r.passed for r in results)
+    lines.append(f"verified {passed}/{len(results)} checks")
+    failed = [r.name for r in results if not r.passed]
+    report = {
+        "command": "verify-all",
+        "passed": passed,
+        "total": len(results),
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+    }
+    return CommandResult(
+        {
+            "verify_report.csv": (
+                ["check", "passed", "detail"],
+                [(r.name, r.passed, r.detail) for r in results],
+            ),
+            "verify_report.json": report,
+        },
+        lines,
+        VerificationError("failed checks: " + ", ".join(failed))
+        if failed else None,
+    )
+
+
+DISPATCH: dict[str, Callable[[dict], CommandResult]] = {
     "dispersion": cmd_dispersion,
     "transform": cmd_transform,
     "solve": cmd_solve,
@@ -591,32 +579,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_outputs(out: str, files: dict[str, object]) -> None:
+    """Create ``out`` and write every file of a command.
+
+    Every JSON object is encoded before the directory is created, so a
+    value JSON cannot hold (nan, inf) raises NumericalError and leaves
+    nothing on disk.
+    """
+    for data in files.values():
+        if isinstance(data, dict):
+            json_dumps(data)
+    os.makedirs(out, exist_ok=True)
+    for name, data in files.items():
+        path = os.path.join(out, name)
+        if isinstance(data, ScalarField):
+            save_field(path, data)
+        elif isinstance(data, dict):
+            write_json(path, data)
+        else:
+            write_csv(path, *data)
+
+
+def _report_error(exc: Exception) -> int:
+    """Print the one-line JSON error report for ``exc``; return its exit code."""
+    code = (4 if isinstance(exc, OSError)
+            else 2 if isinstance(exc, ValueError) else 3)
+    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+    print(json.dumps({"error": error}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         params = resolve_params(args.command, args)
         # non-finite results end in exit 3 through the solver guards and the
-        # JSON writer; numpy's warnings would add stray stderr lines
+        # JSON encoder; numpy's warnings would add stray stderr lines
         with np.errstate(all="ignore"):
-            return DISPATCH[args.command](params)
+            result = DISPATCH[args.command](params)
+            _write_outputs(params["_out"], result.files)
     except (CliValidationError, HjwaveError, ValueError, OSError,
-            OverflowError) as exc:
-        if isinstance(exc, OSError):
-            code = 4
-        elif isinstance(exc, ValueError):
-            code = 2
-        else:
-            code = 3
-        report = {
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "exit_code": code,
-            }
-        }
-        print(json.dumps(report), file=sys.stderr)
-        return code
+            ArithmeticError) as exc:
+        return _report_error(exc)
+    for line in result.lines:
+        print(line)
+    return _report_error(result.error) if result.error else 0
 
 
 if __name__ == "__main__":

@@ -58,3 +58,7 @@ class DegenerateQuadraticError(HjwaveError, ValueError):
 
 class UnsupportedOrderError(HjwaveError, ValueError):
     """The operation is only defined for quadratic (m = 2) equations."""
+
+
+class VerificationError(HjwaveError):
+    """One or more verify-all acceptance checks failed."""

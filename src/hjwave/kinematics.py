@@ -140,11 +140,18 @@ class ParticleState:
         return cls(E=energy_from_momentum(p, consts), p=p, on_shell=True)
 
     def shell_defect(self, consts: PhysicalConstants) -> float:
-        """Relative defect of E^2 - |p|^2 c^2 - m0^2 c^4."""
-        lhs = self.E**2
-        rhs = float(np.dot(self.p, self.p)) * consts.c**2 + consts.rest_energy**2
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        return abs(lhs - rhs) / scale
+        """Relative defect of E^2 - |p|^2 c^2 - m0^2 c^4.
+
+        Every energy is divided by the largest of |E|, |p| c and m0 c^2
+        before squaring, so no square overflows or underflows.
+        """
+        pc = math.hypot(*self.p.tolist()) * consts.c
+        scale = max(abs(self.E), pc, consts.rest_energy)
+        if scale == 0.0:
+            return 0.0
+        lhs = (self.E / scale) ** 2
+        rhs = (pc / scale) ** 2 + (consts.rest_energy / scale) ** 2
+        return abs(lhs - rhs) / max(lhs, rhs)
 
     def check(self, consts: PhysicalConstants, tol: float = 1e-12) -> None:
         if self.on_shell:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .convergence import OrderFit, fit_order
 from .errors import DomainError, InsufficientDataError
 from .fields import Grid, ScalarField, plane_wave_field
 from .kinematics import PhysicalConstants, dispersion_omega
-from .reporting import write_csv, write_json
 from .solvers import (
     CRANK_NICOLSON,
     LEAPFROG,
@@ -125,14 +125,10 @@ class LimitStudyReport:
     field_fit: OrderFit | None
     warnings: list[str] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            ["c", "freq_gap", "field_gap", "x_param"],
-            (
-                (r.c, r.frequency_gap, r.field_gap, r.x_param)
-                for r in self.rows
-            ),
+    def table(self) -> tuple[list[str], Iterable]:
+        """CSV header and lazily generated rows, one per c value."""
+        return ["c", "freq_gap", "field_gap", "x_param"], (
+            (r.c, r.frequency_gap, r.field_gap, r.x_param) for r in self.rows
         )
 
     def summary(self) -> dict:
@@ -159,9 +155,6 @@ class LimitStudyReport:
             "field_fit": fit_obj(self.field_fit),
             "warnings": list(self.warnings),
         }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.summary())
 
 
 def _omega_minus_rest(consts: PhysicalConstants, k: float) -> float:

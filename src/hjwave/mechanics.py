@@ -14,18 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .fields import Grid, ScalarField, central_difference, central_gradient
 from .kinematics import PhysicalConstants, particle_velocity
-from .reporting import write_csv
 from .solvers import hje_residual
-
-# Same function as the wave-side particle velocity: v = (p/m0)/sqrt(1+p^2/m0^2c^2).
-velocity_from_momentum = particle_velocity
 
 
 @dataclass(frozen=True)
@@ -71,20 +67,6 @@ class Potential:
         )
 
 
-def gradient_consistency(potential: Potential, points, eps: float = 1e-5
-                         ) -> float:
-    """Max deviation of the analytic gradient from central differences."""
-    worst = 0.0
-    for r in np.atleast_2d(np.asarray(points, dtype=float)):
-        g = potential.gradient(r)
-        for ax in range(3):
-            step = np.zeros(3)
-            step[ax] = eps
-            fd = (potential.value(r + step) - potential.value(r - step)) / (2 * eps)
-            worst = max(worst, abs(float(fd) - float(g[ax])))
-    return worst
-
-
 def total_energy(r, p, potential: Potential, consts: PhysicalConstants) -> float:
     """m0 c^2 sqrt(1 + p^2/m0^2 c^2) + Phi(r), conserved along trajectories."""
     p = np.asarray(p, dtype=float)
@@ -114,21 +96,12 @@ class Trajectory:
         mags = np.hypot.reduce(self.p, axis=1)
         return mags / (consts.m0 * np.hypot(1.0, mags / (consts.m0 * consts.c)))
 
-    def to_csv(self, path, potential: Potential, consts: PhysicalConstants
-               ) -> None:
+    def table(self, potential: Potential, consts: PhysicalConstants
+              ) -> tuple[list[str], Iterable]:
+        """CSV header and lazily generated rows, one per sample."""
         energies = self.energies(potential, consts)
-        rows = (
-            (
-                float(self.t[i]),
-                float(self.r[i, 0]), float(self.r[i, 1]), float(self.r[i, 2]),
-                float(self.p[i, 0]), float(self.p[i, 1]), float(self.p[i, 2]),
-                float(energies[i]),
-            )
-            for i in range(self.t.size)
-        )
-        write_csv(
-            path, ["t", "rx", "ry", "rz", "px", "py", "pz", "energy"], rows
-        )
+        rows = zip(self.t, *self.r.T, *self.p.T, energies)
+        return ["t", "rx", "ry", "rz", "px", "py", "pz", "energy"], rows
 
 
 def integrate_newton(potential: Potential, r0, p0,
@@ -139,6 +112,8 @@ def integrate_newton(potential: Potential, r0, p0,
         raise DomainError("dt must be positive")
     if steps < 1:
         raise DomainError("steps must be >= 1")
+    if not math.isfinite(dt * steps):
+        raise DomainError(f"the time span dt * steps = {dt * steps} overflows")
     if consts.m0 <= 0:
         raise DomainError("trajectory integration needs m0 > 0")
 
@@ -153,7 +128,7 @@ def integrate_newton(potential: Potential, r0, p0,
     rs[0], ps[0] = r, p
 
     def deriv(rr, pp):
-        return velocity_from_momentum(pp, consts), -potential.gradient(rr)
+        return particle_velocity(pp, consts), -potential.gradient(rr)
 
     # A non-finite state never turns finite again, so the loop checks only
     # every 256 steps and a scan of the rows finds the first diverged step.

@@ -289,21 +289,6 @@ def dispersion_quadratic(spec: PdeSpec, A: complex | None, k
     )
 
 
-def plane_wave_residual_factor(spec: PdeSpec, A: complex | None, alpha
-                               ) -> complex:
-    """Exact prefactor r with residual(exp(i alpha . x)) = r * psi^2.
-
-    For a quadratic spec, substituting d psi/dx_l = i alpha_l psi gives
-    r = b - sum_jk M_jk alpha_j alpha_k, i.e. minus the dispersion
-    polynomial evaluated at alpha.
-    """
-    mat, b = quadratic_matrix(spec, A)
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (spec.n,):
-        raise DomainError(f"alpha must have length n = {spec.n}")
-    return complex(b - alpha @ mat @ alpha)
-
-
 # ---------------------------------------------------------------------------
 # Analytic fields (exact derivatives)
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ NumericalError; CSV cells write them as ``nan`` / ``inf``.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -117,8 +116,3 @@ def write_json(path, obj) -> None:
     text = json_dumps(obj)  # raises before the file is created
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
-
-
-def ensure_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

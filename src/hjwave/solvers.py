@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -87,11 +88,14 @@ class Diagnostics:
     norm: np.ndarray
     energy: np.ndarray
 
+    def table(self) -> tuple[list[str], Iterable]:
+        """CSV header and lazily generated rows, one per step."""
+        rows = zip(self.step, self.time, self.norm, self.energy)
+        return ["step", "time", "norm", "energy"], rows
+
     def to_csv(self, path) -> None:
-        rows = zip(
-            (int(s) for s in self.step), self.time, self.norm, self.energy
-        )
-        write_csv(path, ["step", "time", "norm", "energy"], rows)
+        """Write ``table()`` as CSV; the benchmark's 3D runs call this."""
+        write_csv(path, *self.table())
 
 
 @dataclass
@@ -107,14 +111,6 @@ def _require_solver_grid(grid: Grid) -> None:
         raise DomainError("solvers require cubic grids")
     if min(grid.shape) < 8:
         raise DomainError("solvers require at least 8 points per axis")
-
-
-def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order periodic central Laplacian."""
-    out = np.zeros_like(values)
-    for ax, h in enumerate(grid.spacings):
-        out += second_difference(values, ax, h)
-    return out
 
 
 def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:

@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hjwave import NumericalError, load_field
 from hjwave.reporting import fmt_float, json_dumps, write_csv, write_json
@@ -265,7 +265,7 @@ class TestNewtonCommand:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "NumericalError"
         assert "energy_drift_rel" in error["message"]
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_unknown_potential(self, tmp_path):
         res = run_cli("newton", "--potential", "coulomb",
@@ -343,6 +343,53 @@ class TestScenarios:
                       "--out", str(tmp_path / "x"))
         assert res.returncode == 2
 
+    def test_non_numbers_in_a_float_list_rejected(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "command": "dispersion",
+            "parameters": {"k": ["1.5", True]},
+        }))
+        out = tmp_path / "x"
+        res = run_cli("dispersion", "--scenario", str(scenario),
+                      "--out", str(out))
+        assert res.returncode == 2
+        assert "'k'" in json.loads(res.stderr)["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [
+        ["1.5"], [True], [False], [None], [[1.0]], [{}], [10**400], [],
+        "1.5", 1.5,
+    ])
+    def test_float_list_coercion_rejects(self, value):
+        from hjwave.cli import CliValidationError, Param
+
+        with pytest.raises(CliValidationError, match="float_list"):
+            Param("k", "float_list", [0.0], "").coerce(value)
+
+
+@pytest.mark.parametrize("argv, code, error_type", [
+    (["transform", "--hbar", "1.7e308"], 3, "OverflowError"),
+    (["solve", "--cfl", "1.5"], 3, "StabilityError"),
+    (["residual", "--kx", "1"], 2, "CliValidationError"),
+    (["limit-study", "--c-values", "4", "--c-values", "2"], 2,
+     "InsufficientDataError"),
+    (["newton", "--potential", "harmonic", "--r0", "1e160", "--r0", "0",
+      "--r0", "0", "--steps", "10"], 3, "NumericalError"),
+    (["solve", "--c", "1e-200"], 3, "ZeroDivisionError"),
+    (["newton", "--dt", "1e308"], 2, "DomainError"),
+])
+def test_failed_command_writes_nothing(tmp_path, capsys, argv, code,
+                                       error_type):
+    from hjwave import cli
+
+    out = tmp_path / "x"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert (error["type"], error["exit_code"]) == (error_type, code)
+    assert not out.exists()
+
 
 class TestReportingHelpers:
     def test_header_only_csv(self, tmp_path):
@@ -394,9 +441,12 @@ NUMBERS = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7e308,
     math.nan, math.inf, -math.inf, 1.0, 2.5, -1.0, 0, 3, 10**400,
 ]) | st.floats()
+# elements of a float_list: numbers, and JSON values that are not numbers
+LIST_ITEMS = NUMBERS | st.sampled_from(["1.5", "nan", True, False, None, [1.0]])
 # stands in for one parameter of a scenario
 OTHER_JSON = st.sampled_from(
-    ["", "1.5", "nan", True, False, None, [], [1.0], [math.nan, 0.0], {}]
+    ["", "1.5", "nan", True, False, None, [], [1.0], [math.nan, 0.0],
+     ["1.5", True], {}]
 ) | st.text(max_size=4)
 SPEC_NAMES = st.sampled_from(
     ["hje-massive", "hje-massless", SPEC_FILE, "no-such-spec", "", "{}"])
@@ -404,14 +454,63 @@ A_STRINGS = st.sampled_from(
     ["hbar/i", "1.5", "-2", "0", "nan", "1e309", "[1, 2]", "[1e308, 1e308]",
      "[NaN, 0]", "[1]", "i/hbar"])
 COMMON = {"hbar": NUMBERS, "c": NUMBERS, "m0": NUMBERS, "seed": st.integers()}
+# The limit study picks its own step count, which grows as
+# t m0^3 c^4 / (hbar^3 k^2) and has no cap; these ranges, with c_values
+# and time always given, keep it below 50k steps (the default sweep
+# takes 3.5M).
+LIMIT_SCALES = st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, math.nan, math.inf])
+LIMIT_SPEEDS = st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0])
 SCENARIO_PARAMS = {
-    "dispersion": {"k": st.lists(NUMBERS, min_size=1, max_size=3)},
+    "dispersion": {"k": st.lists(LIST_ITEMS, min_size=1, max_size=3)},
     "transform": {"spec": SPEC_NAMES, "A": A_STRINGS,
                   "emit_linear": st.booleans()},
     "residual": {"spec": SPEC_NAMES, "A": A_STRINGS, "kx": NUMBERS,
                  "ky": NUMBERS, "kz": NUMBERS, "omega": NUMBERS,
                  "on_shell": st.booleans()},
+    "solve": {"equation": st.sampled_from(
+                  ["wave", "relativistic", "schrodinger", "heat"]),
+              "dims": st.sampled_from([1, 3, 2]),
+              "points": st.integers(-1, 12), "length": NUMBERS,
+              "mode": st.integers(-2, 4), "dt": NUMBERS, "cfl": NUMBERS,
+              "steps": st.integers(-1, 20)},
+    "newton": {"potential": st.sampled_from(
+                   ["free", "linear", "harmonic", "coulomb"]),
+               "force": st.lists(LIST_ITEMS, max_size=4), "kappa": NUMBERS,
+               "r0": st.lists(LIST_ITEMS, max_size=4),
+               "p0": st.lists(LIST_ITEMS, max_size=4),
+               "dt": NUMBERS, "steps": st.integers(-1, 40)},
+    "limit-study": {"k": LIMIT_SCALES, "hbar": LIMIT_SCALES,
+                    "m0": LIMIT_SCALES,
+                    "c_values": st.lists(LIMIT_SPEEDS, min_size=3, max_size=6,
+                                         unique=True).map(sorted)
+                                | st.lists(LIMIT_SPEEDS | st.sampled_from(
+                                    [0.0, -4.0, math.nan, math.inf, "4", True]),
+                                    max_size=5),
+                    "time": st.floats(0.0, 1e-4)
+                            | st.sampled_from([-1e-4, math.nan, math.inf]),
+                    "points": st.integers(-1, 32), "mode": st.integers(-1, 3)},
+    "verify-all": {"seed": st.integers(-1, 20)},
 }
+# parameters every scenario of the command sets, so that no example runs
+# at the default sizes (64^3 points in 3D, 1000 RK4 steps, 3.5M leapfrog
+# steps in the limit study)
+SIZES = {"solve": ("points", "steps"), "newton": ("steps",),
+         "limit-study": ("c_values", "time")}
+# text columns; the other columns of every CSV output are numbers
+TEXT_COLUMNS = {"check", "passed", "detail"}
+
+
+@st.composite
+def scenario_params(draw, command):
+    """Parameters of a scenario, one of them perhaps replaced by other JSON."""
+    drawn = {**COMMON, **SCENARIO_PARAMS[command]}
+    sizes = SIZES.get(command, ())
+    params = draw(st.fixed_dictionaries(
+        {name: drawn[name] for name in sizes},
+        optional={name: s for name, s in drawn.items() if name not in sizes}))
+    if params and draw(st.booleans()):
+        params[draw(st.sampled_from(sorted(params)))] = draw(OTHER_JSON)
+    return params
 
 
 def _reject_constant(token):
@@ -422,11 +521,25 @@ def _check_csv(path):
     rows = list(csv.reader(path.read_text().splitlines()))
     header = rows[0]
     for row in rows[1:]:
+        # verify_report.csv writes a detail with commas unquoted: the zip
+        # reads its first three cells only
         for name, cell in zip(header, row):
+            if name in TEXT_COLUMNS:
+                continue
             value = float(cell)
             if math.isnan(value) and name == "v_phase" and float(row[0]) == 0:
                 continue  # the phase velocity of a massive wave at rest
             assert math.isfinite(value), (path.name, name, cell)
+
+
+def _check_outputs(out):
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        elif path.suffix == ".field":
+            assert np.all(np.isfinite(load_field(path).values))
+        else:
+            _check_csv(path)
 
 
 @pytest.fixture(scope="module")
@@ -438,16 +551,16 @@ def spec_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("command", sorted(SCENARIO_PARAMS))
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_any_scenario_exits_cleanly(spec_file, command, data):
+def run_scenario(command, params, spec_file):
+    """Run one scenario in process and check the output contract.
+
+    Exit 0 leaves only files that parse and prints nothing on stderr.
+    Any other exit prints one JSON error line and leaves no output
+    directory, except that a failed verify-all check still writes the
+    report, and the error names the checks that the report marks failed.
+    """
     from hjwave import cli
 
-    params = data.draw(st.fixed_dictionaries(
-        {}, optional={**SCENARIO_PARAMS[command], **COMMON}))
-    if params and data.draw(st.booleans()):
-        params[data.draw(st.sampled_from(sorted(params)))] = data.draw(OTHER_JSON)
     if params.get("spec") == SPEC_FILE:
         params["spec"] = spec_file
     with tempfile.TemporaryDirectory() as tmp:
@@ -460,13 +573,34 @@ def test_any_scenario_exits_cleanly(spec_file, command, data):
             code = cli.main([command, "--scenario", str(scenario)])
         if code == 0:
             assert stderr.getvalue() == ""
-            for path in sorted(out.iterdir()):
-                if path.suffix == ".json":
-                    json.loads(path.read_text(), parse_constant=_reject_constant)
-                else:
-                    _check_csv(path)
-        else:
-            assert code in (2, 3, 4)
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1
-            assert json.loads(lines[0])["error"]["exit_code"] == code
+            _check_outputs(out)
+            return
+        assert code in (2, 3, 4)
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["exit_code"] == code
+        if error["type"] != "VerificationError":
+            assert not out.exists()
+            return
+        _check_outputs(out)
+        report = json.loads((out / "verify_report.json").read_text())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed and error["message"] == "failed checks: " + ", ".join(failed)
+        assert f"verified {report['passed']}/{report['total']} checks" in (
+            stdout.getvalue().splitlines())
+
+
+@pytest.mark.parametrize("command", sorted(set(SCENARIO_PARAMS) - {"verify-all"}))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_scenario_exits_cleanly(spec_file, command, data):
+    run_scenario(command, data.draw(scenario_params(command)), spec_file)
+
+
+# seed 4 fails the residual-decomposition check (about 1.4 s a run)
+@settings(max_examples=4, deadline=None)
+@given(params=scenario_params("verify-all"))
+@example(params={"seed": 4})
+def test_any_verify_all_scenario_exits_cleanly(spec_file, params):
+    run_scenario("verify-all", params, spec_file)

@@ -203,6 +203,22 @@ class TestStateTypes:
         with pytest.raises(DomainError):
             bad.check(NAT)
 
+    @pytest.mark.parametrize("p", [(1e200, 0, 0), (1e-200, 0, 0),
+                                   (1e200, 1e200, 1e200)])
+    def test_extreme_momentum_shell_defect_is_finite(self, p):
+        consts = PhysicalConstants()
+        state = ParticleState.from_momentum(p, consts)
+        state.check(consts)
+        assert state.shell_defect(consts) <= 1e-15
+
+    @pytest.mark.parametrize("E, p", [(1.0, (1e200, 0, 0)),
+                                      (2e200, (1e200, 0, 0)),
+                                      (1e200, (0, 0, 0))])
+    def test_extreme_off_shell_state_rejected(self, E, p):
+        bad = ParticleState(E=E, p=p, on_shell=True)
+        with pytest.raises(DomainError, match="mass shell"):
+            bad.check(PhysicalConstants())
+
     def test_negative_energy_branch_rejected(self):
         bad = ParticleState(E=-5.0, p=(3, 4, 0), on_shell=True)
         with pytest.raises(DomainError):

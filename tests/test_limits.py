@@ -16,6 +16,7 @@ from hjwave import (
     restore_rest_energy,
     run_limit_study,
 )
+from hjwave.reporting import write_csv, write_json
 
 NAT = PhysicalConstants.natural()
 
@@ -126,8 +127,8 @@ class TestStudyRuns:
         report = run_limit_study(cfg)
         csv_path = tmp_path / "study.csv"
         json_path = tmp_path / "study.json"
-        report.to_csv(csv_path)
-        report.to_json(json_path)
+        write_csv(csv_path, *report.table())
+        write_json(json_path, report.summary())
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "c,freq_gap,field_gap,x_param"
         assert len(lines) == 5

@@ -14,7 +14,6 @@ from hjwave import (
     dispersion_omega,
     energy_from_momentum,
     fit_order,
-    gradient_consistency,
     gradient_field,
     hje_potential_residual,
     hje_residual,
@@ -23,31 +22,41 @@ from hjwave import (
     particle_velocity,
     plane_wave_field,
     total_energy,
-    velocity_from_momentum,
 )
+from hjwave.reporting import write_csv
 
 NAT = PhysicalConstants.natural()
 
 
-class TestVelocityMomentum:
-    def test_shared_implementation_with_kinematics(self):
-        assert velocity_from_momentum is particle_velocity
+def gradient_consistency(potential, points, eps=1e-5):
+    """Max deviation of the analytic gradient from central differences."""
+    worst = 0.0
+    for r in np.atleast_2d(np.asarray(points, dtype=float)):
+        g = potential.gradient(r)
+        for ax in range(3):
+            step = np.zeros(3)
+            step[ax] = eps
+            fd = (potential.value(r + step) - potential.value(r - step)) / (2 * eps)
+            worst = max(worst, abs(float(fd) - float(g[ax])))
+    return worst
 
+
+class TestVelocityMomentum:
     def test_rest(self):
-        assert np.all(velocity_from_momentum((0, 0, 0), NAT) == 0.0)
+        assert np.all(particle_velocity((0, 0, 0), NAT) == 0.0)
 
     def test_characteristic_momentum(self):
-        v = velocity_from_momentum((NAT.m0 * NAT.c, 0, 0), NAT)
+        v = particle_velocity((NAT.m0 * NAT.c, 0, 0), NAT)
         assert np.allclose(v, [NAT.c / math.sqrt(2), 0, 0], rtol=1e-15)
 
     def test_inverse_round_trip(self):
         p = np.array([0.3, -1.2, 2.0])
-        back = momentum_from_velocity(velocity_from_momentum(p, NAT), NAT)
+        back = momentum_from_velocity(particle_velocity(p, NAT), NAT)
         assert np.allclose(back, p, rtol=1e-12)
 
     def test_massless_rejected(self):
         with pytest.raises(DomainError):
-            velocity_from_momentum((1, 0, 0), PhysicalConstants(1, 1, 0))
+            particle_velocity((1, 0, 0), PhysicalConstants(1, 1, 0))
 
 
 class TestPotentials:
@@ -79,7 +88,7 @@ class TestIntegrateNewton:
             Potential.free(), np.zeros(3), p0, NAT, dt=1e-2, steps=500
         )
         assert np.max(np.abs(traj.p - p0)) <= 1e-12
-        v = velocity_from_momentum(p0, NAT)
+        v = particle_velocity(p0, NAT)
         expected = traj.t[:, None] * v
         assert np.max(np.abs(traj.r - expected)) <= 1e-12
 
@@ -187,7 +196,7 @@ class TestIntegrateNewton:
             pot, np.array([1.0, 0, 0]), np.zeros(3), NAT, dt=0.1, steps=10
         )
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, pot, NAT)
+        write_csv(path, *traj.table(pot, NAT))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,rx,ry,rz,px,py,pz,energy"
         assert len(lines) == 12  # header + 11 samples

@@ -32,7 +32,6 @@ from hjwave import (
     pde_spec_dumps,
     pde_spec_loads,
     plane_wave_field,
-    plane_wave_residual_factor,
     quadratic_matrix,
     residual_linear,
     residual_nonlinear,
@@ -269,6 +268,18 @@ class TestDispersionQuadratic:
 # ---------------------------------------------------------------------------
 # Residuals on plane waves (both directions)
 # ---------------------------------------------------------------------------
+
+def plane_wave_residual_factor(spec, A, alpha):
+    """Exact prefactor r with residual(exp(i alpha . x)) = r * psi^2.
+
+    For a quadratic spec, substituting d psi/dx_l = i alpha_l psi gives
+    r = b - sum_jk M_jk alpha_j alpha_k, i.e. minus the dispersion
+    polynomial evaluated at alpha.
+    """
+    mat, b = quadratic_matrix(spec, A)
+    alpha = np.asarray(alpha, dtype=complex)
+    return complex(b - alpha @ mat @ alpha)
+
 
 class TestPlaneWaveResiduals:
     def setup_method(self):
