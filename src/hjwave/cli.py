@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -562,6 +563,12 @@ DISPATCH: dict[str, Callable[[dict], CommandResult]] = {
 }
 
 
+# Built once per process; main only parses with it.  A fresh parser per
+# call leaves new attribute-name strings in the interpreter's type
+# attribute cache, scattered over allocator arenas that would otherwise be
+# freed: the evolve-and-write benchmark's pass loop grew by about 0.4 MB a
+# pass that way.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hjwave",

@@ -54,6 +54,10 @@ from .solvers import (
 
 
 TEMPORAL_SAFETY = 0.05  # leapfrog phase-error budget as a gap fraction
+# Leapfrog steps allowed per row.  Every step gets a diagnostics row (about
+# 40 bytes), so the bound keeps a row near 0.4 GB; the default sweep takes
+# 346,565 steps at c = 128, and the step count grows as t m0^3 c^4/(hbar^3 k^2).
+MAX_STEPS = 10_000_000
 SCHRODINGER_STEPS = 256  # Crank-Nicolson steps of the Schrodinger endpoint
 
 
@@ -210,6 +214,23 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     )
     theta = min(theta, 0.5)
 
+    # Every row's dt and step count, checked against MAX_STEPS before any
+    # row runs.
+    plans = []
+    for cc in consts_per_c:
+        dt = theta / dispersion_omega(cfg.k, cc)
+        cfl = leapfrog_stability_limit(grid, cc.c, cc.rest_frequency)
+        dt = min(dt, 0.5 * cfl)
+        steps = max(1, math.ceil(tee / dt))
+        plans.append((tee / steps, steps))
+    most = max(steps for _, steps in plans)
+    if most > MAX_STEPS:
+        raise DomainError(
+            f"the sweep needs {most} leapfrog steps at one c value, more "
+            f"than the bound of {MAX_STEPS}; shorten the time or lower the "
+            "largest c"
+        )
+
     # The Schrodinger endpoint does not depend on c: evolve it once.
     initial = plane_wave_field(grid, cfg.k, omega=0.0, t=0.0)
     consts_nr = PhysicalConstants(hbar=cfg.hbar, c=1.0, m0=cfg.m0)
@@ -225,14 +246,8 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
 
     rows: list[LimitRow] = []
     field_gaps: list[float] = []
-    for cc, gap in zip(consts_per_c, freq_gaps):
-        omega = dispersion_omega(cfg.k, cc)
+    for cc, gap, (dt, steps) in zip(consts_per_c, freq_gaps, plans):
         omega_grid = dispersion_omega(k_stencil, cc)
-        dt = theta / omega
-        cfl = leapfrog_stability_limit(grid, cc.c, cc.rest_frequency)
-        dt = min(dt, 0.5 * cfl)
-        steps = max(1, math.ceil(tee / dt))
-        dt = tee / steps
         run_cfg = SolverConfig(dt=dt, steps=steps, scheme=LEAPFROG)
         rate = initial.with_values(-1j * omega_grid * initial.values)
         rel = solve_relativistic(initial, rate, cc, run_cfg)

@@ -3,7 +3,13 @@
 Integrates dp/dt = -grad(Phi), dr/dt = v(p) with fixed-step RK4 using the
 exact relativistic velocity-momentum inversion, tests sampled momentum
 fields for irrotationality (a momentum field must be a gradient), and
-evaluates the Hamilton-Jacobi residual with a scalar potential
+evaluates the Hamilton-Jacobi residual with a scalar potential.  A
+Potential is data, a stiffness kappa and a constant force F with
+
+    Phi = kappa |r|^2 / 2 - F . r,    grad Phi = kappa r - F,
+
+so the free, linear and harmonic potentials need no callables and the
+integrator steps six Python floats.  The residual is
 
     (dS/dt + Phi)^2 - c^2 (grad S)^2 - m0^2 c^4 = 0,
 
@@ -14,35 +20,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from math import hypot, isfinite
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .fields import Grid, ScalarField, central_difference, central_gradient
-from .kinematics import PhysicalConstants, particle_velocity
+from .kinematics import PhysicalConstants
 from .solvers import hje_residual
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential with an analytic gradient.
+    """Affine-force potential Phi = kappa |r|^2 / 2 - F . r.
 
-    Both callables accept stacked coordinates of shape (..., 3) and return
-    shapes (...) and (..., 3) respectively.
+    The force -grad Phi = F - kappa r is affine in r, so a stiffness and
+    a force vector describe every potential the integrator supports.
+    ``value`` and ``gradient`` accept stacked coordinates of shape
+    (..., 3) and return shapes (...) and (..., 3) respectively.
     """
 
     name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    kappa: float
+    force: tuple[float, float, float]
 
     @classmethod
     def free(cls) -> "Potential":
-        return cls(
-            name="free",
-            value=lambda r: np.zeros(np.asarray(r).shape[:-1]),
-            gradient=lambda r: np.zeros(np.asarray(r).shape),
-        )
+        # F = -0.0 makes the force -grad(0) a negated zero, which keeps
+        # the sign of zero momentum components through a step
+        return cls("free", 0.0, (-0.0, -0.0, -0.0))
 
     @classmethod
     def linear(cls, force) -> "Potential":
@@ -50,21 +57,27 @@ class Potential:
         f = np.asarray(force, dtype=float)
         if f.shape != (3,):
             raise DomainError("force must be a 3-vector")
-        return cls(
-            name="linear",
-            value=lambda r: -np.asarray(r) @ f,
-            gradient=lambda r: np.broadcast_to(-f, np.asarray(r).shape).copy(),
-        )
+        return cls("linear", 0.0, tuple(f.tolist()))
 
     @classmethod
     def harmonic(cls, kappa: float) -> "Potential":
         """Phi = kappa |r|^2 / 2."""
-        kappa = float(kappa)
-        return cls(
-            name="harmonic",
-            value=lambda r: 0.5 * kappa * np.sum(np.asarray(r) ** 2, axis=-1),
-            gradient=lambda r: kappa * np.asarray(r, dtype=float),
-        )
+        return cls("harmonic", float(kappa), (0.0, 0.0, 0.0))
+
+    # At kappa = 0 the kappa terms are left out, not multiplied by zero,
+    # which would give nan where r or |r|^2 is infinite.
+    def value(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        phi = (-r) @ np.array(self.force)
+        if self.kappa:
+            phi = 0.5 * self.kappa * np.sum(r ** 2, axis=-1) + phi
+        return phi
+
+    def gradient(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        if self.kappa:
+            return self.kappa * r - np.array(self.force)
+        return np.broadcast_to(-np.array(self.force), r.shape).copy()
 
 
 def total_energy(r, p, potential: Potential, consts: PhysicalConstants) -> float:
@@ -127,23 +140,64 @@ def integrate_newton(potential: Potential, r0, p0,
     ps = np.empty((steps + 1, 3))
     rs[0], ps[0] = r, p
 
-    def deriv(rr, pp):
-        return particle_velocity(pp, consts), -potential.gradient(rr)
-
+    # One RK4 step over Python floats.  The velocity repeats
+    # particle_velocity's operations, p_i / (m0 hypot(1, |p| / (m0 c))),
+    # and the force is -gradient(r): -(kappa r_i - F_i), or F_i itself
+    # for kappa = 0, so every row is bit-identical to the array form.
+    m0, mc = consts.m0, consts.m0 * consts.c
+    kappa = potential.kappa
+    fx, fy, fz = potential.force
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, y, z = r.tolist()
+    px, py, pz = p.tolist()
+    ax1 = ax2 = ax3 = ax4 = fx
+    ay1 = ay2 = ay3 = ay4 = fy
+    az1 = az2 = az3 = az4 = fz
     # A non-finite state never turns finite again, so the loop checks only
     # every 256 steps and a scan of the rows finds the first diverged step.
-    with np.errstate(all="ignore"):
-        for i in range(1, steps + 1):
-            k1r, k1p = deriv(r, p)
-            k2r, k2p = deriv(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p)
-            k3r, k3p = deriv(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p)
-            k4r, k4p = deriv(r + dt * k3r, p + dt * k3p)
-            r = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            rs[i], ps[i] = r, p
-            if i % 256 == 0 and not (np.isfinite(r).all()
-                                     and np.isfinite(p).all()):
-                break
+    for i in range(1, steps + 1):
+        d = m0 * hypot(1.0, hypot(px, py, pz) / mc)
+        vx1, vy1, vz1 = px / d, py / d, pz / d
+        if kappa:
+            ax1, ay1, az1 = (-(kappa * x - fx), -(kappa * y - fy),
+                             -(kappa * z - fz))
+
+        sx, sy, sz = x + half * vx1, y + half * vy1, z + half * vz1
+        qx, qy, qz = px + half * ax1, py + half * ay1, pz + half * az1
+        d = m0 * hypot(1.0, hypot(qx, qy, qz) / mc)
+        vx2, vy2, vz2 = qx / d, qy / d, qz / d
+        if kappa:
+            ax2, ay2, az2 = (-(kappa * sx - fx), -(kappa * sy - fy),
+                             -(kappa * sz - fz))
+
+        sx, sy, sz = x + half * vx2, y + half * vy2, z + half * vz2
+        qx, qy, qz = px + half * ax2, py + half * ay2, pz + half * az2
+        d = m0 * hypot(1.0, hypot(qx, qy, qz) / mc)
+        vx3, vy3, vz3 = qx / d, qy / d, qz / d
+        if kappa:
+            ax3, ay3, az3 = (-(kappa * sx - fx), -(kappa * sy - fy),
+                             -(kappa * sz - fz))
+
+        sx, sy, sz = x + dt * vx3, y + dt * vy3, z + dt * vz3
+        qx, qy, qz = px + dt * ax3, py + dt * ay3, pz + dt * az3
+        d = m0 * hypot(1.0, hypot(qx, qy, qz) / mc)
+        vx4, vy4, vz4 = qx / d, qy / d, qz / d
+        if kappa:
+            ax4, ay4, az4 = (-(kappa * sx - fx), -(kappa * sy - fy),
+                             -(kappa * sz - fz))
+
+        x = x + sixth * (vx1 + 2 * vx2 + 2 * vx3 + vx4)
+        y = y + sixth * (vy1 + 2 * vy2 + 2 * vy3 + vy4)
+        z = z + sixth * (vz1 + 2 * vz2 + 2 * vz3 + vz4)
+        px = px + sixth * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
+        py = py + sixth * (ay1 + 2 * ay2 + 2 * ay3 + ay4)
+        pz = pz + sixth * (az1 + 2 * az2 + 2 * az3 + az4)
+        rs[i] = x, y, z
+        ps[i] = px, py, pz
+        if i % 256 == 0 and not (isfinite(x) and isfinite(y) and isfinite(z)
+                                 and isfinite(px) and isfinite(py)
+                                 and isfinite(pz)):
+            break
 
     done = slice(1, i + 1)
     diverged = ~(np.isfinite(rs[done]).all(axis=1)

@@ -4,7 +4,9 @@ All floats are written with 17 significant digits, which round-trips any
 IEEE double exactly, so re-running a scenario reproduces output files byte
 for byte.  Complex numbers are encoded as two-element [re, im] arrays.
 JSON has no encoding for nan or inf, so the JSON writer refuses them with
-NumericalError; CSV cells write them as ``nan`` / ``inf``.
+NumericalError; CSV cells write them as ``nan`` / ``inf``.  A text cell
+that holds a comma, a double quote or a line break is quoted as RFC 4180
+asks, with its quotes doubled; numbers never need quoting.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ def fmt_cell(value) -> str:
     if isinstance(value, _COMPLEX):
         value = complex(value)
         return fmt_float(value.real) + "+" + fmt_float(value.imag) + "j"
-    return str(value)
+    return _quote(str(value))
+
+
+def _quote(text: str) -> str:
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header, rows) -> None:

@@ -377,6 +377,8 @@ class TestScenarios:
       "--r0", "0", "--steps", "10"], 3, "NumericalError"),
     (["solve", "--c", "1e-200"], 3, "ZeroDivisionError"),
     (["newton", "--dt", "1e308"], 2, "DomainError"),
+    (["limit-study", "--c-values", "4", "--c-values", "8", "--c-values", "16",
+      "--c-values", "1024"], 2, "DomainError"),
 ])
 def test_failed_command_writes_nothing(tmp_path, capsys, argv, code,
                                        error_type):
@@ -415,9 +417,30 @@ class TestReportingHelpers:
             write_json(path, {"rows": [{"value": value}]})
         assert not path.exists()
 
+    def test_csv_text_cells_quoted(self, tmp_path):
+        path = tmp_path / "text.csv"
+        cells = ["a, b", 'say "hi"', "two\nlines", "plain"]
+        write_csv(path, ["a", "b", "c", "d"], [cells, [1.5, -0.0, 3, True]])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["a", "b", "c", "d"], cells,
+                        ["1.5", "-0.0", "3", "true"]]
+        assert path.read_text().endswith('lines",plain\n1.5,-0.0,3,true\n')
+
     def test_negative_zero_survives_json_round_trip(self):
         assert fmt_float(-0.0) == "-0.0"
         assert math.copysign(1.0, json.loads(fmt_float(-0.0))) == -1.0
+
+
+def test_verify_report_csv_has_three_cells_per_row(tmp_path):
+    # seed 4 fails a check, and the report is still written
+    res = run_cli("verify-all", "--seed", "4", "--out", str(tmp_path))
+    assert res.returncode == 3, res.stdout + res.stderr
+    with open(tmp_path / "verify_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["check", "passed", "detail"]
+    assert len(rows) == 13 and all(len(row) == 3 for row in rows)
+    assert sum("," in row[2] for row in rows) >= 12
 
 
 def test_verify_all_passes_and_is_deterministic(tmp_path):
@@ -454,10 +477,13 @@ A_STRINGS = st.sampled_from(
     ["hbar/i", "1.5", "-2", "0", "nan", "1e309", "[1, 2]", "[1e308, 1e308]",
      "[NaN, 0]", "[1]", "i/hbar"])
 COMMON = {"hbar": NUMBERS, "c": NUMBERS, "m0": NUMBERS, "seed": st.integers()}
+# 3-vectors whose zero components carry either sign
+SIGNED_VECTORS = st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.0]) | NUMBERS,
+                          min_size=3, max_size=3)
 # The limit study picks its own step count, which grows as
-# t m0^3 c^4 / (hbar^3 k^2) and has no cap; these ranges, with c_values
-# and time always given, keep it below 50k steps (the default sweep
-# takes 3.5M).
+# t m0^3 c^4 / (hbar^3 k^2); past limits.MAX_STEPS it exits 2.  These
+# ranges, with c_values and time always given, keep it below 50k steps
+# (the default sweep takes 347k) so that examples stay fast.
 LIMIT_SCALES = st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, math.nan, math.inf])
 LIMIT_SPEEDS = st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0])
 SCENARIO_PARAMS = {
@@ -476,9 +502,9 @@ SCENARIO_PARAMS = {
     "newton": {"potential": st.sampled_from(
                    ["free", "linear", "harmonic", "coulomb"]),
                "force": st.lists(LIST_ITEMS, max_size=4), "kappa": NUMBERS,
-               "r0": st.lists(LIST_ITEMS, max_size=4),
-               "p0": st.lists(LIST_ITEMS, max_size=4),
-               "dt": NUMBERS, "steps": st.integers(-1, 40)},
+               "r0": st.lists(LIST_ITEMS, max_size=4) | SIGNED_VECTORS,
+               "p0": st.lists(LIST_ITEMS, max_size=4) | SIGNED_VECTORS,
+               "dt": NUMBERS, "steps": st.integers(-1, 1000)},
     "limit-study": {"k": LIMIT_SCALES, "hbar": LIMIT_SCALES,
                     "m0": LIMIT_SCALES,
                     "c_values": st.lists(LIMIT_SPEEDS, min_size=3, max_size=6,
@@ -492,10 +518,9 @@ SCENARIO_PARAMS = {
     "verify-all": {"seed": st.integers(-1, 20)},
 }
 # parameters every scenario of the command sets, so that no example runs
-# at the default sizes (64^3 points in 3D, 1000 RK4 steps, 3.5M leapfrog
-# steps in the limit study)
-SIZES = {"solve": ("points", "steps"), "newton": ("steps",),
-         "limit-study": ("c_values", "time")}
+# at the default sizes (64^3 points in 3D, 347k leapfrog steps in the
+# limit study)
+SIZES = {"solve": ("points", "steps"), "limit-study": ("c_values", "time")}
 # text columns; the other columns of every CSV output are numbers
 TEXT_COLUMNS = {"check", "passed", "detail"}
 
@@ -518,11 +543,11 @@ def _reject_constant(token):
 
 
 def _check_csv(path):
-    rows = list(csv.reader(path.read_text().splitlines()))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     header = rows[0]
     for row in rows[1:]:
-        # verify_report.csv writes a detail with commas unquoted: the zip
-        # reads its first three cells only
+        assert len(row) == len(header), (path.name, row)
         for name, cell in zip(header, row):
             if name in TEXT_COLUMNS:
                 continue

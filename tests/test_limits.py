@@ -16,6 +16,7 @@ from hjwave import (
     restore_rest_energy,
     run_limit_study,
 )
+from hjwave.limits import MAX_STEPS
 from hjwave.reporting import write_csv, write_json
 
 NAT = PhysicalConstants.natural()
@@ -111,6 +112,10 @@ class TestStudyRuns:
         # 1.956 and 1.904; the closed form leaves the O(c^-2) gap intact
         report = run_limit_study(cfg)
         assert 1.95 <= report.field_fit.order <= 2.05
+
+    def test_default_sweep_well_inside_step_bound(self):
+        report = run_limit_study(LimitStudyConfig())
+        assert max(r.steps for r in report.rows) <= MAX_STEPS / 20
 
     def test_rest_mode_short_circuit(self):
         cfg = LimitStudyConfig(k=0.0, evolution_time=1e-3)

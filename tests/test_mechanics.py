@@ -41,6 +41,39 @@ def gradient_consistency(potential, points, eps=1e-5):
     return worst
 
 
+def stepped_rk4(potential, r0, p0, consts, dt, steps):
+    """Array-form RK4: one particle_velocity and one -gradient per stage.
+
+    Returns the rows up to, not including, the first non-finite state.
+    """
+    def deriv(rr, pp):
+        return particle_velocity(pp, consts), -potential.gradient(rr)
+
+    r = np.asarray(r0, dtype=float).copy()
+    p = np.asarray(p0, dtype=float).copy()
+    rs, ps = [r], [p]
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            k1r, k1p = deriv(r, p)
+            k2r, k2p = deriv(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p)
+            k3r, k3p = deriv(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p)
+            k4r, k4p = deriv(r + dt * k3r, p + dt * k3p)
+            r = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
+            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            if not (np.isfinite(r).all() and np.isfinite(p).all()):
+                break
+            rs.append(r)
+            ps.append(p)
+    return np.array(rs), np.array(ps)
+
+
+def seeded_vector(rng):
+    """A 3-vector with some components replaced by +0.0 or -0.0."""
+    v = rng.normal(size=3) * 10.0 ** rng.integers(-2, 2)
+    zeros = rng.integers(0, 3, size=3)  # 0: keep, 1: 0.0, 2: -0.0
+    return np.where(zeros == 1, 0.0, np.where(zeros == 2, -0.0, v))
+
+
 class TestVelocityMomentum:
     def test_rest(self):
         assert np.all(particle_velocity((0, 0, 0), NAT) == 0.0)
@@ -73,6 +106,12 @@ class TestPotentials:
         rng = np.random.default_rng(5)
         points = rng.uniform(-2, 2, size=(8, 3))
         assert gradient_consistency(potential, points) <= 1e-8
+
+    def test_potentials_are_data(self):
+        assert Potential.harmonic(2) == Potential("harmonic", 2.0, (0.0, 0.0, 0.0))
+        assert Potential.linear([1, -2, 0.5]).force == (1.0, -2.0, 0.5)
+        with pytest.raises(DomainError):
+            Potential.linear([1.0, 2.0])
 
     def test_preset_values(self):
         r = np.array([1.0, 2.0, 3.0])
@@ -146,25 +185,13 @@ class TestIntegrateNewton:
         assert 3.8 <= q <= 4.2
 
     def test_divergence_reports_partial_trajectory(self):
-        # force becomes undefined once the particle leaves a finite well
-        def grad(r):
-            r = np.asarray(r, dtype=float)
-            g = -np.ones_like(r)
-            if np.linalg.norm(r) > 0.05:
-                g = g * np.nan
-            return g
-
-        broken = Potential(
-            name="broken",
-            value=lambda r: np.zeros(np.asarray(r).shape[:-1]),
-            gradient=grad,
-        )
+        # p_n = n * 1e306 overflows at n = 180, before the first check stride
         with pytest.raises(DivergenceError) as err:
-            integrate_newton(
-                broken, np.zeros(3), np.zeros(3), NAT, dt=0.05, steps=50
-            )
+            integrate_newton(Potential.linear([1e306, 0.0, 0.0]), np.zeros(3),
+                             np.zeros(3), NAT, dt=1.0, steps=250)
         assert err.value.partial is not None
-        assert err.value.last_valid_step == err.value.partial.t.size - 1
+        assert err.value.last_valid_step == err.value.partial.t.size - 1 == 179
+        assert np.all(np.isfinite(err.value.partial.p))
 
     def test_late_divergence_reports_its_first_step(self):
         # p_n = n * 1e305 overflows at n = 1798, past several check strides
@@ -200,6 +227,54 @@ class TestIntegrateNewton:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,rx,ry,rz,px,py,pz,energy"
         assert len(lines) == 12  # header + 11 samples
+
+
+POTENTIALS = {
+    "free": lambda rng: Potential.free(),
+    "linear": lambda rng: Potential.linear(seeded_vector(rng)),
+    "harmonic": lambda rng: Potential.harmonic(rng.uniform(0.1, 4.0)),
+}
+
+
+class TestSteppedOracle:
+    """integrate_newton rows equal the array-form RK4 bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_bit_identical(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        potential = POTENTIALS[kind](rng)
+        r0, p0 = seeded_vector(rng), seeded_vector(rng)
+        consts = PhysicalConstants(1.0, rng.uniform(0.5, 20.0),
+                                   rng.uniform(0.2, 5.0))
+        dt = 10.0 ** rng.uniform(-4, -1)
+        traj = integrate_newton(potential, r0, p0, consts, dt, 300)
+        rs, ps = stepped_rk4(potential, r0, p0, consts, dt, 300)
+        assert traj.r.tobytes() == rs.tobytes()
+        assert traj.p.tobytes() == ps.tobytes()
+
+    @pytest.mark.parametrize("potential", [
+        Potential.free(), Potential.linear([1.5, -0.0, 0.0]),
+        Potential.harmonic(2.0)], ids=["free", "linear", "harmonic"])
+    def test_signed_zeros_kept(self, potential):
+        # p_y = -0.0 stays -0.0 only if every force on it is -0.0:
+        # -(kappa * 0.0) is -0.0, where 0.0 - kappa * 0.0 would be +0.0
+        r0, p0 = np.array([1.0, 0.0, -0.0]), np.array([0.3, -0.0, -0.0])
+        traj = integrate_newton(potential, r0, p0, NAT, 0.01, 300)
+        rs, ps = stepped_rk4(potential, r0, p0, NAT, 0.01, 300)
+        assert traj.r.tobytes() == rs.tobytes()
+        assert traj.p.tobytes() == ps.tobytes()
+        assert math.copysign(1.0, traj.p[-1, 1]) == -1.0
+
+    def test_divergence_matches(self):
+        potential = Potential.linear([3e305, -1.0, 0.0])
+        r0, p0 = np.array([0.5, -0.0, 2.0]), np.array([1.0, -0.0, 0.0])
+        with pytest.raises(DivergenceError) as err:
+            integrate_newton(potential, r0, p0, NAT, 0.7, 2000)
+        rs, ps = stepped_rk4(potential, r0, p0, NAT, 0.7, 2000)
+        assert err.value.last_valid_step == len(rs) - 1 > 256
+        assert err.value.partial.r.tobytes() == rs.tobytes()
+        assert err.value.partial.p.tobytes() == ps.tobytes()
 
 
 class TestCurlCheck:
@@ -257,17 +332,14 @@ class TestHjePotentialResidual:
         assert res.max_abs() <= 1e-12
 
     def test_constant_potential_shifts_time_derivative(self):
+        # the path hje_potential_residual takes for a nonzero potential
         grid = Grid.line(16, 2 * math.pi)
         phi0 = 0.7
-        const_pot = Potential(
-            name="const",
-            value=lambda r: np.full(np.asarray(r).shape[:-1], phi0),
-            gradient=lambda r: np.zeros(np.asarray(r).shape),
-        )
         p = np.array([1.5, 0.0, 0.0])
         e_shell = energy_from_momentum(p, NAT)
         action = ParticleState(E=e_shell + phi0, p=p)
-        res = hje_potential_residual(action, const_pot, NAT, grid=grid)
+        res = hje_residual(action, NAT, massless=False, grid=grid,
+                           potential_values=np.full(grid.shape, phi0))
         assert res.max_abs() <= 1e-12
 
 
