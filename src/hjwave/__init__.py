@@ -49,7 +49,6 @@ from .limits import (
     LimitStudyConfig,
     LimitStudyReport,
     factor_rest_energy,
-    restore_rest_energy,
     run_limit_study,
 )
 from .mechanics import (
@@ -59,7 +58,6 @@ from .mechanics import (
     gradient_field,
     hje_potential_residual,
     integrate_newton,
-    total_energy,
 )
 from .pde_algebra import (
     AnalyticField,
@@ -81,7 +79,6 @@ from .pde_algebra import (
     quadratic_matrix,
     residual_linear,
     residual_nonlinear,
-    save_pde_spec,
     wavefunction_from_action,
 )
 from .solvers import (

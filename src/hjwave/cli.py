@@ -16,7 +16,8 @@ files: the report is written, then the error line follows.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure
 (overflow and division by zero included) or failed verify-all check,
-4 I/O failure.  Failures emit a one-line JSON error report on stderr.
+4 I/O failure.  Failures, an unparsable command line included, emit a
+one-line JSON error report on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,6 +46,7 @@ from .limits import LimitStudyConfig, run_limit_study
 from .mechanics import Potential, integrate_newton
 from .pde_algebra import (
     AnalyticField,
+    _unpair,
     residual_decomposition_check,
     dispersion_quadratic,
     hje_pde_spec,
@@ -69,6 +71,14 @@ from .solvers import (
 
 class CliValidationError(ValueError):
     """Bad command line, scenario file, or parameter combination."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as CliValidationError instead of printing
+    the usage and exiting; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise CliValidationError(message)
 
 
 def _as_float(value) -> float:
@@ -192,18 +202,21 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
 
 
 def parse_transform_constant(text: str, hbar: float) -> complex:
-    """Accepted spellings: 'hbar/i', a real literal, or '[re,im]'."""
+    """Accepted spellings: 'hbar/i', a finite real literal, or '[re,im]'.
+
+    A pair follows the spec files' rule: two finite JSON numbers.
+    """
     text = text.strip()
     if text == "hbar/i":
         return hbar / 1j
     try:
         if text.startswith("["):
-            pair = json.loads(text)
-            if (not isinstance(pair, list)) or len(pair) != 2:
-                raise ValueError
-            return complex(float(pair[0]), float(pair[1]))
-        return complex(float(text))
-    except (ValueError, TypeError):
+            return _unpair(json.loads(text))
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError
+        return complex(value)
+    except (OverflowError, ValueError):
         raise CliValidationError(
             f"cannot parse transform constant {text!r}"
         ) from None
@@ -278,13 +291,6 @@ def _consts(params: dict) -> PhysicalConstants:
     return PhysicalConstants(
         hbar=params["hbar"], c=params["c"], m0=params["m0"]
     )
-
-
-def _vec3_param(values, name: str) -> np.ndarray:
-    arr = np.asarray(list(values), dtype=float)
-    if arr.shape != (3,):
-        raise CliValidationError(f"{name} needs exactly three values")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +466,14 @@ def cmd_newton(params: dict) -> CommandResult:
     if kind == "free":
         potential = Potential.free()
     elif kind == "linear":
-        potential = Potential.linear(_vec3_param(params["force"], "force"))
+        potential = Potential.linear(params["force"])
     elif kind == "harmonic":
         potential = Potential.harmonic(params["kappa"])
     else:
         raise CliValidationError(f"unknown potential {kind!r}")
 
-    r0 = _vec3_param(params["r0"], "r0")
-    p0 = _vec3_param(params["p0"], "p0")
-    traj = integrate_newton(
-        potential, r0, p0, consts, dt=params["dt"], steps=params["steps"]
-    )
+    traj = integrate_newton(potential, params["r0"], params["p0"], consts,
+                            dt=params["dt"], steps=params["steps"])
     energies = traj.energies(potential, consts)
     e0 = float(energies[0])
     drift = float(np.max(np.abs(energies - e0))) / max(abs(e0), 1e-300)
@@ -533,10 +536,7 @@ def cmd_verify_all(params: dict) -> CommandResult:
         "command": "verify-all",
         "passed": passed,
         "total": len(results),
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }
     return CommandResult(
         {
@@ -570,7 +570,7 @@ DISPATCH: dict[str, Callable[[dict], CommandResult]] = {
 # pass that way.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hjwave",
         description="Verification scenarios for the Hamilton-Jacobi / wave "
                     "duality toolkit",
@@ -617,8 +617,8 @@ def _report_error(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         params = resolve_params(args.command, args)
         # non-finite results end in exit 3 through the solver guards and the
         # JSON encoder; numpy's warnings would add stray stderr lines

@@ -33,10 +33,6 @@ class PhysicalConstants:
         if not 0 <= self.m0 < math.inf:
             raise DomainError("m0 must be non-negative and finite")
 
-    @classmethod
-    def natural(cls, m0: float = 1.0) -> "PhysicalConstants":
-        return cls(hbar=1.0, c=1.0, m0=m0)
-
     @property
     def rest_energy(self) -> float:
         return self.m0 * self.c**2

@@ -34,7 +34,7 @@ records the leapfrog dt and step count it used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -66,14 +66,6 @@ def factor_rest_energy(psi: ScalarField, consts: PhysicalConstants,
     """Remove the rest-energy phase: psi0 = psi * exp(+i m0 c^2 t / hbar)."""
     return psi.with_values(
         psi.values * np.exp(1j * consts.rest_frequency * t)
-    )
-
-
-def restore_rest_energy(psi0: ScalarField, consts: PhysicalConstants,
-                        t: float) -> ScalarField:
-    """Inverse of factor_rest_energy: multiply exp(-i m0 c^2 t / hbar) back."""
-    return psi0.with_values(
-        psi0.values * np.exp(-1j * consts.rest_frequency * t)
     )
 
 
@@ -136,29 +128,8 @@ class LimitStudyReport:
         )
 
     def summary(self) -> dict:
-        def fit_obj(fit: OrderFit | None):
-            if fit is None:
-                return None
-            return {"order": fit.order, "log10_residual": fit.log10_residual}
-
-        return {
-            "rows": [
-                {
-                    "c": r.c,
-                    "omega_minus_rest": r.omega_minus_rest,
-                    "omega_schrodinger": r.omega_schrodinger,
-                    "frequency_gap": r.frequency_gap,
-                    "field_gap": r.field_gap,
-                    "x_param": r.x_param,
-                    "dt": r.dt,
-                    "steps": r.steps,
-                }
-                for r in self.rows
-            ],
-            "frequency_fit": fit_obj(self.frequency_fit),
-            "field_fit": fit_obj(self.field_fit),
-            "warnings": list(self.warnings),
-        }
+        """Every field, rows and fits included, as nested JSON-ready dicts."""
+        return asdict(self)
 
 
 def _omega_minus_rest(consts: PhysicalConstants, k: float) -> float:
@@ -200,7 +171,6 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
         return LimitStudyReport(rows, None, None, warnings)
 
     grid = Grid.line(cfg.grid_points, cfg.mode * 2.0 * math.pi / cfg.k)
-    k_vec = (cfg.k, 0.0, 0.0)
     tee = cfg.evolution_time
 
     # One step-size budget for the whole sweep: omega*dt = theta with

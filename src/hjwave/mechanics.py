@@ -80,15 +80,6 @@ class Potential:
         return np.broadcast_to(-np.array(self.force), r.shape).copy()
 
 
-def total_energy(r, p, potential: Potential, consts: PhysicalConstants) -> float:
-    """m0 c^2 sqrt(1 + p^2/m0^2 c^2) + Phi(r), conserved along trajectories."""
-    p = np.asarray(p, dtype=float)
-    ratio = math.hypot(*p.tolist()) / (consts.m0 * consts.c)
-    return consts.rest_energy * math.hypot(1.0, ratio) + float(
-        potential.value(np.asarray(r, dtype=float))
-    )
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled phase-space history (t_i, r_i, p_i), i = 0..steps."""
@@ -99,6 +90,7 @@ class Trajectory:
 
     def energies(self, potential: Potential, consts: PhysicalConstants
                  ) -> np.ndarray:
+        """m0 c^2 sqrt(1 + p^2/m0^2 c^2) + Phi(r) per sample, conserved."""
         ratios = np.hypot.reduce(self.p, axis=1) / (consts.m0 * consts.c)
         return consts.rest_energy * np.hypot(1.0, ratios) + potential.value(self.r)
 

@@ -37,6 +37,9 @@ from .fields import _ZERO_FIELD_CUTOFF, ScalarField, nonzero_peak
 from .kinematics import PhysicalConstants
 from .reporting import json_dumps
 
+# positive_root takes a root as real when |imag| <= this * max(1, |real|)
+_ROOT_IMAG_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Specification types
@@ -128,9 +131,10 @@ class DispersionQuadratic:
     roots: tuple[complex, ...]
     degenerate: bool = False
 
-    def positive_root(self, imag_tol: float = 1e-9) -> float:
+    def positive_root(self) -> float:
         for r in sorted(self.roots, key=lambda z: (-z.real, z.imag)):
-            if r.real > 0 and abs(r.imag) <= imag_tol * max(1.0, abs(r.real)):
+            tol = _ROOT_IMAG_TOL * max(1.0, abs(r.real))
+            if r.real > 0 and abs(r.imag) <= tol:
                 return float(r.real)
         raise DomainError("no positive real root (evanescent branch only)")
 
@@ -318,23 +322,9 @@ class AnalyticField:
         return self.rates.shape[1]
 
     @classmethod
-    def exponential(cls, amplitude: complex, rates) -> "AnalyticField":
-        """amplitude * exp(sum_l rates_l x_l) with complex rates."""
-        return cls([amplitude], [rates])
-
-    @classmethod
     def plane_wave(cls, amplitude: complex, alpha) -> "AnalyticField":
         """amplitude * exp(i sum_l alpha_l x_l) with real exponents alpha."""
         return cls([amplitude], [1j * np.asarray(alpha, dtype=float)])
-
-    @classmethod
-    def from_modes(cls, amplitudes, alphas) -> "AnalyticField":
-        """Superposition sum_m a_m exp(i alpha_m . x) with real alpha_m."""
-        return cls(amplitudes, 1j * np.asarray(alphas, dtype=float))
-
-    @classmethod
-    def constant(cls, n: int, amplitude: complex) -> "AnalyticField":
-        return cls([amplitude], np.zeros((1, n)))
 
     def _terms(self, x) -> np.ndarray:
         """t_m = a_m exp(r_m . x) at one point x."""
@@ -663,11 +653,6 @@ def pde_spec_loads(text: str) -> PdeSpec:
     import json
 
     return pde_spec_from_obj(json.loads(text))
-
-
-def save_pde_spec(path, spec: PdeSpec) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(pde_spec_dumps(spec))
 
 
 def load_pde_spec(path) -> PdeSpec:

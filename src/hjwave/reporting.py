@@ -27,7 +27,7 @@ def fmt_float(x: float) -> str:
     s = format(float(x), ".17g")
     # keep a decimal marker so JSON parses the value back as a float
     # (plain "-0" would round-trip through int and drop the sign)
-    if all(c in "-0123456789" for c in s):
+    if s.lstrip("-").isdigit():
         s += ".0"
     return s
 

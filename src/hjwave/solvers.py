@@ -13,9 +13,11 @@ with constant coefficients both schemes act on each Fourier mode on its
 own, so step n is evaluated in closed form rather than by n updates:
 leapfrog as U^n = U^0 cos(n theta) + (U^1 - U^0 cos theta) sin(n theta) /
 sin(theta) with theta = 2 asin(dt sqrt(-sigma) / 2) (sigma the mode's
-operator eigenvalue; theta is complex past the stability limit), and
-Crank-Nicolson as amp^n U^0.  This is each scheme's own discrete solution,
-not the exact PDE solution, so its O(dt^2) phase error is unchanged.
+operator eigenvalue), and Crank-Nicolson as amp^n U^0.  This is each
+scheme's own discrete solution, not the exact PDE solution, so its
+O(dt^2) phase error is unchanged.  Leapfrog runs only within its
+stability limit, where theta is real: dt > leapfrog_stability_limit
+raises StabilityError.
 
 Leapfrog starts from a Taylor step and reports the exactly conserved
 discrete energy E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>;
@@ -68,7 +70,6 @@ class SolverConfig:
     dt: float
     steps: int
     scheme: str = LEAPFROG
-    stability_check: bool = True
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -188,12 +189,11 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
         raise DomainError("initial and rate fields must share a grid")
     if cfg.scheme != LEAPFROG:
         raise DomainError("second-order-in-time equations use the leapfrog scheme")
-    if cfg.stability_check:
-        limit = leapfrog_stability_limit(grid, c, mu)
-        if cfg.dt > limit * (1 + 1e-12):
-            raise StabilityError(
-                f"dt = {cfg.dt:.6g} exceeds the stability limit {limit:.6g}"
-            )
+    limit = leapfrog_stability_limit(grid, c, mu)
+    if cfg.dt > limit:
+        raise StabilityError(
+            f"dt = {cfg.dt:.6g} exceeds the stability limit {limit:.6g}"
+        )
 
     dt = cfg.dt
     n_last = cfg.steps
@@ -205,7 +205,7 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
     # U^{n+1} = 2x U^n - U^{n-1}, x = 1 + dt^2 sigma / 2 = cos(theta), and
     # the Taylor step gives U^1 = x U^0 + dt V.  Hence
     # U^n = cos(n theta) a + sin(n theta) / sin(theta) b with a = U^0 and
-    # b = U^1 - x U^0 = dt V; theta is complex past the stability limit.
+    # b = U^1 - x U^0 = dt V; theta is real for dt within the limit.
     sigma = c * c * _stencil_eigenvalues(grid) - mu * mu
     q = 0.5 * dt * np.sqrt(-sigma).ravel()  # sin(theta / 2)
     s2 = 4.0 * q * q * (1.0 - q) * (1.0 + q)  # 1 - x^2 = sin(theta)^2
@@ -219,30 +219,23 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
     # the same at every step.
     energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
 
-    # Past the stability limit (s2 < 0) theta = pi + i kappa; at theta = 0
-    # or pi (s2 = 0) the mode is U^n = e^n (a + e n b), e = cos(theta).
-    osc, flat = s2 > 0.0, s2 == 0.0
-    grow = ~(osc | flat)
+    # Modes with s2 > 0 oscillate.  The others have theta = 0 or pi: s2 = 0,
+    # or one ulp below 0 from rounding at dt = limit.  There the mode is
+    # U^n = e^n (a + e n b), e = cos(theta).
+    osc = s2 > 0.0
+    flat = ~osc
     theta = 2.0 * np.arcsin(q[osc])
-    kappa = 2.0 * np.arccosh(q[grow])
-    root = np.sqrt(np.abs(s2))  # sin(theta), or sinh(kappa) past the limit
+    root = np.sqrt(s2[osc])  # sin(theta)
     sign = np.where(q[flat] < 0.5, 1.0, -1.0)
 
-    # |U^n|^2 per mode is alpha + beta cos(2n theta) + gamma sin(2n theta),
-    # where cos and sin turn into cosh and -sinh of 2n kappa past the limit.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha = 0.5 * (aa + bb / s2)
-        beta = 0.5 * (aa - bb / s2)
-        gamma = ab / root
-        rates = np.concatenate((2j * theta, 2.0 * kappa, -2.0 * kappa))
-        weights = np.concatenate((
-            beta[osc] - 1j * gamma[osc],
-            0.5 * (beta[grow] - gamma[grow]),
-            0.5 * (beta[grow] + gamma[grow]),
-        ))
+    # |U^n|^2 per oscillating mode is alpha + beta cos(2n theta)
+    # + gamma sin(2n theta).
+    with np.errstate(invalid="ignore", over="ignore"):
+        ao, bo = aa[osc], bb[osc] / s2[osc]
+        alpha, beta, gamma = 0.5 * (ao + bo), 0.5 * (ao - bo), ab[osc] / root
         # summed in place, so one steps-long array is live at a time
-        norms = _exponential_sums(rates, weights, n_last)
-        norms += float(np.sum(alpha[~flat])) + float(np.sum(aa[flat]))
+        norms = _exponential_sums(2j * theta, beta - 1j * gamma, n_last)
+        norms += float(np.sum(alpha)) + float(np.sum(aa[flat]))
         if flat.any():
             n = steps.astype(float)
             norms += n * (2.0 * float(np.sum(sign * ab[flat]))
@@ -255,10 +248,7 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
         cos_n = np.empty(q.size)
         sin_n = np.empty(q.size)
         cos_n[osc] = np.cos(n_last * theta)
-        sin_n[osc] = np.sin(n_last * theta) / root[osc]
-        parity = -1.0 if n_last % 2 else 1.0  # cos(n pi)
-        cos_n[grow] = parity * np.cosh(n_last * kappa)
-        sin_n[grow] = -parity * np.sinh(n_last * kappa) / root[grow]
+        sin_n[osc] = np.sin(n_last * theta) / root
         cos_n[flat] = sign**n_last
         sin_n[flat] = n_last * sign ** (n_last - 1)
         final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))

@@ -148,8 +148,12 @@ def check_eigen_log_curvature(seed: int) -> CheckResult:
     )
 
 
-def random_mode_field(grid: Grid, seed: int, modes: int = 3,
-                      amplitude: float = 1e-3) -> ScalarField:
+# random_mode_field: plane waves per field and their amplitude scale
+_RANDOM_MODES = 3
+_RANDOM_AMPLITUDE = 1e-3
+
+
+def random_mode_field(grid: Grid, seed: int) -> ScalarField:
     """1 + a small seeded superposition of integer-mode plane waves.
 
     Built in place on broadcast coordinates to keep peak memory low; every
@@ -158,11 +162,12 @@ def random_mode_field(grid: Grid, seed: int, modes: int = 3,
     rng = np.random.default_rng(seed)
     values = np.ones(grid.shape, dtype=np.complex128)
     coords = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
-    for _ in range(modes):
+    for _ in range(_RANDOM_MODES):
         alpha = rng.integers(-2, 3, size=grid.ndim)
         while not np.any(alpha):
             alpha = rng.integers(-2, 3, size=grid.ndim)
-        amp = amplitude * (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        amp = (_RANDOM_AMPLITUDE * (0.5 + rng.random())
+               * np.exp(2j * np.pi * rng.random()))
         wave = 1j * sum(a * x for a, x in zip(alpha, coords))
         np.exp(wave, out=wave)
         values += np.multiply(amp, wave, out=wave)

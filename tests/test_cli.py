@@ -105,9 +105,10 @@ class TestTransformCommand:
                        "--out", str(out1)).returncode == 0
         spec_path = tmp_path / "spec.json"
         # massless builtin writes a spec we can feed back through a file
-        from hjwave import PhysicalConstants, hje_pde_spec, save_pde_spec
+        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
 
-        save_pde_spec(spec_path, hje_pde_spec(PhysicalConstants.natural(), massless=True))
+        spec_path.write_text(
+            pde_spec_dumps(hje_pde_spec(PhysicalConstants(), massless=True)))
         out2 = tmp_path / "file"
         assert run_cli("transform", "--spec", str(spec_path),
                        "--out", str(out2)).returncode == 0
@@ -118,6 +119,14 @@ class TestTransformCommand:
     def test_bad_constant_string(self, tmp_path):
         res = run_cli("transform", "--A", "i/hbar", "--out", str(tmp_path / "x"))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("text, value", [
+        ("hbar/i", -1j), (" 2.5 ", 2.5), ("[1, -2]", 1 - 2j), ("[0.5, 3e2]", 0.5 + 300j),
+    ])
+    def test_constant_spellings(self, text, value):
+        from hjwave.cli import parse_transform_constant
+
+        assert parse_transform_constant(text, 1.0) == value
 
     @pytest.mark.parametrize("drop", ["b", "terms"])
     def test_spec_without_required_key(self, tmp_path, drop):
@@ -393,6 +402,76 @@ def test_failed_command_writes_nothing(tmp_path, capsys, argv, code,
     assert not out.exists()
 
 
+class TestCommandLineErrors:
+    """A bad command line reports one JSON line and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--points", "abc"],
+        ["bogus"],
+        ["solve", "--nope", "1"],
+        [],
+    ], ids=["bad-int", "unknown-command", "unknown-flag", "no-command"])
+    def test_flag_errors_are_one_json_line(self, tmp_path, monkeypatch,
+                                           capsys, argv):
+        from hjwave import cli
+
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert (error["type"], error["exit_code"]) == ("CliValidationError", 2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_still_exits_zero(self, capsys):
+        from hjwave import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hjwave solve")
+
+    @pytest.mark.parametrize("command", [["transform"],
+                                         ["residual", "--on-shell"]])
+    @pytest.mark.parametrize("constant", [
+        '["1", true]', "[true, 1]", "[1, 2, 3]", "[1e309, 0]", "[0, NaN]",
+        "nan", "1e309", "inf",
+    ])
+    def test_transform_constant_must_be_finite_numbers(
+            self, tmp_path, capsys, command, constant):
+        from hjwave import cli
+
+        out = tmp_path / "x"
+        assert cli.main(command + ["--A", constant, "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "CliValidationError"
+        assert not out.exists()
+
+
+def _old_fmt_float(x):
+    """The character-scan rule fmt_float replaced, kept as its oracle."""
+    s = format(float(x), ".17g")
+    if all(c in "-0123456789" for c in s):
+        s += ".0"
+    return s
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(1e16)
+@example(1e17)
+@example(-1e16)
+@example(-1e17)
+def test_fmt_float_decimal_marker_matches_character_scan(x):
+    assert fmt_float(x) == _old_fmt_float(x)
+
+
 class TestReportingHelpers:
     def test_header_only_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -569,10 +648,10 @@ def _check_outputs(out):
 
 @pytest.fixture(scope="module")
 def spec_file(tmp_path_factory):
-    from hjwave import PhysicalConstants, hje_pde_spec, save_pde_spec
+    from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
 
     path = tmp_path_factory.mktemp("spec") / "spec.json"
-    save_pde_spec(path, hje_pde_spec(PhysicalConstants(), massless=True))
+    path.write_text(pde_spec_dumps(hje_pde_spec(PhysicalConstants(), massless=True)))
     return str(path)
 
 

@@ -19,7 +19,7 @@ from hjwave import (
     planck_energy,
 )
 
-NAT = PhysicalConstants.natural()
+NAT = PhysicalConstants()
 MASSLESS = PhysicalConstants(hbar=1.0, c=1.0, m0=0.0)
 
 

@@ -10,6 +10,7 @@ from hjwave import (
     ParticleState,
     PhysicalConstants,
     Potential,
+    Trajectory,
     curl_check,
     dispersion_omega,
     energy_from_momentum,
@@ -21,11 +22,10 @@ from hjwave import (
     momentum_from_velocity,
     particle_velocity,
     plane_wave_field,
-    total_energy,
 )
 from hjwave.reporting import write_csv
 
-NAT = PhysicalConstants.natural()
+NAT = PhysicalConstants()
 
 
 def gradient_consistency(potential, points, eps=1e-5):
@@ -347,6 +347,7 @@ def test_total_energy_matches_trajectory_energies():
     pot = Potential.harmonic(0.5)
     r = np.array([1.0, 0.0, -1.0])
     p = np.array([0.2, 0.3, 0.0])
-    traj_val = total_energy(r, p, pot, NAT)
+    traj = Trajectory(t=np.zeros(1), r=r[None, :], p=p[None, :])
+    (traj_val,) = traj.energies(pot, NAT)
     kinetic = NAT.rest_energy * math.hypot(1.0, np.linalg.norm(p) / (NAT.m0 * NAT.c))
     assert traj_val == pytest.approx(kinetic + 0.5 * 0.5 * 2.0, rel=1e-14)

@@ -35,12 +35,11 @@ from hjwave import (
     quadratic_matrix,
     residual_linear,
     residual_nonlinear,
-    save_pde_spec,
     wavefunction_from_action,
 )
 from hjwave.pde_algebra import pde_spec_from_obj
 
-NAT = PhysicalConstants.natural()
+NAT = PhysicalConstants()
 A_QM = NAT.hbar / 1j  # the physical transform constant
 
 
@@ -121,7 +120,7 @@ class TestLogTransform:
         a_const = 0.7 - 0.3j
         image = log_transform(spec, a_const)
         g = 0.37
-        psi = AnalyticField.exponential(1.0, [g])
+        psi = AnalyticField([1.0], [[g]])
         x = np.array([0.83])
         lhs = residual_nonlinear(image, psi, x)
         # original residual at y = A ln psi: dy/dx = A g (value-independent)
@@ -315,7 +314,7 @@ class TestPlaneWaveResiduals:
 
     def test_constant_field_with_zero_free_term(self):
         spec = log_transform(hje_pde_spec(NAT, massless=True), A_QM)
-        const = AnalyticField.constant(4, 1.0)
+        const = AnalyticField([1.0], np.zeros((1, 4)))
         assert residual_nonlinear(spec, const, np.zeros(4)) == 0.0
         assert residual_linear(linearize(spec), const, np.zeros(4)) == 0.0
 
@@ -365,13 +364,13 @@ class TestAnalyticField:
         wave = AnalyticField.plane_wave(2.0, [1.0, -0.5])
         assert wave.amplitudes.shape == (1,) and wave.rates.shape == (1, 2)
         assert np.array_equal(wave.rates, [[1j, -0.5j]])
-        modes = AnalyticField.from_modes([1.0, 0.5], [[1.0, 0.0], [0.0, 2.0]])
+        modes = AnalyticField([1.0, 0.5], [[1j, 0.0], [0.0, 2j]])
         assert modes.n == 2 and modes.rates.shape == (2, 2)
-        assert AnalyticField.constant(3, 0.5).value(np.ones(3)) == 0.5
+        assert AnalyticField([0.5], np.zeros((1, 3))).value(np.ones(3)) == 0.5
 
     def test_modes_and_rates_must_agree(self):
         with pytest.raises(ValueError, match="modes"):
-            AnalyticField.from_modes([1.0, 2.0], [[1.0, 0.0]])
+            AnalyticField([1.0, 2.0], [[1j, 0.0]])
 
     def test_value_is_the_sum_of_the_modes(self):
         x = np.array([0.4, -1.1])
@@ -416,7 +415,7 @@ class TestResidualDecomposition:
         # psi = exp(x), a11 = 1, b = 0, A = 1: nonlinear e^{2x},
         # linear e^x, log-curvature term 0
         spec = PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.0)
-        psi = AnalyticField.exponential(1.0, [1.0])
+        psi = AnalyticField([1.0], [[1.0]])
         x = np.array([0.37])
         chk = residual_decomposition_check(spec, 1.0, psi, x)
         assert chk.lhs == pytest.approx(math.exp(2 * 0.37), rel=1e-14)
@@ -425,14 +424,12 @@ class TestResidualDecomposition:
         assert chk.mismatch <= 1e-14
 
     def test_nonzero_log_curvature_analytic_identity(self):
-        # psi = exp(x^2 / 2)-like Gaussian exponent via modes is awkward;
-        # use exp(g x) * exp(i w x) products through from_modes instead:
-        # superpositions have genuinely nonzero log curvature
+        # superpositions of plane waves have genuinely nonzero log curvature
         spec = PdeSpec(n=2, m=2,
                        terms=(PdeTerm(2, (1, 1), 1.0), PdeTerm(2, (2, 2), -0.5)),
                        b=2.0)
-        field = AnalyticField.from_modes(
-            [1.0, 0.3, 0.2j], [[1.0, 0.0], [0.0, 2.0], [1.0, -1.0]]
+        field = AnalyticField(
+            [1.0, 0.3, 0.2j], 1j * np.array([[1.0, 0.0], [0.0, 2.0], [1.0, -1.0]])
         )
         x = np.array([0.4, 0.9])
         chk = residual_decomposition_check(spec, 1.5 + 0.5j, field, x)
@@ -477,7 +474,7 @@ class TestResidualDecomposition:
         spec = PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.0)
         with pytest.raises(ZeroFieldError):
             residual_decomposition_check(
-                spec, 1.0, AnalyticField.constant(1, 0.0), np.zeros(1))
+                spec, 1.0, AnalyticField([0.0], [[0.0]]), np.zeros(1))
 
     def test_near_zero_field_rejected(self):
         spec = PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.0)
@@ -943,7 +940,7 @@ class TestJsonSerialization:
     def test_file_round_trip(self, tmp_path):
         spec = hje_pde_spec_1d(PhysicalConstants(0.3, 1.7, 2.2))
         path = tmp_path / "spec.json"
-        save_pde_spec(path, spec)
+        path.write_text(pde_spec_dumps(spec))
         assert load_pde_spec(path) == spec
 
 
