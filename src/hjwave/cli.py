@@ -1,9 +1,13 @@
 """Scenario runner: every module surface behind one deterministic CLI.
 
 Subcommands: dispersion | transform | solve | residual | newton |
-limit-study | verify-all.  Parameters come from flags, from a JSON
-scenario file (``--scenario``), or both, with flags winning; unknown or
-ill-typed scenario keys abort before any computation.  All outputs are
+limit-study | verify-all.  ``COMMANDS`` declares exactly the parameters
+each command reads and builds its flags and scenario keys from them; a
+physical constant a command does not declare keeps its PhysicalConstants
+default (verify-all works in fixed natural units and takes only a seed).
+Parameters come from flags, from a JSON scenario file (``--scenario``), or
+both, with flags winning; undeclared flags and unknown or ill-typed
+scenario keys abort before any computation.  All outputs are
 CSV tables plus a JSON summary with 17-significant-digit floats, so a
 rerun of the same scenario and seed is byte-identical.
 
@@ -27,6 +31,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -73,9 +78,21 @@ class CliValidationError(ValueError):
     """Bad command line, scenario file, or parameter combination."""
 
 
+# every literal float() accepts after a '-' is a flag value, not an option
+# (argparse's own pattern misses -1e-3 and -inf)
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:inf(?:inity)?|nan|(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?"
+    r"|\.\d(?:_?\d)*)(?:e[-+]?\d(?:_?\d)*)?)\Z", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as CliValidationError instead of printing
-    the usage and exiting; subparsers are built from the same class."""
+    the usage and exiting; subparsers are built from the same class.  Long
+    flags must be spelled out: ``limit-study --c`` is not ``--c-values``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise CliValidationError(message)
@@ -98,57 +115,45 @@ class Param:
     help: str
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
-        flag = "--" + self.name.replace("_", "-")
         if self.kind == "flag":
-            parser.add_argument(flag, dest=self.name, action="store_true",
-                                default=None, help=self.help)
+            kwargs = {"action": "store_true"}
         elif self.kind == "float_list":
-            parser.add_argument(flag, dest=self.name, type=float,
-                                action="append", default=None, help=self.help)
+            kwargs = {"type": float, "action": "append"}
         else:
-            typ = {"float": float, "int": int, "str": str}[self.kind]
-            parser.add_argument(flag, dest=self.name, type=typ, default=None,
-                                help=self.help)
+            kwargs = {"type": {"float": float, "int": int, "str": str}[self.kind]}
+        parser.add_argument("--" + self.name.replace("_", "-"), dest=self.name,
+                            default=None, help=self.help, **kwargs)
 
     def coerce(self, value):
         """Validate a scenario-file value for this parameter."""
         try:
             if self.kind == "float":
                 return _as_float(value)
-            if self.kind == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError
-                return int(value)
-            if self.kind == "str":
-                if not isinstance(value, str):
-                    raise TypeError
-                return value
-            if self.kind == "flag":
-                if not isinstance(value, bool):
-                    raise TypeError
-                return value
             if self.kind == "float_list":
                 if not isinstance(value, list) or not value:
                     raise TypeError
                 return [_as_float(v) for v in value]
+            # int, str and flag take JSON's own type; a bool is not an int
+            typ = {"int": int, "str": str, "flag": bool}[self.kind]
+            if not isinstance(value, typ) or (
+                    typ is int and isinstance(value, bool)):
+                raise TypeError
+            return value
         except (OverflowError, TypeError, ValueError):
             raise CliValidationError(
                 f"parameter {self.name!r} expects a value of kind {self.kind}"
             ) from None
-        raise CliValidationError(f"unknown parameter kind {self.kind}")
 
 
-COMMON_PARAMS = (
-    Param("hbar", "float", 1.0, "action quantum (default 1)"),
-    Param("c", "float", 1.0, "speed of light (default 1)"),
-    Param("m0", "float", 1.0, "rest mass (default 1; 0 selects massless)"),
-    Param("seed", "int", 0, "seed for the randomized verification fields"),
-)
+_HBAR = Param("hbar", "float", 1.0, "action quantum (default 1)")
+_C = Param("c", "float", 1.0, "speed of light (default 1)")
+_M0 = Param("m0", "float", 1.0, "rest mass (default 1; 0 selects massless)")
 
 COMMANDS: dict[str, tuple[Param, ...]] = {
     "dispersion": (
         Param("k", "float_list", [0.0],
               "wavenumber magnitude; repeat the flag for a sweep"),
+        _HBAR, _C, _M0,
     ),
     "transform": (
         Param("spec", "str", "hje-massive",
@@ -157,6 +162,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
               "transform constant: 'hbar/i', a real number, or '[re,im]'"),
         Param("emit_linear", "flag", False,
               "also write the equivalent linear second-order PDE"),
+        _HBAR, _C, _M0,
     ),
     "solve": (
         Param("equation", "str", "relativistic",
@@ -168,6 +174,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("dt", "float", None, "time step (default: cfl * stability limit)"),
         Param("cfl", "float", 0.5, "fraction of the stability limit for dt"),
         Param("steps", "int", 200, "number of time steps"),
+        _HBAR, _C, _M0,
     ),
     "residual": (
         Param("spec", "str", "hje-massive", "as for transform"),
@@ -178,6 +185,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("omega", "float", None, "frequency argument of the plane wave"),
         Param("on_shell", "flag", False,
               "use the positive dispersion root as the frequency"),
+        _HBAR, _C, _M0,
     ),
     "newton": (
         Param("potential", "str", "free", "free | linear | harmonic"),
@@ -188,6 +196,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("p0", "float_list", [0.0, 0.0, 0.0], "initial momentum"),
         Param("dt", "float", 0.01, "time step"),
         Param("steps", "int", 1000, "number of RK4 steps"),
+        _C, _M0,
     ),
     "limit-study": (
         Param("k", "float", 1.0, "plane-wave wavenumber"),
@@ -196,8 +205,13 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("time", "float", 5e-4, "physical evolution time per run"),
         Param("points", "int", 64, "grid points"),
         Param("mode", "int", 1, "grid length is mode * 2 pi / k"),
+        _HBAR, _M0,
+        # not read; bench/workloads.py LimitSweep passes it (ROADMAP item 1)
+        Param("seed", "int", 0, "accepted and ignored"),
     ),
-    "verify-all": (),
+    "verify-all": (
+        Param("seed", "int", 0, "seed for the randomized verification fields"),
+    ),
 }
 
 
@@ -240,7 +254,7 @@ def _load_spec(name: str, consts: PhysicalConstants):
 
 def resolve_params(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults < scenario parameters < explicit flags, strictly."""
-    params = {p.name: p for p in COMMANDS[command] + COMMON_PARAMS}
+    params = {p.name: p for p in COMMANDS[command]}
     resolved = {name: p.default for name, p in params.items()}
     out_dir = "hjwave-out"
 
@@ -288,9 +302,8 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict:
 
 
 def _consts(params: dict) -> PhysicalConstants:
-    return PhysicalConstants(
-        hbar=params["hbar"], c=params["c"], m0=params["m0"]
-    )
+    return PhysicalConstants(**{n: params[n] for n in ("hbar", "c", "m0")
+                                if n in params})
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +358,8 @@ def cmd_transform(params: dict) -> CommandResult:
         lin = linearize(transformed)
         files["linear_spec.json"] = {
             "n": lin.n,
-            "second_order_coeffs": [
-                [complex(z) for z in row] for row in lin.second_order_coeffs
-            ],
-            "zeroth_coeff": complex(lin.zeroth_coeff),
+            "second_order_coeffs": lin.second_order_coeffs.tolist(),
+            "zeroth_coeff": lin.zeroth_coeff,
         }
     files["summary.json"] = {
         "command": "transform",
@@ -442,16 +453,11 @@ def cmd_residual(params: dict) -> CommandResult:
 
     residual = {
         "command": "residual",
-        "alpha": [float(a) for a in alpha],
-        "dispersion_roots": [complex(r) for r in disp.roots],
-        "nonlinear_residual": complex(nonlinear),
-        "linear_residual": complex(linear),
-        "decomposition": {
-            "lhs": complex(decomp.lhs),
-            "rhs": complex(decomp.rhs),
-            "mismatch": decomp.mismatch,
-            "log_curvature_term": complex(decomp.log_curvature_term),
-        },
+        "alpha": alpha.tolist(),
+        "dispersion_roots": list(disp.roots),
+        "nonlinear_residual": nonlinear,
+        "linear_residual": linear,
+        "decomposition": asdict(decomp),
     }
     return CommandResult(
         {"residual.json": residual},
@@ -576,9 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "duality toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, extra in COMMANDS.items():
+    for command, declared in COMMANDS.items():
         p = sub.add_parser(command, help=f"run the {command} scenario")
-        for param in extra + COMMON_PARAMS:
+        for param in declared:
             param.add_to(p)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--scenario", default=None,

@@ -332,21 +332,25 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
 # Hamilton-Jacobi residuals of action fields
 # ---------------------------------------------------------------------------
 
-def _pair_time_levels(pair) -> tuple[ScalarField, ScalarField, float]:
+def _time_levels(levels, count: int) -> tuple[list[ScalarField], float]:
+    """``count`` ScalarFields on one grid, uniformly spaced in time; and dt."""
     try:
-        s0, s1 = pair
-    except (TypeError, ValueError):
-        raise InsufficientDataError(
-            "the time derivative needs two adjacent time levels (S0, S1)"
-        ) from None
-    if not isinstance(s0, ScalarField) or not isinstance(s1, ScalarField):
-        raise InsufficientDataError("time levels must be ScalarFields")
-    if s0.grid != s1.grid:
+        levels = list(levels)
+    except TypeError:
+        levels = []
+    if len(levels) != count or not all(isinstance(s, ScalarField)
+                                       for s in levels):
+        raise InsufficientDataError(f"need {count} time levels as ScalarFields")
+    if any(s.grid != levels[0].grid for s in levels):
         raise DomainError("time levels must share a grid")
-    dt = s1.time_stamp - s0.time_stamp
-    if dt <= 0:
-        raise InsufficientDataError("time levels must be ordered and distinct")
-    return s0, s1, dt
+    steps = [b.time_stamp - a.time_stamp for a, b in zip(levels, levels[1:])]
+    dt = steps[0]
+    if not all(0 < step < math.inf for step in steps):
+        raise InsufficientDataError(
+            "time levels must be finite, ordered and distinct")
+    if any(abs(step - dt) > 1e-9 * dt for step in steps):
+        raise InsufficientDataError("time levels must be uniformly spaced")
+    return levels, dt
 
 
 def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
@@ -376,7 +380,7 @@ def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
         dsdt = -1j * S.omega * values
         grads = [1j * S.k[ax] * values for ax in range(grid.ndim)]
     else:
-        s0, s1, dt = _pair_time_levels(S)
+        (s0, s1), dt = _time_levels(S, 2)
         grid = s0.grid
         dsdt = (s1.values - s0.values) / dt
         g0 = central_gradient(s0.values, grid)
@@ -406,7 +410,7 @@ def eigen_checks(psi_pair, p_expected, E_expected,
     i hbar dpsi/dt - E psi at the midpoint of the two levels.  Both are
     O(h^2) / O(dt^2) for on-shell plane waves.
     """
-    s0, s1, dt = _pair_time_levels(psi_pair)
+    (s0, s1), dt = _time_levels(psi_pair, 2)
     peak = nonzero_peak(s0.values)
     p = np.atleast_1d(np.asarray(p_expected, dtype=float))
     if p.size < s0.grid.ndim:
@@ -435,37 +439,27 @@ def log_curvature_check(psi_triple) -> tuple[float, float]:
     not polluted by the wrap), temporally across the three levels.  Both
     vanish to O(h^2)/O(dt^2) exactly when psi is a plane wave.
     """
-    try:
-        s0, s1, s2 = psi_triple
-    except (TypeError, ValueError):
-        raise InsufficientDataError(
-            "log curvature needs three equally spaced time levels"
-        ) from None
-    if s0.grid != s1.grid or s1.grid != s2.grid:
-        raise DomainError("time levels must share a grid")
-    dt1 = s1.time_stamp - s0.time_stamp
-    dt2 = s2.time_stamp - s1.time_stamp
-    if dt1 <= 0 or dt2 <= 0 or abs(dt2 - dt1) > 1e-9 * dt1:
-        raise InsufficientDataError("time levels must be uniformly spaced")
-    for s in (s0, s1, s2):
+    levels, dt = _time_levels(psi_triple, 3)
+    for s in levels:
         nonzero_peak(s.values)
 
-    grid = s1.grid
-    v = s1.values
+    grid = levels[1].grid
     space_defect = 0.0
     for ax, h in enumerate(grid.spacings):
-        d1 = central_difference(v, ax, h)
-        d2 = second_difference(v, ax, h)
-        curv = (v * d2 - d1**2) / v**2
+        curv = _log_curvature(levels[1].values, ax, h)
         interior = [slice(None)] * grid.ndim
         interior[ax] = slice(1, grid.shape[ax] - 1)
         space_defect = max(
             space_defect, float(np.max(np.abs(curv[tuple(interior)])))
         )
 
-    dt = dt1
-    d1t = (s2.values - s0.values) / (2 * dt)
-    d2t = (s2.values - 2 * s1.values + s0.values) / dt**2
-    time_curv = (s1.values * d2t - d1t**2) / s1.values**2
-    time_defect = float(np.max(np.abs(time_curv)))
+    stacked = np.stack([s.values for s in levels])
+    time_defect = float(np.max(np.abs(_log_curvature(stacked, 0, dt)[1])))
     return space_defect, time_defect
+
+
+def _log_curvature(v: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """d2 ln(v) along ``axis`` as (v v'' - v'^2) / v^2, periodic differences."""
+    d1 = central_difference(v, axis, h)
+    d2 = second_difference(v, axis, h)
+    return (v * d2 - d1**2) / v**2

@@ -555,7 +555,7 @@ SPEC_NAMES = st.sampled_from(
 A_STRINGS = st.sampled_from(
     ["hbar/i", "1.5", "-2", "0", "nan", "1e309", "[1, 2]", "[1e308, 1e308]",
      "[NaN, 0]", "[1]", "i/hbar"])
-COMMON = {"hbar": NUMBERS, "c": NUMBERS, "m0": NUMBERS, "seed": st.integers()}
+CONSTANTS = {"hbar": NUMBERS, "c": NUMBERS, "m0": NUMBERS}
 # 3-vectors whose zero components carry either sign
 SIGNED_VECTORS = st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.0]) | NUMBERS,
                           min_size=3, max_size=3)
@@ -566,24 +566,26 @@ SIGNED_VECTORS = st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.0]) | NUMBERS,
 LIMIT_SCALES = st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, math.nan, math.inf])
 LIMIT_SPEEDS = st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0])
 SCENARIO_PARAMS = {
-    "dispersion": {"k": st.lists(LIST_ITEMS, min_size=1, max_size=3)},
+    "dispersion": {"k": st.lists(LIST_ITEMS, min_size=1, max_size=3),
+                   **CONSTANTS},
     "transform": {"spec": SPEC_NAMES, "A": A_STRINGS,
-                  "emit_linear": st.booleans()},
+                  "emit_linear": st.booleans(), **CONSTANTS},
     "residual": {"spec": SPEC_NAMES, "A": A_STRINGS, "kx": NUMBERS,
                  "ky": NUMBERS, "kz": NUMBERS, "omega": NUMBERS,
-                 "on_shell": st.booleans()},
+                 "on_shell": st.booleans(), **CONSTANTS},
     "solve": {"equation": st.sampled_from(
                   ["wave", "relativistic", "schrodinger", "heat"]),
               "dims": st.sampled_from([1, 3, 2]),
               "points": st.integers(-1, 12), "length": NUMBERS,
               "mode": st.integers(-2, 4), "dt": NUMBERS, "cfl": NUMBERS,
-              "steps": st.integers(-1, 20)},
+              "steps": st.integers(-1, 20), **CONSTANTS},
     "newton": {"potential": st.sampled_from(
                    ["free", "linear", "harmonic", "coulomb"]),
                "force": st.lists(LIST_ITEMS, max_size=4), "kappa": NUMBERS,
                "r0": st.lists(LIST_ITEMS, max_size=4) | SIGNED_VECTORS,
                "p0": st.lists(LIST_ITEMS, max_size=4) | SIGNED_VECTORS,
-               "dt": NUMBERS, "steps": st.integers(-1, 1000)},
+               "dt": NUMBERS, "steps": st.integers(-1, 1000),
+               "c": NUMBERS, "m0": NUMBERS},
     "limit-study": {"k": LIMIT_SCALES, "hbar": LIMIT_SCALES,
                     "m0": LIMIT_SCALES,
                     "c_values": st.lists(LIMIT_SPEEDS, min_size=3, max_size=6,
@@ -593,7 +595,8 @@ SCENARIO_PARAMS = {
                                     max_size=5),
                     "time": st.floats(0.0, 1e-4)
                             | st.sampled_from([-1e-4, math.nan, math.inf]),
-                    "points": st.integers(-1, 32), "mode": st.integers(-1, 3)},
+                    "points": st.integers(-1, 32), "mode": st.integers(-1, 3),
+                    "seed": st.integers()},
     "verify-all": {"seed": st.integers(-1, 20)},
 }
 # parameters every scenario of the command sets, so that no example runs
@@ -607,7 +610,7 @@ TEXT_COLUMNS = {"check", "passed", "detail"}
 @st.composite
 def scenario_params(draw, command):
     """Parameters of a scenario, one of them perhaps replaced by other JSON."""
-    drawn = {**COMMON, **SCENARIO_PARAMS[command]}
+    drawn = SCENARIO_PARAMS[command]
     sizes = SIZES.get(command, ())
     params = draw(st.fixed_dictionaries(
         {name: drawn[name] for name in sizes},
@@ -708,3 +711,155 @@ def test_any_scenario_exits_cleanly(spec_file, command, data):
 @example(params={"seed": 4})
 def test_any_verify_all_scenario_exits_cleanly(spec_file, params):
     run_scenario("verify-all", params, spec_file)
+
+
+def test_scenario_strategies_draw_the_declared_parameters():
+    from hjwave import cli
+
+    for command, declared in cli.COMMANDS.items():
+        assert set(SCENARIO_PARAMS[command]) == {p.name for p in declared}
+
+
+# ---------------------------------------------------------------------------
+# The parameter table: each command declares exactly what it reads
+# ---------------------------------------------------------------------------
+
+class _ReadRecorder(dict):
+    """Resolved parameters that remember which keys were read."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# command lines that together take every branch that reads a parameter
+TABLE_BRANCHES = {
+    "dispersion": [[]],
+    "transform": [[], ["--emit-linear"], ["--spec", SPEC_FILE]],
+    "solve": [["--equation", equation, "--points", "8", "--steps", "3", *dt]
+              for equation in ("wave", "relativistic", "schrodinger")
+              for dt in ([], ["--dt", "0.01"])],
+    "residual": [["--on-shell"], ["--on-shell", "--omega", "2"],
+                 ["--omega", "2"], ["--spec", SPEC_FILE, "--on-shell"]],
+    "newton": [["--potential", potential, "--steps", "3"]
+               for potential in ("free", "linear", "harmonic")],
+    "limit-study": [["--c-values", "4", "--c-values", "8", "--c-values", "16",
+                     "--c-values", "32", "--time", "1e-5", "--points", "16"]],
+    "verify-all": [[]],
+}
+# declared but not read: bench/workloads.py LimitSweep passes --seed
+UNREAD = {"limit-study": {"seed"}}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_BRANCHES))
+def test_commands_read_exactly_their_declared_parameters(spec_file, tmp_path,
+                                                         command):
+    from hjwave import cli
+
+    read = set()
+    for argv in TABLE_BRANCHES[command]:
+        argv = [spec_file if a == SPEC_FILE else a for a in argv]
+        args = cli.build_parser().parse_args(
+            [command, *argv, "--out", str(tmp_path)])
+        params = _ReadRecorder(cli.resolve_params(command, args))
+        with np.errstate(all="ignore"):
+            cli.DISPATCH[command](params)
+        read |= params.read
+    declared = {p.name for p in cli.COMMANDS[command]}
+    assert read - {"_out"} == declared - UNREAD.get(command, set())
+
+
+REMOVED = [("dispersion", "seed"), ("transform", "seed"), ("solve", "seed"),
+           ("residual", "seed"), ("newton", "seed"), ("newton", "hbar"),
+           ("limit-study", "c"), ("verify-all", "hbar"), ("verify-all", "c"),
+           ("verify-all", "m0")]
+
+
+@pytest.mark.parametrize("spelling", ["flag", "scenario"])
+@pytest.mark.parametrize("command, name", REMOVED)
+def test_parameters_a_command_does_not_read_exit_2(tmp_path, capsys, command,
+                                                   name, spelling):
+    from hjwave import cli
+
+    out = tmp_path / "x"
+    argv = [command, "--out", str(out)]
+    if spelling == "flag":
+        argv += ["--" + name, "1"]
+    else:
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"command": command, "parameters": {name: 1}}))
+        argv += ["--scenario", str(scenario)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "CliValidationError"
+    assert name in error["message"]
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Negative flag values in any float spelling
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, code", [
+    (["residual", "--kx", "-1e-3", "--on-shell"], 0),
+    (["transform", "--A", "-2.5e-1"], 0),
+    (["residual", "--omega", "-inf"], 3),
+    (["dispersion", "--k", "-1e-3"], 2),
+])
+def test_negative_values_parse_with_a_space_or_equals(tmp_path, monkeypatch,
+                                                      capsys, argv, code):
+    from hjwave import cli
+
+    command, flag, value, *rest = argv
+    runs = []
+    for spelled in ([flag, value], [f"{flag}={value}"]):
+        cwd = tmp_path / str(len(runs))
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        exit_code = cli.main([command, *spelled, *rest, "--out", "out"])
+        captured = capsys.readouterr()
+        files = read_all_bytes(cwd / "out") if (cwd / "out").exists() else None
+        runs.append((exit_code, captured.out, captured.err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    if command == "dispersion":
+        message = json.loads(runs[0][2])["error"]["message"]
+        assert message == "k must be finite and >= 0"
+
+
+def _parses_as_float(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.text(alphabet="0123456789._eE+-infatyINFATY", max_size=12)
+       | st.floats().map(lambda x: repr(abs(x))))
+@example("1e-3")
+@example(".5e+1")
+@example("5.")
+@example("1_000.0_1e-1_0")
+@example("Infinity")
+@example("nAn")
+@example("1__0")
+@example("_1")
+@example("1._5")
+@example("1e")
+@example("in")
+@example("")
+def test_negative_number_pattern_is_float_syntax(text):
+    from hjwave.cli import _NEGATIVE_NUMBER
+
+    word = "-" + text
+    assert bool(_NEGATIVE_NUMBER.match(word)) == _parses_as_float(word)

@@ -526,6 +526,31 @@ class TestLogCurvature:
         with pytest.raises(InsufficientDataError):
             log_curvature_check((mk(0.0), mk(0.1), mk(0.3)))
 
+    @pytest.mark.parametrize("levels", [
+        (1, 2, 3), None, (), "abc", [0.0] * 3,
+    ], ids=["ints", "none", "empty", "text", "floats"])
+    def test_levels_that_are_not_fields_rejected(self, levels):
+        with pytest.raises(InsufficientDataError):
+            log_curvature_check(levels)
+
+    def test_level_count_and_order_checked(self):
+        grid = Grid.line(16, 1.0)
+        mk = lambda t: ScalarField(grid, np.ones(16, dtype=complex), time_stamp=t)
+        with pytest.raises(InsufficientDataError):
+            log_curvature_check((mk(0.0), mk(0.1)))
+        with pytest.raises(InsufficientDataError):
+            log_curvature_check((mk(0.2), mk(0.1), mk(0.0)))
+        for t in (math.nan, math.inf):
+            with pytest.raises(InsufficientDataError):
+                log_curvature_check((mk(0.0), mk(t), mk(0.2)))
+            with pytest.raises(InsufficientDataError):
+                hje_residual((mk(0.0), mk(t)), NAT)
+        with pytest.raises(DomainError):
+            other = ScalarField(Grid.line(8, 1.0), np.ones(8, dtype=complex), 0.2)
+            log_curvature_check((mk(0.0), mk(0.1), other))
+        with pytest.raises(InsufficientDataError):
+            eigen_checks((mk(0.0), mk(0.1), mk(0.2)), (0.0,), 0.0, NAT)
+
 
 class TestClosedFormAgainstSteppedOracle:
     STEPS = 201  # odd, so the sign (-1)^n of theta = pi modes shows
