@@ -56,7 +56,6 @@ from .mechanics import (
     Trajectory,
     curl_check,
     gradient_field,
-    hje_potential_residual,
     integrate_newton,
 )
 from .pde_algebra import (

@@ -388,16 +388,16 @@ def cmd_solve(params: dict) -> CommandResult:
     limit = leapfrog_stability_limit(grid, consts.c, mu)
     dt = params["dt"] if params["dt"] is not None else params["cfl"] * limit
     steps = params["steps"]
+    scheme = CRANK_NICOLSON if equation == "schrodinger" else LEAPFROG
+    cfg = SolverConfig(dt=dt, steps=steps, scheme=scheme)
 
     initial = plane_wave_field(grid, k_vec, omega=0.0, t=0.0)
     if equation == "schrodinger":
-        cfg = SolverConfig(dt=dt, steps=steps, scheme=CRANK_NICOLSON)
         report = solve_schrodinger(initial, consts, cfg)
         omega = consts.hbar * k**2 / (2 * consts.m0)
     else:
         omega = consts.c * k if equation == "wave" else dispersion_omega(k, consts)
         rate = initial.with_values(-1j * omega * initial.values)
-        cfg = SolverConfig(dt=dt, steps=steps, scheme=LEAPFROG)
         solver = solve_wave if equation == "wave" else solve_relativistic
         report = solver(initial, rate, consts, cfg)
 
@@ -430,6 +430,9 @@ def cmd_solve(params: dict) -> CommandResult:
 
 
 def cmd_residual(params: dict) -> CommandResult:
+    for name in ("kx", "ky", "kz", "omega"):
+        if params[name] is not None and not math.isfinite(params[name]):
+            raise CliValidationError(f"{name} must be finite")
     consts = _consts(params)
     spec = _load_spec(params["spec"], consts)
     a_const = parse_transform_constant(params["A"], consts.hbar)

@@ -130,14 +130,19 @@ def plane_wave_field(grid: Grid, k, omega: float, t: float = 0.0,
                      amplitude: complex = 1.0) -> ScalarField:
     """Sample amplitude * exp(i (k . r - omega t)) on the grid.
 
-    ``k`` uses as many leading components as the grid has axes.
+    ``k`` uses as many leading components as the grid has axes.  The
+    phase is summed on broadcast coordinates and exp and the amplitude
+    are applied in place, so the samples are the only full-size array.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    coords = grid.meshgrid()
+    coords = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     phase = -omega * t
     for i, x in enumerate(coords):
         phase = phase + k[i] * x
-    return ScalarField(grid, amplitude * np.exp(1j * phase), t)
+    wave = 1j * phase
+    np.exp(wave, out=wave)
+    np.multiply(amplitude, wave, out=wave)
+    return ScalarField(grid, wave, t)
 
 
 def nonzero_peak(values: np.ndarray,

@@ -120,11 +120,10 @@ def momentum_from_velocity(v, consts: PhysicalConstants) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Energy-momentum pair, optionally on shell; the action S = p . r - E t."""
+    """Energy-momentum pair; the action S = p . r - E t."""
 
     E: float
     p: np.ndarray
-    on_shell: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "p", _vec3(self.p))
@@ -133,31 +132,7 @@ class ParticleState:
     @classmethod
     def from_momentum(cls, p, consts: PhysicalConstants) -> "ParticleState":
         p = _vec3(p)
-        return cls(E=energy_from_momentum(p, consts), p=p, on_shell=True)
-
-    def shell_defect(self, consts: PhysicalConstants) -> float:
-        """Relative defect of E^2 - |p|^2 c^2 - m0^2 c^4.
-
-        Every energy is divided by the largest of |E|, |p| c and m0 c^2
-        before squaring, so no square overflows or underflows.
-        """
-        pc = math.hypot(*self.p.tolist()) * consts.c
-        scale = max(abs(self.E), pc, consts.rest_energy)
-        if scale == 0.0:
-            return 0.0
-        lhs = (self.E / scale) ** 2
-        rhs = (pc / scale) ** 2 + (consts.rest_energy / scale) ** 2
-        return abs(lhs - rhs) / max(lhs, rhs)
-
-    def check(self, consts: PhysicalConstants, tol: float = 1e-12) -> None:
-        if self.on_shell:
-            if self.E <= 0:
-                raise DomainError("on-shell states use the positive-energy branch")
-            if self.shell_defect(consts) > tol:
-                raise DomainError(
-                    f"state flagged on-shell violates the mass shell by "
-                    f"{self.shell_defect(consts):.3e} relative"
-                )
+        return cls(E=energy_from_momentum(p, consts), p=p)
 
 
 @dataclass(frozen=True)
@@ -178,7 +153,3 @@ class PlaneWave:
         k = _vec3(k)
         omega = dispersion_omega(math.hypot(*k.tolist()), consts)
         return cls(amplitude=amplitude, k=k, omega=omega)
-
-    def shell_defect(self, consts: PhysicalConstants) -> float:
-        target = dispersion_omega(math.hypot(*self.k.tolist()), consts)
-        return abs(self.omega - target) / max(abs(target), 1e-300)

@@ -46,6 +46,7 @@ from .kinematics import PhysicalConstants, dispersion_omega
 from .solvers import (
     CRANK_NICOLSON,
     LEAPFROG,
+    MAX_STEPS,  # each row's SolverConfig enforces it; kept importable here
     SolverConfig,
     leapfrog_stability_limit,
     solve_relativistic,
@@ -54,10 +55,6 @@ from .solvers import (
 
 
 TEMPORAL_SAFETY = 0.05  # leapfrog phase-error budget as a gap fraction
-# Leapfrog steps allowed per row.  Every step gets a diagnostics row (about
-# 40 bytes), so the bound keeps a row near 0.4 GB; the default sweep takes
-# 346,565 steps at c = 128, and the step count grows as t m0^3 c^4/(hbar^3 k^2).
-MAX_STEPS = 10_000_000
 SCHRODINGER_STEPS = 256  # Crank-Nicolson steps of the Schrodinger endpoint
 
 
@@ -184,22 +181,17 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     )
     theta = min(theta, 0.5)
 
-    # Every row's dt and step count, checked against MAX_STEPS before any
-    # row runs.
-    plans = []
+    # Every row's leapfrog configuration, built before any row runs, so a
+    # row past MAX_STEPS (the default sweep takes 346,565 steps at c = 128,
+    # and the count grows as t m0^3 c^4 / (hbar^3 k^2)) fails up front.
+    run_cfgs = []
     for cc in consts_per_c:
         dt = theta / dispersion_omega(cfg.k, cc)
         cfl = leapfrog_stability_limit(grid, cc.c, cc.rest_frequency)
         dt = min(dt, 0.5 * cfl)
         steps = max(1, math.ceil(tee / dt))
-        plans.append((tee / steps, steps))
-    most = max(steps for _, steps in plans)
-    if most > MAX_STEPS:
-        raise DomainError(
-            f"the sweep needs {most} leapfrog steps at one c value, more "
-            f"than the bound of {MAX_STEPS}; shorten the time or lower the "
-            "largest c"
-        )
+        run_cfgs.append(SolverConfig(dt=tee / steps, steps=steps,
+                                     scheme=LEAPFROG))
 
     # The Schrodinger endpoint does not depend on c: evolve it once.
     initial = plane_wave_field(grid, cfg.k, omega=0.0, t=0.0)
@@ -216,9 +208,8 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
 
     rows: list[LimitRow] = []
     field_gaps: list[float] = []
-    for cc, gap, (dt, steps) in zip(consts_per_c, freq_gaps, plans):
+    for cc, gap, run_cfg in zip(consts_per_c, freq_gaps, run_cfgs):
         omega_grid = dispersion_omega(k_stencil, cc)
-        run_cfg = SolverConfig(dt=dt, steps=steps, scheme=LEAPFROG)
         rate = initial.with_values(-1j * omega_grid * initial.values)
         rel = solve_relativistic(initial, rate, cc, run_cfg)
         psi0 = factor_rest_energy(rel.final, cc, tee)
@@ -232,8 +223,8 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
                 frequency_gap=gap,
                 field_gap=field_gap,
                 x_param=cfg.hbar * cfg.k / (cfg.m0 * cc.c),
-                dt=dt,
-                steps=steps,
+                dt=run_cfg.dt,
+                steps=run_cfg.steps,
             )
         )
 

@@ -1,19 +1,14 @@
-"""Relativistic point mechanics and the classical action-field checks.
+"""Relativistic point mechanics and the momentum-field curl check.
 
 Integrates dp/dt = -grad(Phi), dr/dt = v(p) with fixed-step RK4 using the
-exact relativistic velocity-momentum inversion, tests sampled momentum
-fields for irrotationality (a momentum field must be a gradient), and
-evaluates the Hamilton-Jacobi residual with a scalar potential.  A
+exact relativistic velocity-momentum inversion, and tests sampled momentum
+fields for irrotationality (a momentum field must be a gradient).  A
 Potential is data, a stiffness kappa and a constant force F with
 
     Phi = kappa |r|^2 / 2 - F . r,    grad Phi = kappa r - F,
 
 so the free, linear and harmonic potentials need no callables and the
-integrator steps six Python floats.  The residual is
-
-    (dS/dt + Phi)^2 - c^2 (grad S)^2 - m0^2 c^4 = 0,
-
-which reduces bit-for-bit to the free massive residual when Phi = 0.
+integrator steps six Python floats.
 """
 
 from __future__ import annotations
@@ -26,9 +21,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .fields import Grid, ScalarField, central_difference, central_gradient
+from .fields import Grid, central_difference, central_gradient
 from .kinematics import PhysicalConstants
-from .solvers import hje_residual
+from .solvers import MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -37,8 +32,8 @@ class Potential:
 
     The force -grad Phi = F - kappa r is affine in r, so a stiffness and
     a force vector describe every potential the integrator supports.
-    ``value`` and ``gradient`` accept stacked coordinates of shape
-    (..., 3) and return shapes (...) and (..., 3) respectively.
+    ``value`` accepts stacked coordinates of shape (..., 3) and returns
+    shape (...).
     """
 
     name: str
@@ -72,12 +67,6 @@ class Potential:
         if self.kappa:
             phi = 0.5 * self.kappa * np.sum(r ** 2, axis=-1) + phi
         return phi
-
-    def gradient(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.kappa:
-            return self.kappa * r - np.array(self.force)
-        return np.broadcast_to(-np.array(self.force), r.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -117,6 +106,9 @@ def integrate_newton(potential: Potential, r0, p0,
         raise DomainError("dt must be positive")
     if steps < 1:
         raise DomainError("steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise DomainError(
+            f"a run of {steps} steps exceeds the bound of {MAX_STEPS}")
     if not math.isfinite(dt * steps):
         raise DomainError(f"the time span dt * steps = {dt * steps} overflows")
     if consts.m0 <= 0:
@@ -134,8 +126,8 @@ def integrate_newton(potential: Potential, r0, p0,
 
     # One RK4 step over Python floats.  The velocity repeats
     # particle_velocity's operations, p_i / (m0 hypot(1, |p| / (m0 c))),
-    # and the force is -gradient(r): -(kappa r_i - F_i), or F_i itself
-    # for kappa = 0, so every row is bit-identical to the array form.
+    # and the force is -grad Phi: -(kappa r_i - F_i), or F_i itself for
+    # kappa = 0, so every row is bit-identical to the array form.
     m0, mc = consts.m0, consts.m0 * consts.c
     kappa = potential.kappa
     fx, fy, fz = potential.force
@@ -246,28 +238,3 @@ def gradient_field(scalar_samples: np.ndarray, grid: Grid) -> np.ndarray:
         raise DomainError("gradient_field needs a 3D grid")
     return np.stack(central_gradient(scalar_samples, grid))
 
-
-def hje_potential_residual(S, potential: Potential,
-                           consts: PhysicalConstants, *,
-                           grid: Grid | None = None, t: float = 0.0
-                           ) -> ScalarField:
-    """Residual of (dS/dt + Phi)^2 - c^2 (grad S)^2 - m0^2 c^4.
-
-    Accepts the same action inputs as solvers.hje_residual.  With the free
-    potential the output matches the free massive residual bit for bit.
-    """
-    if isinstance(S, tuple) and grid is None:
-        grid = S[0].grid
-    if grid is None:
-        raise DomainError("a target grid is required")
-    coords = np.stack(grid.meshgrid(), axis=-1)
-    if coords.shape[-1] != 3:
-        # embed lower-dimensional grids in the x-axis
-        pad = np.zeros(coords.shape[:-1] + (3 - coords.shape[-1],))
-        coords = np.concatenate([coords, pad], axis=-1)
-    phi = potential.value(coords)
-    # An identically-zero potential takes the free-residual path exactly.
-    phi_arg = phi if np.any(phi) else None
-    return hje_residual(
-        S, consts, massless=False, grid=grid, t=t, potential_values=phi_arg
-    )

@@ -4,13 +4,16 @@ All floats are written with 17 significant digits, which round-trips any
 IEEE double exactly, so re-running a scenario reproduces output files byte
 for byte.  Complex numbers are encoded as two-element [re, im] arrays.
 JSON has no encoding for nan or inf, so the JSON writer refuses them with
-NumericalError; CSV cells write them as ``nan`` / ``inf``.  A text cell
-that holds a comma, a double quote or a line break is quoted as RFC 4180
-asks, with its quotes doubled; numbers never need quoting.
+NumericalError; CSV cells write them as ``nan`` / ``inf``.  JSON strings
+and keys go through ``json.dumps``, which escapes control characters and
+non-ASCII text.  A text cell that holds a comma, a double quote or a line
+break is quoted as RFC 4180 asks, with its quotes doubled; numbers never
+need quoting.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -81,7 +84,7 @@ def _json_fragment(obj, indent, out) -> None:
         out.append("[" + _json_float(obj.real) + ", " + _json_float(obj.imag)
                    + "]")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -99,7 +102,7 @@ def _json_fragment(obj, indent, out) -> None:
         out.append("{\n")
         items = list(obj.items())
         for i, (key, value) in enumerate(items):
-            out.append("  " * (indent + 1) + '"' + str(key) + '": ')
+            out.append("  " * (indent + 1) + json.dumps(str(key)) + ": ")
             try:
                 _json_fragment(value, indent + 1, out)
             except NumericalError as exc:

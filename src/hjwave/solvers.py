@@ -27,7 +27,8 @@ computed from the spectra by Parseval's identity.  The conserved
 quantities are evaluated once, so they are identical in every row; the
 leapfrog norm carries the rounding of its own row's evaluation, not
 rounding accumulated over steps.  A non-finite row or final field raises
-NumericalError carrying the rows before it.
+NumericalError carrying the rows before it.  A run takes at most MAX_STEPS
+steps, checked when its SolverConfig is built, before any row exists.
 
 The module also evaluates pointwise residuals of the nonlinear
 Hamilton-Jacobi equations on action fields (two time levels, or closed
@@ -63,6 +64,10 @@ from .reporting import write_csv
 
 LEAPFROG = "leapfrog"
 CRANK_NICOLSON = "crank_nicolson"
+# Steps allowed in one run.  Every step gets a row of per-step results
+# (about 40 bytes of solver diagnostics, 56 of a Newton trajectory), so
+# the bound keeps a run's rows near 0.5 GB.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,9 @@ class SolverConfig:
             raise DomainError("dt must be positive")
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
+        if self.steps > MAX_STEPS:
+            raise DomainError(
+                f"a run of {self.steps} steps exceeds the bound of {MAX_STEPS}")
         if self.scheme not in (LEAPFROG, CRANK_NICOLSON):
             raise DomainError(f"unknown scheme {self.scheme!r}")
 
@@ -354,29 +362,26 @@ def _time_levels(levels, count: int) -> tuple[list[ScalarField], float]:
 
 
 def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
-                 grid: Grid | None = None, t: float = 0.0,
-                 potential_values=None) -> ScalarField:
+                 grid: Grid | None = None) -> ScalarField:
     """Pointwise residual of (dS/dt)^2 - c^2 (grad S)^2 - m0^2 c^4 (= 0 if massless).
 
     ``S`` is either a pair of ScalarFields at two adjacent time levels
     (residual evaluated at the midpoint time: centered dS/dt, averaged
-    gradients) or a dual closed form evaluated exactly on ``grid`` at time
-    ``t``: the particle-like ParticleState or the wave-like PlaneWave.
-    ``potential_values`` adds a scalar potential inside the squared time
-    derivative (see mechanics).
+    gradients) or a dual closed form evaluated exactly on ``grid`` at
+    t = 0: the particle-like ParticleState or the wave-like PlaneWave.
     """
     mass_term = 0.0 if massless else consts.rest_energy**2
     c2 = consts.c**2
 
     if isinstance(S, (ParticleState, PlaneWave)) and grid is None:
         raise InsufficientDataError("closed-form actions need a target grid")
-    out_t = t
+    out_t = 0.0
     if isinstance(S, ParticleState):
         dsdt = np.full(grid.shape, -S.E, dtype=np.complex128)
         grads = [np.full(grid.shape, p, dtype=np.complex128)
                  for p in S.p[: grid.ndim]]
     elif isinstance(S, PlaneWave):
-        values = plane_wave_field(grid, S.k, S.omega, t, S.amplitude).values
+        values = plane_wave_field(grid, S.k, S.omega, 0.0, S.amplitude).values
         dsdt = -1j * S.omega * values
         grads = [1j * S.k[ax] * values for ax in range(grid.ndim)]
     else:
@@ -388,8 +393,6 @@ def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
         grads = [0.5 * (a + b) for a, b in zip(g0, g1)]
         out_t = 0.5 * (s0.time_stamp + s1.time_stamp)
 
-    if potential_values is not None:
-        dsdt = dsdt + potential_values
     residual = dsdt**2
     for g in grads:
         residual = residual - c2 * g**2

@@ -154,23 +154,16 @@ _RANDOM_AMPLITUDE = 1e-3
 
 
 def random_mode_field(grid: Grid, seed: int) -> ScalarField:
-    """1 + a small seeded superposition of integer-mode plane waves.
-
-    Built in place on broadcast coordinates to keep peak memory low; every
-    sample is the same expression, bit for bit, as on a full meshgrid.
-    """
+    """1 + a small seeded superposition of integer-mode plane waves."""
     rng = np.random.default_rng(seed)
     values = np.ones(grid.shape, dtype=np.complex128)
-    coords = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     for _ in range(_RANDOM_MODES):
         alpha = rng.integers(-2, 3, size=grid.ndim)
         while not np.any(alpha):
             alpha = rng.integers(-2, 3, size=grid.ndim)
         amp = (_RANDOM_AMPLITUDE * (0.5 + rng.random())
                * np.exp(2j * np.pi * rng.random()))
-        wave = 1j * sum(a * x for a, x in zip(alpha, coords))
-        np.exp(wave, out=wave)
-        values += np.multiply(amp, wave, out=wave)
+        values += plane_wave_field(grid, alpha, 0.0, amplitude=amp).values
     return ScalarField(grid, values)
 
 

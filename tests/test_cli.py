@@ -174,6 +174,17 @@ class TestTransformCommand:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"]["type"] == "FormatError"
 
+    def test_spec_path_with_control_characters(self, tmp_path):
+        spec_path = tmp_path / 'spec\tx\n"q".json'
+        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
+
+        spec_path.write_text(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
+        out = tmp_path / "out"
+        assert run_cli("transform", "--spec", str(spec_path),
+                       "--out", str(out)).returncode == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["spec"] == str(spec_path)
+
     def test_missing_spec_file(self, tmp_path):
         res = run_cli("transform", "--spec", "nope.json",
                       "--out", str(tmp_path / "x"))
@@ -238,6 +249,23 @@ class TestResidualCommand:
     def test_frequency_required(self, tmp_path):
         res = run_cli("residual", "--kx", "2", "--out", str(tmp_path / "x"))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--kx", "--ky", "--kz", "--omega"])
+    @pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+    def test_non_finite_wave_vector_rejected(self, tmp_path, capsys, flag,
+                                             value):
+        from hjwave import cli
+
+        out = tmp_path / "x"
+        argv = ["residual", "--omega", "1", flag, value, "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "CliValidationError"
+        assert error["message"] == f"{flag[2:]} must be finite"
+        assert not out.exists()
 
 
 class TestNewtonCommand:
@@ -388,6 +416,9 @@ class TestScenarios:
     (["newton", "--dt", "1e308"], 2, "DomainError"),
     (["limit-study", "--c-values", "4", "--c-values", "8", "--c-values", "16",
       "--c-values", "1024"], 2, "DomainError"),
+    # one step past solvers.MAX_STEPS: refused before any row is allocated
+    (["solve", "--steps", "10000001"], 2, "DomainError"),
+    (["newton", "--steps", "10000001"], 2, "DomainError"),
 ])
 def test_failed_command_writes_nothing(tmp_path, capsys, argv, code,
                                        error_type):
@@ -506,6 +537,12 @@ class TestReportingHelpers:
                         ["1.5", "-0.0", "3", "true"]]
         assert path.read_text().endswith('lines",plain\n1.5,-0.0,3,true\n')
 
+    def test_json_strings_and_keys_escaped(self):
+        obj = {"tab\tkey": "tab\tvalue", "line\nkey": ["two\nlines"],
+               'say "hi"': {'"': "back\\slash \u00e9 \x7f \x01"}}
+        assert json.loads(json_dumps(obj)) == obj
+        assert json_dumps({"plain": "a b/c"}) == '{\n  "plain": "a b/c"\n}\n'
+
     def test_negative_zero_survives_json_round_trip(self):
         assert fmt_float(-0.0) == "-0.0"
         assert math.copysign(1.0, json.loads(fmt_float(-0.0))) == -1.0
@@ -560,7 +597,7 @@ CONSTANTS = {"hbar": NUMBERS, "c": NUMBERS, "m0": NUMBERS}
 SIGNED_VECTORS = st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.0]) | NUMBERS,
                           min_size=3, max_size=3)
 # The limit study picks its own step count, which grows as
-# t m0^3 c^4 / (hbar^3 k^2); past limits.MAX_STEPS it exits 2.  These
+# t m0^3 c^4 / (hbar^3 k^2); past solvers.MAX_STEPS it exits 2.  These
 # ranges, with c_values and time always given, keep it below 50k steps
 # (the default sweep takes 347k) so that examples stay fast.
 LIMIT_SCALES = st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, math.nan, math.inf])
@@ -812,7 +849,7 @@ def test_parameters_a_command_does_not_read_exit_2(tmp_path, capsys, command,
 @pytest.mark.parametrize("argv, code", [
     (["residual", "--kx", "-1e-3", "--on-shell"], 0),
     (["transform", "--A", "-2.5e-1"], 0),
-    (["residual", "--omega", "-inf"], 3),
+    (["residual", "--omega", "-inf"], 2),
     (["dispersion", "--k", "-1e-3"], 2),
 ])
 def test_negative_values_parse_with_a_space_or_equals(tmp_path, monkeypatch,

@@ -7,47 +7,32 @@ from hjwave import (
     DivergenceError,
     DomainError,
     Grid,
-    ParticleState,
     PhysicalConstants,
     Potential,
     Trajectory,
     curl_check,
-    dispersion_omega,
-    energy_from_momentum,
     fit_order,
     gradient_field,
-    hje_potential_residual,
-    hje_residual,
     integrate_newton,
     momentum_from_velocity,
     particle_velocity,
-    plane_wave_field,
 )
 from hjwave.reporting import write_csv
 
 NAT = PhysicalConstants()
 
 
-def gradient_consistency(potential, points, eps=1e-5):
-    """Max deviation of the analytic gradient from central differences."""
-    worst = 0.0
-    for r in np.atleast_2d(np.asarray(points, dtype=float)):
-        g = potential.gradient(r)
-        for ax in range(3):
-            step = np.zeros(3)
-            step[ax] = eps
-            fd = (potential.value(r + step) - potential.value(r - step)) / (2 * eps)
-            worst = max(worst, abs(float(fd) - float(g[ax])))
-    return worst
-
-
 def stepped_rk4(potential, r0, p0, consts, dt, steps):
-    """Array-form RK4: one particle_velocity and one -gradient per stage.
+    """Array-form RK4: one particle_velocity and one -grad Phi per stage.
 
     Returns the rows up to, not including, the first non-finite state.
     """
+    force = np.array(potential.force)
+
     def deriv(rr, pp):
-        return particle_velocity(pp, consts), -potential.gradient(rr)
+        # grad Phi = kappa r - F, the kappa term left out at kappa = 0
+        grad = potential.kappa * rr - force if potential.kappa else -force
+        return particle_velocity(pp, consts), -grad
 
     r = np.asarray(r0, dtype=float).copy()
     p = np.asarray(p0, dtype=float).copy()
@@ -93,20 +78,6 @@ class TestVelocityMomentum:
 
 
 class TestPotentials:
-    @pytest.mark.parametrize(
-        "potential",
-        [
-            Potential.free(),
-            Potential.linear((1.0, -2.0, 0.5)),
-            Potential.harmonic(3.0),
-        ],
-        ids=["free", "linear", "harmonic"],
-    )
-    def test_gradient_consistency(self, potential):
-        rng = np.random.default_rng(5)
-        points = rng.uniform(-2, 2, size=(8, 3))
-        assert gradient_consistency(potential, points) <= 1e-8
-
     def test_potentials_are_data(self):
         assert Potential.harmonic(2) == Potential("harmonic", 2.0, (0.0, 0.0, 0.0))
         assert Potential.linear([1, -2, 0.5]).force == (1.0, -2.0, 0.5)
@@ -308,39 +279,6 @@ class TestCurlCheck:
         grid = Grid.cube(8, 1.0)
         with pytest.raises(DomainError):
             curl_check(np.zeros((2,) + grid.shape), grid)
-
-
-class TestHjePotentialResidual:
-    def test_free_potential_bit_identical_to_plain_residual(self):
-        grid = Grid.line(32, 2 * math.pi)
-        omega = dispersion_omega(2.0, NAT)
-        pair = (
-            plane_wave_field(grid, 2.0, omega, t=0.0),
-            plane_wave_field(grid, 2.0, omega, t=0.05),
-        )
-        free = hje_potential_residual(pair, Potential.free(), NAT)
-        plain = hje_residual(pair, NAT, massless=False)
-        assert np.array_equal(free.values, plain.values)
-
-    def test_on_shell_action_free_case(self):
-        grid = Grid.line(16, 2 * math.pi)
-        p = np.array([0.8, 0.0, 0.0])
-        action = ParticleState.from_momentum(p, NAT)
-        res = hje_potential_residual(
-            action, Potential.free(), NAT, grid=grid
-        )
-        assert res.max_abs() <= 1e-12
-
-    def test_constant_potential_shifts_time_derivative(self):
-        # the path hje_potential_residual takes for a nonzero potential
-        grid = Grid.line(16, 2 * math.pi)
-        phi0 = 0.7
-        p = np.array([1.5, 0.0, 0.0])
-        e_shell = energy_from_momentum(p, NAT)
-        action = ParticleState(E=e_shell + phi0, p=p)
-        res = hje_residual(action, NAT, massless=False, grid=grid,
-                           potential_values=np.full(grid.shape, phi0))
-        assert res.max_abs() <= 1e-12
 
 
 def test_total_energy_matches_trajectory_energies():
