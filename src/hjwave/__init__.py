@@ -75,7 +75,6 @@ from .pde_algebra import (
     log_transform,
     pde_spec_dumps,
     pde_spec_loads,
-    quadratic_matrix,
     residual_linear,
     residual_nonlinear,
     wavefunction_from_action,

@@ -68,6 +68,7 @@ from .solvers import (
     LEAPFROG,
     SolverConfig,
     leapfrog_stability_limit,
+    require_solver_grid,
     solve_relativistic,
     solve_schrodinger,
     solve_wave,
@@ -381,6 +382,7 @@ def cmd_solve(params: dict) -> CommandResult:
         grid = Grid.cube(params["points"], params["length"])
     else:
         raise CliValidationError("dims must be 1 or 3")
+    require_solver_grid(grid)  # before the stability limit and any array
 
     k = 2 * math.pi * params["mode"] / params["length"]
     k_vec = (k, 0.0, 0.0)  # along the first axis on 1D and 3D grids

@@ -87,7 +87,7 @@ class Grid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .kinematics import PhysicalConstants, dispersion_omega
 from .solvers import (
     CRANK_NICOLSON,
     LEAPFROG,
+    MAX_POINTS,
     MAX_STEPS,  # each row's SolverConfig enforces it; kept importable here
     SolverConfig,
     leapfrog_stability_limit,
@@ -91,6 +92,9 @@ class LimitStudyConfig:
             raise DomainError("m0 and hbar must be positive")
         if self.evolution_time <= 0:
             raise DomainError("evolution time must be positive")
+        if self.grid_points > MAX_POINTS:
+            raise DomainError(f"a grid of {self.grid_points} points exceeds "
+                              f"the bound of {MAX_POINTS}")
         x_max = self.hbar * self.k / (self.m0 * min(self.c_values))
         if x_max >= 1.0:
             raise DomainError(

@@ -22,6 +22,7 @@ last (x_n = t for the physical specs built by the factories below).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateQuadraticError,
     DomainError,
     FormatError,
+    NumericalError,
     UnsupportedOrderError,
     ZeroFieldError,
 )
@@ -198,7 +200,7 @@ def log_transform(spec: PdeSpec, A: complex) -> PdeSpec:
 
 def _quadratic_entries(spec: PdeSpec, A: complex | None = None
                        ) -> tuple[list[tuple[int, int, complex]], complex]:
-    """Nonzero (j, k, M_jk) of quadratic_matrix in row-major order, and b.
+    """Nonzero (j, k, M_jk) of linearize's M in row-major order, and b.
 
     Indices are 0-based; entries hit by several terms are summed in term
     order before the zero test.
@@ -226,9 +228,8 @@ def _quadratic_entries(spec: PdeSpec, A: complex | None = None
     return entries, spec.b
 
 
-def quadratic_matrix(spec: PdeSpec, A: complex | None = None
-                     ) -> tuple[np.ndarray, complex]:
-    """Effective (M, b) with M_jk = A^2 a_jk for a purely quadratic spec.
+def linearize(spec: PdeSpec, A: complex | None = None) -> LinearPdeSpec:
+    """Equivalent linear second-order PDE: M = A^2 a_jk, zeroth coefficient b.
 
     For a homogeneous spec the A^2 factor is already folded into the stored
     coefficients; a supplied A must then match the recorded constant.
@@ -237,12 +238,6 @@ def quadratic_matrix(spec: PdeSpec, A: complex | None = None
     mat = np.zeros((spec.n, spec.n), dtype=np.complex128)
     for j, k, m in entries:
         mat[j, k] = m
-    return mat, b
-
-
-def linearize(spec: PdeSpec, A: complex | None = None) -> LinearPdeSpec:
-    """Equivalent linear second-order PDE: M = A^2 a_jk, zeroth coefficient b."""
-    mat, b = quadratic_matrix(spec, A)
     return LinearPdeSpec(n=spec.n, second_order_coeffs=mat, zeroth_coeff=b)
 
 
@@ -257,7 +252,8 @@ def dispersion_quadratic(spec: PdeSpec, A: complex | None, k
 
     When M_44 = 0 the polynomial is linear in w and a single root is
     reported with ``degenerate`` set; if the linear coefficient also
-    vanishes there is no frequency content and an error is raised.
+    vanishes there is no frequency content and an error is raised.  A
+    coefficient or discriminant that overflows raises NumericalError.
     """
     if spec.n != 4:
         raise UnsupportedOrderError(
@@ -266,18 +262,23 @@ def dispersion_quadratic(spec: PdeSpec, A: complex | None, k
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
         raise DomainError("k must be a 3-vector")
-    mat, b = quadratic_matrix(spec, A)
+    mat = linearize(spec, A).second_order_coeffs
 
     q2 = mat[3, 3]
     q1 = sum(k[i] * (mat[i, 3] + mat[3, i]) for i in range(3))
-    q0 = -b
+    q0 = -spec.b
     for i in range(3):
         q0 += mat[i, i] * k[i] ** 2
         for j in range(i + 1, 3):
             q0 += (mat[i, j] + mat[j, i]) * k[i] * k[j]
+    square = q1 * q1 - 4 * q2 * q0 if q2 != 0 else 0j
+    if not all(cmath.isfinite(z) for z in (q2, q1, q0, square)):
+        raise NumericalError(
+            "the dispersion quadratic overflowed at "
+            f"|k| = {math.hypot(*k.tolist())!r}")
 
     if q2 != 0:
-        disc = cmath.sqrt(q1 * q1 - 4 * q2 * q0)
+        disc = cmath.sqrt(square)
         roots = ((-q1 - disc) / (2 * q2), (-q1 + disc) / (2 * q2))
         degenerate = False
     elif q1 != 0:

@@ -28,7 +28,9 @@ quantities are evaluated once, so they are identical in every row; the
 leapfrog norm carries the rounding of its own row's evaluation, not
 rounding accumulated over steps.  A non-finite row or final field raises
 NumericalError carrying the rows before it.  A run takes at most MAX_STEPS
-steps, checked when its SolverConfig is built, before any row exists.
+steps, checked when its SolverConfig is built, before any row exists, on
+a grid of at most MAX_POINTS points, checked by require_solver_grid
+before any field exists.
 
 The module also evaluates pointwise residuals of the nonlinear
 Hamilton-Jacobi equations on action fields (two time levels, or closed
@@ -39,6 +41,7 @@ plane waves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -68,6 +71,19 @@ CRANK_NICOLSON = "crank_nicolson"
 # (about 40 bytes of solver diagnostics, 56 of a Newton trajectory), so
 # the bound keeps a run's rows near 0.5 GB.
 MAX_STEPS = 10_000_000
+# Grid points allowed in one run (128^3).  A leapfrog run holds about 280
+# bytes a point: at the bound `solve` peaks at 580 MB RSS, 1D or 3D, and
+# `limit-study` at 676 MB (numpy 2.4, Python 3.11, x86-64 Linux).
+MAX_POINTS = 1 << 21
+
+
+def _require_normal_square(name: str, value: float) -> None:
+    """Refuse a value whose square, or the square's reciprocal, overflows."""
+    square = value * value
+    if not sys.float_info.min <= square <= sys.float_info.max:
+        fault = "overflows" if square > 1.0 else "underflows"
+        raise DomainError(
+            f"{name} = {value!r} is out of range: its square {fault}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +100,8 @@ class SolverConfig:
         if self.steps > MAX_STEPS:
             raise DomainError(
                 f"a run of {self.steps} steps exceeds the bound of {MAX_STEPS}")
+        if self.scheme == LEAPFROG:
+            _require_normal_square("dt", self.dt)  # the energy divides by dt^2
         if self.scheme not in (LEAPFROG, CRANK_NICOLSON):
             raise DomainError(f"unknown scheme {self.scheme!r}")
 
@@ -113,13 +131,23 @@ class SolveReport:
     diagnostics: Diagnostics
 
 
-def _require_solver_grid(grid: Grid) -> None:
+def require_solver_grid(grid: Grid) -> None:
+    """Refuse a grid the solvers do not run on; allocates nothing.
+
+    The grid must be 1D or 3D and cubic, with 8 to MAX_POINTS points in
+    all and a spacing whose square and its reciprocal are finite and
+    nonzero (the stability limit and the stencil divide by h^2).
+    """
     if grid.ndim not in (1, 3):
         raise DomainError("solvers support 1D and 3D grids")
     if not grid.is_cubic():
         raise DomainError("solvers require cubic grids")
     if min(grid.shape) < 8:
         raise DomainError("solvers require at least 8 points per axis")
+    if grid.npoints > MAX_POINTS:
+        raise DomainError(f"a grid of {grid.npoints} points exceeds the "
+                          f"bound of {MAX_POINTS}")
+    _require_normal_square("grid spacing", grid.spacings[0])
 
 
 def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:
@@ -192,7 +220,7 @@ def _checked_report(grid: Grid, final: np.ndarray, steps: np.ndarray,
 def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
               c: float, mu: float, cfg: SolverConfig) -> SolveReport:
     grid = initial.grid
-    _require_solver_grid(grid)
+    require_solver_grid(grid)
     if initial_rate.grid != grid:
         raise DomainError("initial and rate fields must share a grid")
     if cfg.scheme != LEAPFROG:
@@ -309,7 +337,7 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
     same discrete kinetic energy, the two quantities the step conserves.
     """
     grid = initial.grid
-    _require_solver_grid(grid)
+    require_solver_grid(grid)
     if cfg.scheme != CRANK_NICOLSON:
         raise DomainError("the Schrodinger solver uses the Crank-Nicolson scheme")
     if consts.m0 <= 0:

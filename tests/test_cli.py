@@ -3,25 +3,78 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hjwave import NumericalError, load_field
-from hjwave.reporting import fmt_float, json_dumps, write_csv, write_json
+from hjwave import (PhysicalConstants, cli, hje_pde_spec, load_field,
+                    pde_spec_dumps)
+from hjwave.solvers import MAX_POINTS
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "hjwave", *args],
-        capture_output=True,
-        text=True,
-    )
+def run_cli(*args, cwd=None):
+    """Run ``hjwave *args`` in this process, as ``python -m hjwave`` would.
+
+    Returns a CompletedProcess with the exit code and the captured stdout
+    and stderr.  A SystemExit (``--help``) gives its code, and a warning
+    raised during the call is appended to stderr as the interpreter prints
+    it.  ``cwd`` is the working directory during the call, restored after.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("always")
+        try:
+            os.chdir(cwd or home)
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(home)
+    for w in caught:
+        stderr.write(warnings.formatwarning(w.message, w.category, w.filename,
+                                            w.lineno, w.line))
+    return subprocess.CompletedProcess(["hjwave", *args], code,
+                                       stdout.getvalue(), stderr.getvalue())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dispersion", "--k", "1"], 0),
+    (["solve", "--nope", "1"], 2),
+    (["solve", "--cfl", "1.5"], 3),
+])
+def test_python_m_hjwave_exit_codes(tmp_path, argv, code):
+    """What only a real interpreter shows: its exit status and its stderr."""
+    res = subprocess.run(
+        [sys.executable, "-m", "hjwave", *argv, "--out", str(tmp_path / "x")],
+        capture_output=True, text=True)
+    assert res.returncode == code
+    if code == 0:
+        assert res.stderr == ""
+    else:
+        (line,) = res.stderr.splitlines()
+        assert json.loads(line)["error"]["exit_code"] == code
+
+
+def test_in_process_calls_leave_no_state(tmp_path):
+    solve = ["solve", "--points", "32", "--steps", "25"]
+    before = np.geterr(), os.getcwd()
+    assert run_cli(*solve, cwd=tmp_path).returncode == 0
+    first = read_all_bytes(tmp_path / "hjwave-out")
+    assert run_cli("solve", "--points", "5", cwd=tmp_path).returncode == 2
+    assert run_cli("solve", "--cfl", "1.5", cwd=tmp_path).returncode == 3
+    assert run_cli(*solve, cwd=tmp_path).returncode == 0
+    assert read_all_bytes(tmp_path / "hjwave-out") == first
+    assert (np.geterr(), os.getcwd()) == before
 
 
 def read_all_bytes(directory):
@@ -105,8 +158,6 @@ class TestTransformCommand:
                        "--out", str(out1)).returncode == 0
         spec_path = tmp_path / "spec.json"
         # massless builtin writes a spec we can feed back through a file
-        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
-
         spec_path.write_text(
             pde_spec_dumps(hje_pde_spec(PhysicalConstants(), massless=True)))
         out2 = tmp_path / "file"
@@ -124,14 +175,10 @@ class TestTransformCommand:
         ("hbar/i", -1j), (" 2.5 ", 2.5), ("[1, -2]", 1 - 2j), ("[0.5, 3e2]", 0.5 + 300j),
     ])
     def test_constant_spellings(self, text, value):
-        from hjwave.cli import parse_transform_constant
-
-        assert parse_transform_constant(text, 1.0) == value
+        assert cli.parse_transform_constant(text, 1.0) == value
 
     @pytest.mark.parametrize("drop", ["b", "terms"])
     def test_spec_without_required_key(self, tmp_path, drop):
-        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
-
         obj = json.loads(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
         del obj[drop]
         spec_path = tmp_path / "spec.json"
@@ -143,8 +190,6 @@ class TestTransformCommand:
         assert error["type"] == "FormatError" and drop in error["message"]
 
     def test_spec_with_overflowing_number(self, tmp_path):
-        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
-
         text = pde_spec_dumps(hje_pde_spec(PhysicalConstants()))
         text = json.dumps(json.loads(text)).replace('"n": 4,', '"n": 1e999,')
         assert '"n": 1e999,' in text
@@ -163,8 +208,6 @@ class TestTransformCommand:
         assert json.loads(res.stderr)["error"]["type"] == "OverflowError"
 
     def test_ill_typed_spec_value(self, tmp_path):
-        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
-
         obj = json.loads(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
         obj["homogeneous"] = "no"
         spec_path = tmp_path / "spec.json"
@@ -176,8 +219,6 @@ class TestTransformCommand:
 
     def test_spec_path_with_control_characters(self, tmp_path):
         spec_path = tmp_path / 'spec\tx\n"q".json'
-        from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
-
         spec_path.write_text(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
         out = tmp_path / "out"
         assert run_cli("transform", "--spec", str(spec_path),
@@ -252,16 +293,12 @@ class TestResidualCommand:
 
     @pytest.mark.parametrize("flag", ["--kx", "--ky", "--kz", "--omega"])
     @pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
-    def test_non_finite_wave_vector_rejected(self, tmp_path, capsys, flag,
-                                             value):
-        from hjwave import cli
-
+    def test_non_finite_wave_vector_rejected(self, tmp_path, flag, value):
         out = tmp_path / "x"
-        argv = ["residual", "--omega", "1", flag, value, "--out", str(out)]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
+        res = run_cli("residual", "--omega", "1", flag, value, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        (line,) = res.stderr.splitlines()
         error = json.loads(line)["error"]
         assert error["type"] == "CliValidationError"
         assert error["message"] == f"{flag[2:]} must be finite"
@@ -398,10 +435,8 @@ class TestScenarios:
         "1.5", 1.5,
     ])
     def test_float_list_coercion_rejects(self, value):
-        from hjwave.cli import CliValidationError, Param
-
-        with pytest.raises(CliValidationError, match="float_list"):
-            Param("k", "float_list", [0.0], "").coerce(value)
+        with pytest.raises(cli.CliValidationError, match="float_list"):
+            cli.Param("k", "float_list", [0.0], "").coerce(value)
 
 
 @pytest.mark.parametrize("argv, code, error_type", [
@@ -420,17 +455,52 @@ class TestScenarios:
     (["solve", "--steps", "10000001"], 2, "DomainError"),
     (["newton", "--steps", "10000001"], 2, "DomainError"),
 ])
-def test_failed_command_writes_nothing(tmp_path, capsys, argv, code,
-                                       error_type):
-    from hjwave import cli
-
+def test_failed_command_writes_nothing(tmp_path, argv, code, error_type):
     out = tmp_path / "x"
-    assert cli.main(argv + ["--out", str(out)]) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = json.loads(captured.err)["error"]
+    res = run_cli(*argv, "--out", str(out))
+    assert res.returncode == code
+    assert res.stdout == ""
+    error = json.loads(res.stderr)["error"]
     assert (error["type"], error["exit_code"]) == (error_type, code)
     assert not out.exists()
+
+
+# the smallest grids past solvers.MAX_POINTS, so that a regression
+# allocates megabytes: one point more in 1D, the first n^3 above it in 3D
+CUBE_SIDE = next(n for n in range(8, MAX_POINTS) if n**3 > MAX_POINTS)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["solve", "--points", str(MAX_POINTS + 1)], 2,
+     f"a grid of {MAX_POINTS + 1} points exceeds the bound of {MAX_POINTS}"),
+    (["solve", "--dims", "3", "--points", str(CUBE_SIDE)], 2,
+     f"a grid of {CUBE_SIDE**3} points exceeds the bound of {MAX_POINTS}"),
+    (["limit-study", "--points", str(MAX_POINTS + 1)], 2,
+     f"a grid of {MAX_POINTS + 1} points exceeds the bound of {MAX_POINTS}"),
+    (["residual", "--kx", "1e154", "--on-shell"], 3,
+     "the dispersion quadratic overflowed at |k| = 1e+154"),
+    (["residual", "--kx", "1e300", "--on-shell"], 3,
+     "the dispersion quadratic overflowed at |k| = 1e+300"),
+    (["solve", "--length", "1e300"], 2,
+     "grid spacing = 1.5625e+298 is out of range: its square overflows"),
+    (["solve", "--length", "1e-300"], 2,
+     "grid spacing = 1.5625e-302 is out of range: its square underflows"),
+    (["solve", "--dt", "1e-320"], 2,
+     "dt = 1e-320 is out of range: its square underflows"),
+])
+def test_out_of_range_inputs_are_named(tmp_path, argv, code, message):
+    out = tmp_path / "x"
+    res = run_cli(*argv, "--out", str(out))
+    assert (res.returncode, res.stdout) == (code, "")
+    (line,) = res.stderr.splitlines()
+    assert json.loads(line)["error"]["message"] == message
+    assert not out.exists()
+
+
+def test_on_shell_root_below_the_overflow(tmp_path):
+    res = run_cli("residual", "--kx", "1e100", "--on-shell", "--out",
+                  str(tmp_path / "r"))
+    assert res.returncode == 0, res.stderr
 
 
 class TestCommandLineErrors:
@@ -442,27 +512,20 @@ class TestCommandLineErrors:
         ["solve", "--nope", "1"],
         [],
     ], ids=["bad-int", "unknown-command", "unknown-flag", "no-command"])
-    def test_flag_errors_are_one_json_line(self, tmp_path, monkeypatch,
-                                           capsys, argv):
-        from hjwave import cli
-
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
+    def test_flag_errors_are_one_json_line(self, tmp_path, argv):
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert (error["type"], error["exit_code"]) == ("CliValidationError", 2)
         assert list(tmp_path.iterdir()) == []
 
-    def test_help_still_exits_zero(self, capsys):
-        from hjwave import cli
-
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: hjwave solve")
+    def test_help_still_exits_zero(self):
+        res = run_cli("solve", "--help")
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: hjwave solve")
 
     @pytest.mark.parametrize("command", [["transform"],
                                          ["residual", "--on-shell"]])
@@ -471,81 +534,13 @@ class TestCommandLineErrors:
         "nan", "1e309", "inf",
     ])
     def test_transform_constant_must_be_finite_numbers(
-            self, tmp_path, capsys, command, constant):
-        from hjwave import cli
-
+            self, tmp_path, command, constant):
         out = tmp_path / "x"
-        assert cli.main(command + ["--A", constant, "--out", str(out)]) == 2
-        error = json.loads(capsys.readouterr().err)["error"]
+        res = run_cli(*command, "--A", constant, "--out", str(out))
+        assert res.returncode == 2
+        error = json.loads(res.stderr)["error"]
         assert error["type"] == "CliValidationError"
         assert not out.exists()
-
-
-def _old_fmt_float(x):
-    """The character-scan rule fmt_float replaced, kept as its oracle."""
-    s = format(float(x), ".17g")
-    if all(c in "-0123456789" for c in s):
-        s += ".0"
-    return s
-
-
-@given(st.floats())
-@example(0.0)
-@example(-0.0)
-@example(math.nan)
-@example(math.inf)
-@example(-math.inf)
-@example(1e16)
-@example(1e17)
-@example(-1e16)
-@example(-1e17)
-def test_fmt_float_decimal_marker_matches_character_scan(x):
-    assert fmt_float(x) == _old_fmt_float(x)
-
-
-class TestReportingHelpers:
-    def test_header_only_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        write_csv(path, ["step", "time", "norm", "energy"], [])
-        assert path.read_text() == "step,time,norm,energy\n"
-
-    def test_float_formatting_round_trips(self):
-        for x in (math.pi, 1 / 3, 1e-300, 6.02214076e23):
-            assert float(fmt_float(x)) == x
-
-    def test_json_dumps_deterministic(self):
-        obj = {"a": 1.5, "b": [1, 2, 3], "c": {"nested": True}, "z": complex(1, -2)}
-        assert json_dumps(obj) == json_dumps(obj)
-        assert '"z": [1.0, -2.0]' in json_dumps(obj)
-
-    @pytest.mark.parametrize("value", [
-        float("nan"), float("inf"), -np.inf, complex(0.0, np.nan),
-    ])
-    def test_json_refuses_non_finite(self, tmp_path, value):
-        path = tmp_path / "x.json"
-        with pytest.raises(NumericalError, match="rows: value"):
-            write_json(path, {"rows": [{"value": value}]})
-        assert not path.exists()
-
-    def test_csv_text_cells_quoted(self, tmp_path):
-        path = tmp_path / "text.csv"
-        cells = ["a, b", 'say "hi"', "two\nlines", "plain"]
-        write_csv(path, ["a", "b", "c", "d"], [cells, [1.5, -0.0, 3, True]])
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows == [["a", "b", "c", "d"], cells,
-                        ["1.5", "-0.0", "3", "true"]]
-        assert path.read_text().endswith('lines",plain\n1.5,-0.0,3,true\n')
-
-    def test_json_strings_and_keys_escaped(self):
-        obj = {"tab\tkey": "tab\tvalue", "line\nkey": ["two\nlines"],
-               'say "hi"': {'"': "back\\slash \u00e9 \x7f \x01"}}
-        assert json.loads(json_dumps(obj)) == obj
-        assert json_dumps({"plain": "a b/c"}) == '{\n  "plain": "a b/c"\n}\n'
-
-    def test_negative_zero_survives_json_round_trip(self):
-        assert fmt_float(-0.0) == "-0.0"
-        assert math.copysign(1.0, json.loads(fmt_float(-0.0))) == -1.0
 
 
 def test_verify_report_csv_has_three_cells_per_row(tmp_path):
@@ -688,8 +683,6 @@ def _check_outputs(out):
 
 @pytest.fixture(scope="module")
 def spec_file(tmp_path_factory):
-    from hjwave import PhysicalConstants, hje_pde_spec, pde_spec_dumps
-
     path = tmp_path_factory.mktemp("spec") / "spec.json"
     path.write_text(pde_spec_dumps(hje_pde_spec(PhysicalConstants(), massless=True)))
     return str(path)
@@ -703,8 +696,6 @@ def run_scenario(command, params, spec_file):
     directory, except that a failed verify-all check still writes the
     report, and the error names the checks that the report marks failed.
     """
-    from hjwave import cli
-
     if params.get("spec") == SPEC_FILE:
         params["spec"] = spec_file
     with tempfile.TemporaryDirectory() as tmp:
@@ -712,15 +703,14 @@ def run_scenario(command, params, spec_file):
         scenario = pathlib.Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(
             {"command": command, "parameters": params, "output_dir": str(out)}))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([command, "--scenario", str(scenario)])
+        res = run_cli(command, "--scenario", str(scenario))
+        code = res.returncode
         if code == 0:
-            assert stderr.getvalue() == ""
+            assert res.stderr == ""
             _check_outputs(out)
             return
         assert code in (2, 3, 4)
-        lines = stderr.getvalue().splitlines()
+        lines = res.stderr.splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["exit_code"] == code
@@ -732,7 +722,7 @@ def run_scenario(command, params, spec_file):
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed and error["message"] == "failed checks: " + ", ".join(failed)
         assert f"verified {report['passed']}/{report['total']} checks" in (
-            stdout.getvalue().splitlines())
+            res.stdout.splitlines())
 
 
 @pytest.mark.parametrize("command", sorted(set(SCENARIO_PARAMS) - {"verify-all"}))
@@ -751,8 +741,6 @@ def test_any_verify_all_scenario_exits_cleanly(spec_file, params):
 
 
 def test_scenario_strategies_draw_the_declared_parameters():
-    from hjwave import cli
-
     for command, declared in cli.COMMANDS.items():
         assert set(SCENARIO_PARAMS[command]) == {p.name for p in declared}
 
@@ -795,8 +783,6 @@ UNREAD = {"limit-study": {"seed"}}
 @pytest.mark.parametrize("command", sorted(TABLE_BRANCHES))
 def test_commands_read_exactly_their_declared_parameters(spec_file, tmp_path,
                                                          command):
-    from hjwave import cli
-
     read = set()
     for argv in TABLE_BRANCHES[command]:
         argv = [spec_file if a == SPEC_FILE else a for a in argv]
@@ -818,10 +804,8 @@ REMOVED = [("dispersion", "seed"), ("transform", "seed"), ("solve", "seed"),
 
 @pytest.mark.parametrize("spelling", ["flag", "scenario"])
 @pytest.mark.parametrize("command, name", REMOVED)
-def test_parameters_a_command_does_not_read_exit_2(tmp_path, capsys, command,
-                                                   name, spelling):
-    from hjwave import cli
-
+def test_parameters_a_command_does_not_read_exit_2(tmp_path, command, name,
+                                                   spelling):
     out = tmp_path / "x"
     argv = [command, "--out", str(out)]
     if spelling == "flag":
@@ -831,10 +815,10 @@ def test_parameters_a_command_does_not_read_exit_2(tmp_path, capsys, command,
         scenario.write_text(json.dumps(
             {"command": command, "parameters": {name: 1}}))
         argv += ["--scenario", str(scenario)]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])["error"]
     assert error["type"] == "CliValidationError"
@@ -852,20 +836,15 @@ def test_parameters_a_command_does_not_read_exit_2(tmp_path, capsys, command,
     (["residual", "--omega", "-inf"], 2),
     (["dispersion", "--k", "-1e-3"], 2),
 ])
-def test_negative_values_parse_with_a_space_or_equals(tmp_path, monkeypatch,
-                                                      capsys, argv, code):
-    from hjwave import cli
-
+def test_negative_values_parse_with_a_space_or_equals(tmp_path, argv, code):
     command, flag, value, *rest = argv
     runs = []
     for spelled in ([flag, value], [f"{flag}={value}"]):
         cwd = tmp_path / str(len(runs))
         cwd.mkdir()
-        monkeypatch.chdir(cwd)
-        exit_code = cli.main([command, *spelled, *rest, "--out", "out"])
-        captured = capsys.readouterr()
+        res = run_cli(command, *spelled, *rest, "--out", "out", cwd=cwd)
         files = read_all_bytes(cwd / "out") if (cwd / "out").exists() else None
-        runs.append((exit_code, captured.out, captured.err, files))
+        runs.append((res.returncode, res.stdout, res.stderr, files))
     assert runs[0] == runs[1]
     assert runs[0][0] == code
     if command == "dispersion":
@@ -896,7 +875,5 @@ def _parses_as_float(word):
 @example("in")
 @example("")
 def test_negative_number_pattern_is_float_syntax(text):
-    from hjwave.cli import _NEGATIVE_NUMBER
-
     word = "-" + text
-    assert bool(_NEGATIVE_NUMBER.match(word)) == _parses_as_float(word)
+    assert bool(cli._NEGATIVE_NUMBER.match(word)) == _parses_as_float(word)

@@ -32,7 +32,6 @@ from hjwave import (
     pde_spec_dumps,
     pde_spec_loads,
     plane_wave_field,
-    quadratic_matrix,
     residual_linear,
     residual_nonlinear,
     wavefunction_from_action,
@@ -50,9 +49,10 @@ A_QM = NAT.hbar / 1j  # the physical transform constant
 class TestSpecValidation:
     def test_hje_spec_coefficients(self):
         spec = hje_pde_spec(PhysicalConstants(1.0, 2.0, 3.0))
-        mat, b = quadratic_matrix(spec, A=1.0)
-        assert np.array_equal(np.diag(mat), [-4.0, -4.0, -4.0, 1.0])
-        assert b == -(3.0 * 4.0) ** 2  # -(m0 c^2)^2
+        lin = linearize(spec, A=1.0)
+        assert np.array_equal(np.diag(lin.second_order_coeffs),
+                              [-4.0, -4.0, -4.0, 1.0])
+        assert lin.zeroth_coeff == -(3.0 * 4.0) ** 2  # -(m0 c^2)^2
 
     def test_term_validation(self):
         with pytest.raises(ValueError):
@@ -275,7 +275,8 @@ def plane_wave_residual_factor(spec, A, alpha):
     r = b - sum_jk M_jk alpha_j alpha_k, i.e. minus the dispersion
     polynomial evaluated at alpha.
     """
-    mat, b = quadratic_matrix(spec, A)
+    lin = linearize(spec, A)
+    mat, b = lin.second_order_coeffs, lin.zeroth_coeff
     alpha = np.asarray(alpha, dtype=complex)
     return complex(b - alpha @ mat @ alpha)
 
