@@ -67,6 +67,7 @@ from .pde_algebra import (
     PdeTerm,
     action_from_wavefunction,
     residual_decomposition_check,
+    decomposition_defect,
     dispersion_quadratic,
     hje_pde_spec,
     hje_pde_spec_1d,

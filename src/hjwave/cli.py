@@ -126,24 +126,28 @@ class Param:
                             default=None, help=self.help, **kwargs)
 
     def coerce(self, value):
-        """Validate a scenario-file value for this parameter."""
+        """Validate a flag or scenario-file value; numbers must be finite."""
         try:
             if self.kind == "float":
-                return _as_float(value)
-            if self.kind == "float_list":
+                value = _as_float(value)
+            elif self.kind == "float_list":
                 if not isinstance(value, list) or not value:
                     raise TypeError
-                return [_as_float(v) for v in value]
-            # int, str and flag take JSON's own type; a bool is not an int
-            typ = {"int": int, "str": str, "flag": bool}[self.kind]
-            if not isinstance(value, typ) or (
-                    typ is int and isinstance(value, bool)):
-                raise TypeError
-            return value
+                value = [_as_float(v) for v in value]
+            else:
+                # int, str and flag take JSON's own type; a bool is not an int
+                typ = {"int": int, "str": str, "flag": bool}[self.kind]
+                if not isinstance(value, typ) or (
+                        typ is int and isinstance(value, bool)):
+                    raise TypeError
+                return value
         except (OverflowError, TypeError, ValueError):
             raise CliValidationError(
                 f"parameter {self.name!r} expects a value of kind {self.kind}"
             ) from None
+        if not np.all(np.isfinite(value)):
+            raise CliValidationError(f"{self.name} must be finite")
+        return value
 
 
 _HBAR = Param("hbar", "float", 1.0, "action quantum (default 1)")
@@ -295,7 +299,7 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict:
     for name in params:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
-            resolved[name] = flag_value
+            resolved[name] = params[name].coerce(flag_value)
     if args.out is not None:
         out_dir = args.out
     resolved["_out"] = out_dir
@@ -386,8 +390,9 @@ def cmd_solve(params: dict) -> CommandResult:
 
     k = 2 * math.pi * params["mode"] / params["length"]
     k_vec = (k, 0.0, 0.0)  # along the first axis on 1D and 3D grids
-    mu = consts.rest_frequency if equation == "relativistic" else 0.0
-    limit = leapfrog_stability_limit(grid, consts.c, mu)
+    limit = leapfrog_stability_limit(grid, consts.c)  # refuses c before mu
+    if equation == "relativistic":
+        limit = leapfrog_stability_limit(grid, consts.c, consts.rest_frequency)
     dt = params["dt"] if params["dt"] is not None else params["cfl"] * limit
     steps = params["steps"]
     scheme = CRANK_NICOLSON if equation == "schrodinger" else LEAPFROG
@@ -432,9 +437,6 @@ def cmd_solve(params: dict) -> CommandResult:
 
 
 def cmd_residual(params: dict) -> CommandResult:
-    for name in ("kx", "ky", "kz", "omega"):
-        if params[name] is not None and not math.isfinite(params[name]):
-            raise CliValidationError(f"{name} must be finite")
     consts = _consts(params)
     spec = _load_spec(params["spec"], consts)
     a_const = parse_transform_constant(params["A"], consts.hbar)

@@ -96,7 +96,7 @@ class ScalarField:
 
     ``values`` is a read-only view of the samples.  A complex128 input is
     viewed, not copied, so the caller's own array stays writable; changing
-    it afterwards changes the field and leaves ``max_abs`` stale.
+    it afterwards changes the field and leaves ``max_abs`` and ``_memo`` stale.
     """
 
     grid: Grid
@@ -124,6 +124,10 @@ class ScalarField:
     @cached_property
     def _peak(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    @cached_property
+    def _memo(self) -> dict:  # whole-grid arrays that readers derive, by key
+        return {}
 
 
 def plane_wave_field(grid: Grid, k, omega: float, t: float = 0.0,
@@ -181,20 +185,15 @@ def central_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
 # Binary serialization (cubic 1D/3D fields)
 #
 # Layout: int64 dims, int64 points per axis, float64 spacing, float64 time
-# stamp (all little-endian), then row-major (re, im) float64 pairs.
+# stamp (all little-endian), then row-major '<c16' (re, im) float64 pairs.
 # ---------------------------------------------------------------------------
 
 def field_to_bytes(f: ScalarField) -> bytes:
     if not f.grid.is_cubic():
         raise ValueError("binary layout requires a cubic grid")
-    header = _HEADER.pack(
-        f.grid.ndim, f.grid.shape[0], f.grid.spacing, f.time_stamp
-    )
-    flat = np.ravel(f.values, order="C")
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    return header + inter.tobytes()
+    header = _HEADER.pack(f.grid.ndim, f.grid.shape[0], f.grid.spacing,
+                          f.time_stamp)
+    return header + f.values.astype("<c16", copy=False).tobytes()
 
 
 def field_from_bytes(blob: bytes) -> ScalarField:
@@ -209,9 +208,8 @@ def field_from_bytes(blob: bytes) -> ScalarField:
     if len(blob) != _HEADER.size + 16 * points**dims:
         raise FormatError("field payload size does not match header")
     grid = Grid((points,) * dims, (spacing * points,) * dims)
-    inter = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-    return ScalarField(grid, values, time_stamp)
+    values = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
+    return ScalarField(grid, values.reshape(grid.shape), time_stamp)
 
 
 def save_field(path, f: ScalarField) -> None:

@@ -46,10 +46,11 @@ from .kinematics import PhysicalConstants, dispersion_omega
 from .solvers import (
     CRANK_NICOLSON,
     LEAPFROG,
-    MAX_POINTS,
     MAX_STEPS,  # each row's SolverConfig enforces it; kept importable here
     SolverConfig,
+    _require_normal_square,
     leapfrog_stability_limit,
+    require_solver_grid,
     solve_relativistic,
     solve_schrodinger,
 )
@@ -88,13 +89,12 @@ class LimitStudyConfig:
             raise DomainError("c values must be positive")
         if self.k < 0:
             raise DomainError("k must be >= 0")
+        if self.k:
+            _require_normal_square("k", self.k)  # the Schrodinger rate has k^2
         if self.m0 <= 0 or self.hbar <= 0:
             raise DomainError("m0 and hbar must be positive")
-        if self.evolution_time <= 0:
-            raise DomainError("evolution time must be positive")
-        if self.grid_points > MAX_POINTS:
-            raise DomainError(f"a grid of {self.grid_points} points exceeds "
-                              f"the bound of {MAX_POINTS}")
+        if not 0 < self.evolution_time < math.inf:
+            raise DomainError("evolution time must be positive and finite")
         x_max = self.hbar * self.k / (self.m0 * min(self.c_values))
         if x_max >= 1.0:
             raise DomainError(
@@ -159,19 +159,18 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
         for cc in consts_per_c
     ]
 
-    if cfg.k == 0.0:
-        # Rest mode: both evolutions are the same constant phase; the gaps
-        # vanish identically and there is nothing to evolve or fit.
-        rows = [
-            LimitRow(c=c, omega_minus_rest=0.0,
-                     omega_schrodinger=0.0, frequency_gap=0.0,
-                     field_gap=0.0, x_param=0.0)
-            for c in cfg.c_values
-        ]
-        warnings.append("k = 0: gaps are identically zero, no order fitted")
+    if not all(freq_gaps):
+        # The rest mode k = 0, or a k so small that a gap rounds to 0: the
+        # step budget below would be 0, and there is no gap to evolve or fit.
+        rows = [LimitRow(cc.c, _omega_minus_rest(cc, cfg.k), schrodinger_rate,
+                         gap, 0.0, cfg.hbar * cfg.k / (cfg.m0 * cc.c))
+                for cc, gap in zip(consts_per_c, freq_gaps)]
+        warnings.append(f"k = {cfg.k:g}: a frequency gap is zero, no field "
+                        "evolved and no order fitted")
         return LimitStudyReport(rows, None, None, warnings)
 
     grid = Grid.line(cfg.grid_points, cfg.mode * 2.0 * math.pi / cfg.k)
+    require_solver_grid(grid)
     tee = cfg.evolution_time
 
     # One step-size budget for the whole sweep: omega*dt = theta with

@@ -22,6 +22,7 @@ last (x_n = t for the physical specs built by the factories below).
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,8 @@ from .errors import (
     UnsupportedOrderError,
     ZeroFieldError,
 )
-from .fields import _ZERO_FIELD_CUTOFF, ScalarField, nonzero_peak
+from .fields import (_ZERO_FIELD_CUTOFF, ScalarField, central_difference,
+                     nonzero_peak, second_difference)
 from .kinematics import PhysicalConstants
 from .reporting import json_dumps
 
@@ -366,86 +368,84 @@ class _Exact:
         v, g = self.value, self._grad
         return (v * self._hess[ax1][ax2] - g[ax1] * g[ax2]) / v / v
 
+    def require_nonzero(self) -> None:
+        if self.value == 0:
+            raise ZeroFieldError("identity divides by psi^2")
 
-class _Stencil:
-    """Central-difference reads around one validated point of a ScalarField.
 
-    The point's row-major flat index and the flat offsets of its +1 and -1
-    neighbours along each axis (periodic wrap) are computed once.  The
-    point and its axis neighbours are read on construction, the corners of
-    mixed second differences on demand, all as Python complex numbers.
+class _Sampled:
+    """Central differences of a ScalarField at one point, or (point None) all.
+
+    Each whole-grid array is computed once per field, on first use, into
+    the field's ``_memo``; at a point the reads are Python complex numbers.
     """
 
-    __slots__ = ("value", "plus", "minus", "_read", "_at", "_up", "_down",
-                 "_h")
-
     def __init__(self, field: ScalarField, point, n: int):
-        point = tuple(map(int, point))
-        grid = field.grid
-        shape = grid.shape
+        shape = field.grid.shape
         if len(shape) != n:
             raise DomainError(
                 f"field has {len(shape)} axes but the equation has {n} arguments"
             )
-        if len(point) != n:
-            raise DomainError("point must carry one index per grid axis")
-        at, stride = 0, 1
-        up, down = [0] * n, [0] * n
-        for ax in range(n - 1, -1, -1):
-            i, s = point[ax], shape[ax]
-            if not 0 <= i < s:
+        self._field, self._point, self.value = field, None, field.values
+        if point is not None:
+            point = tuple(map(int, point))
+            if len(point) != n:
+                raise DomainError("point must carry one index per grid axis")
+            if not all(0 <= i < s for i, s in zip(point, shape)):
                 raise DomainError("point lies outside the grid")
-            at += i * stride
-            up[ax] = stride if i < s - 1 else (1 - s) * stride
-            down[ax] = -stride if i > 0 else (s - 1) * stride
-            stride *= s
-        read = field.values.item
-        self.value = read(at)
-        self.plus = [read(at + d) for d in up]
-        self.minus = [read(at + d) for d in down]
-        self._read, self._at, self._up, self._down = read, at, up, down
-        self._h = grid.spacings
+            self._point, self.value = point, field.values.item(point)
 
-    def d1(self, axis: int) -> complex:
-        return (self.plus[axis] - self.minus[axis]) / (2 * self._h[axis])
+    def _read(self, key, make):
+        memo = self._field._memo
+        if key not in memo:
+            with np.errstate(all="ignore"):
+                memo[key] = make(self._field.values, self._field.grid.spacings)
+        return memo[key] if self._point is None else memo[key].item(self._point)
 
-    def _corners(self, ax1: int, ax2: int) -> tuple[complex, ...]:
-        """Samples at (+1, +1), (+1, -1), (-1, +1), (-1, -1) along (ax1, ax2)."""
-        read = self._read
-        p1, m1 = self._at + self._up[ax1], self._at + self._down[ax1]
-        p2, m2 = self._up[ax2], self._down[ax2]
-        return read(p1 + p2), read(p1 + m2), read(m1 + p2), read(m1 + m2)
+    def d1(self, axis: int):
+        return self._read(("d1", axis),
+                          lambda v, hs: central_difference(v, axis, hs[axis]))
 
-    def d2(self, ax1: int, ax2: int) -> complex:
-        hs = self._h
+    def d2(self, ax1: int, ax2: int):
         if ax1 == ax2:
-            return (
-                (self.plus[ax1] - 2 * self.value + self.minus[ax1]) / hs[ax1] ** 2
-            )
-        vpp, vpm, vmp, vmm = self._corners(ax1, ax2)
-        return (vpp - vpm - vmp + vmm) / (4 * hs[ax1] * hs[ax2])
+            make = lambda v, hs: second_difference(v, ax1, hs[ax1])
+        else:
+            ax1, ax2 = sorted((ax1, ax2))
+            make = lambda v, hs: central_difference(
+                central_difference(v, ax2, hs[ax2]), ax1, hs[ax1])
+        return self._read(("d2", ax1, ax2), make)
 
-    def log_d2(self, ax1: int, ax2: int) -> complex:
+    def log_d2(self, ax1: int, ax2: int):
         """Second derivative of ln(psi) from principal logs of neighbour ratios.
 
         Independent of d1/d2, and winding-safe.
         """
-        hs, log = self._h, cmath.log
-        if ax1 == ax2:
-            v0 = self.value
-            return (
-                (log(self.plus[ax1] / v0) - log(v0 / self.minus[ax1]))
-                / hs[ax1] ** 2
-            )
-        vpp, vpm, vmp, vmm = self._corners(ax1, ax2)
-        gp = log(vpp / vpm) / (2 * hs[ax2])
-        gm = log(vmp / vmm) / (2 * hs[ax2])
-        return (gp - gm) / (2 * hs[ax1])
+        def make(v, hs):
+            if ax1 == ax2:
+                up = np.log(np.roll(v, -1, axis=ax1) / v)  # ln(psi+ / psi)
+                return (up - np.roll(up, 1, axis=ax1)) / hs[ax1] ** 2
+            across = np.log(np.roll(v, -1, axis=ax2) / np.roll(v, 1, axis=ax2))
+            return central_difference(across / (2 * hs[ax2]), ax1, hs[ax1])
+        return self._read(("log_d2", ax1, ax2), make)
+
+    def require_nonzero(self) -> None:
+        """Refuse a sample, or an axis neighbour of one, below the cutoff."""
+        def make(v, hs):  # 2 at a small sample, else 1 next to one, else 0
+            small = np.abs(v) < _ZERO_FIELD_CUTOFF * self._field.max_abs()
+            near = sum(np.roll(small, shift, axis=ax)
+                       for ax in range(v.ndim) for shift in (1, -1))
+            return np.where(small, 2, near > 0)
+        code = self._read("zeros", make)
+        code = code.max() if self._point is None else code
+        if code == 2:
+            raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
+        if code == 1:
+            raise ZeroFieldError("stencil touches a near-zero of the field")
 
 
-def _reader(field, point, n: int) -> _Stencil | _Exact:
+def _reader(field, point, n: int) -> _Sampled | _Exact:
     if isinstance(field, ScalarField):
-        return _Stencil(field, point, n)
+        return _Sampled(field, point, n)
     if isinstance(field, AnalyticField):
         return _Exact(field, point, n)
     raise TypeError("field must be an AnalyticField or a ScalarField")
@@ -504,34 +504,19 @@ class ResidualDecomposition:
     log_curvature_term: complex
 
 
-def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
-                                 point) -> ResidualDecomposition:
-    """Certify that linearization preserves residuals up to log curvature.
+def _decomposition_terms(spec: PdeSpec, A: complex | None, field, point):
+    """lhs, rhs, scale and correction at ``point``, or everywhere if None.
 
-    On analytic fields the identity is exact (the correction term uses
-    exact derivatives).  On sampled fields the correction is estimated
-    from second differences of ln(psi) - deliberately *not* from the same
-    stencils as the residuals - so the mismatch measures genuine O(h^2)
-    discretization error instead of cancelling algebraically.  The sums
-    run over the nonzero M_jk in row-major order, then add the b terms.
+    The sums run over the nonzero M_jk in row-major order, then add b terms.
     """
     entries, b = _quadratic_entries(spec, A)
     f = _reader(field, point, spec.n)
+    f.require_nonzero()
     v = f.value
-    if isinstance(f, _Stencil):
-        cutoff = _ZERO_FIELD_CUTOFF * field.max_abs()
-        if abs(v) < cutoff:
-            raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
-        if any(abs(q) < cutoff for q in f.plus + f.minus):
-            raise ZeroFieldError("stencil touches a near-zero of the field")
-    elif v == 0:
-        raise ZeroFieldError("identity divides by psi^2")
-    g = [f.d1(ax) for ax in range(spec.n)]
-
     lhs = linear = curvature = 0j
     scale = 0.0
     for j, k, m in entries:
-        gg = g[j] * g[k]
+        gg = f.d1(j) * f.d1(k)
         lhs += m * gg
         linear += m * f.d2(j, k)
         curvature += m * f.log_d2(j, k)
@@ -540,13 +525,33 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
     linear += b * v
     correction = -(v * v) * curvature
     rhs = v * linear + correction
-
     scale += abs(b) * abs(v) ** 2 + abs(correction)
+    return lhs, rhs, scale, correction
+
+
+def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
+                                 point) -> ResidualDecomposition:
+    """Certify that linearization preserves residuals up to log curvature.
+
+    On analytic fields the identity is exact (the correction term uses
+    exact derivatives).  On sampled fields the correction is estimated
+    from second differences of ln(psi) - deliberately *not* from the same
+    stencils as the residuals - so the mismatch measures genuine O(h^2)
+    discretization error instead of cancelling algebraically.
+    """
+    lhs, rhs, scale, correction = _decomposition_terms(spec, A, field, point)
     diff = abs(lhs - rhs)
     mismatch = 0.0 if diff == 0.0 else diff / max(scale, 1e-300)
     return ResidualDecomposition(
         lhs=lhs, rhs=rhs, mismatch=mismatch, log_curvature_term=correction
     )
+
+
+def decomposition_defect(spec: PdeSpec, A: complex | None,
+                         field: ScalarField) -> np.ndarray:
+    """(lhs - rhs) / scale at every grid point: the mismatch with its phase."""
+    lhs, rhs, scale, _ = _decomposition_terms(spec, A, field, None)
+    return (lhs - rhs) / np.maximum(scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +656,6 @@ def pde_spec_dumps(spec: PdeSpec) -> str:
 
 
 def pde_spec_loads(text: str) -> PdeSpec:
-    import json
-
     return pde_spec_from_obj(json.loads(text))
 
 

@@ -154,8 +154,11 @@ def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:
     """Largest stable dt: 2 / sqrt(4 c^2 sum_i h_i^-2 + mu^2).
 
     In 1D this is (h/c) / sqrt(1 + (mu h / 2c)^2), i.e. the plain CFL bound
-    dt <= h/c for mu = 0.
+    dt <= h/c for mu = 0.  c and a nonzero mu must have normal squares.
     """
+    _require_normal_square("c", c)
+    if mu:
+        _require_normal_square("rest frequency m0 c^2/hbar", mu)
     s = sum(1.0 / h**2 for h in grid.spacings)
     return 2.0 / math.sqrt(4.0 * c**2 * s + mu**2)
 

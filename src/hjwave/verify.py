@@ -43,7 +43,7 @@ from .mechanics import (
 )
 from .pde_algebra import (
     action_from_wavefunction,
-    residual_decomposition_check,
+    decomposition_defect,
     dispersion_quadratic,
     hje_pde_spec,
     hje_pde_spec_1d,
@@ -169,25 +169,17 @@ def random_mode_field(grid: Grid, seed: int) -> ScalarField:
 
 def check_residual_decomposition(seed: int) -> CheckResult:
     transformed = log_transform(hje_pde_spec_1d(NATURAL), A_QM)
-    rng = np.random.default_rng(seed + 1)
-    mismatches = []
-    for n in (128, 256, 512):
-        grid = Grid((n, n), (2 * math.pi, 2 * math.pi))
-        field = random_mode_field(grid, seed)
-        worst = 0.0
-        for _ in range(24):
-            point = tuple(int(v) for v in rng.integers(0, n, size=2))
-            worst = max(
-                worst,
-                residual_decomposition_check(transformed, A_QM, field, point).mismatch,
-            )
-        mismatches.append(worst)
-    ratios = [coarse / fine for coarse, fine in zip(mismatches, mismatches[1:])]
-    ok = mismatches[1] <= 1e-8 and all(3.0 <= r <= 5.5 for r in ratios)
+    coarse, fine = (decomposition_defect(transformed, A_QM, random_mode_field(
+        Grid((n, n), (2 * math.pi, 2 * math.pi)), seed)) for n in (128, 256))
+    # the grids share the coarse points, where the h^2 terms cancel
+    extrapolated = float(np.max(np.abs(4 * fine[::2, ::2] - coarse))) / 3
+    raw = float(np.max(np.abs(fine)))
+    ratio = float(np.max(np.abs(coarse))) / raw
+    ok = extrapolated <= 4e-10 and 3.8 <= ratio <= 4.2
     return CheckResult(
         "residual-decomposition", ok,
-        f"mismatch {mismatches[1]:.3e} at n=256, refinement ratios "
-        + ", ".join(f"{r:.2f}" for r in ratios),
+        f"mismatch {raw:.3e} at n=256, extrapolated defect "
+        f"{extrapolated:.3e}, refinement ratio {ratio:.3f}",
     )
 
 

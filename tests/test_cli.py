@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -447,7 +448,7 @@ class TestScenarios:
      "InsufficientDataError"),
     (["newton", "--potential", "harmonic", "--r0", "1e160", "--r0", "0",
       "--r0", "0", "--steps", "10"], 3, "NumericalError"),
-    (["solve", "--c", "1e-200"], 3, "ZeroDivisionError"),
+    (["solve", "--c", "1e-200"], 2, "DomainError"),
     (["newton", "--dt", "1e308"], 2, "DomainError"),
     (["limit-study", "--c-values", "4", "--c-values", "8", "--c-values", "16",
       "--c-values", "1024"], 2, "DomainError"),
@@ -468,6 +469,8 @@ def test_failed_command_writes_nothing(tmp_path, argv, code, error_type):
 # the smallest grids past solvers.MAX_POINTS, so that a regression
 # allocates megabytes: one point more in 1D, the first n^3 above it in 3D
 CUBE_SIDE = next(n for n in range(8, MAX_POINTS) if n**3 > MAX_POINTS)
+SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
+          "--c-values", "32"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -487,6 +490,17 @@ CUBE_SIDE = next(n for n in range(8, MAX_POINTS) if n**3 > MAX_POINTS)
      "grid spacing = 1.5625e-302 is out of range: its square underflows"),
     (["solve", "--dt", "1e-320"], 2,
      "dt = 1e-320 is out of range: its square underflows"),
+    (["solve", "--c", "1e200"], 2,
+     "c = 1e+200 is out of range: its square overflows"),
+    (["solve", "--c", "1e-200"], 2,
+     "c = 1e-200 is out of range: its square underflows"),
+    (["solve", "--hbar", "1e-320"], 2,
+     "rest frequency m0 c^2/hbar = inf is out of range: its square overflows"),
+    (["limit-study", "--k", "1e300", "--m0", "1e301", *SPEEDS], 2,
+     "k = 1e+300 is out of range: its square overflows"),
+    (["limit-study", "--k", "1e-300", *SPEEDS], 2,
+     "k = 1e-300 is out of range: its square underflows"),
+    (["limit-study", "--time", "inf"], 2, "time must be finite"),
 ])
 def test_out_of_range_inputs_are_named(tmp_path, argv, code, message):
     out = tmp_path / "x"
@@ -494,6 +508,46 @@ def test_out_of_range_inputs_are_named(tmp_path, argv, code, message):
     assert (res.returncode, res.stdout) == (code, "")
     (line,) = res.stderr.splitlines()
     assert json.loads(line)["error"]["message"] == message
+    assert not out.exists()
+
+
+def test_limit_study_with_a_gap_rounding_to_zero_evolves_nothing(tmp_path):
+    # at k = 1e-10 the frequency gaps round to 0, and so would the step budget
+    res = run_cli("limit-study", "--k", "1e-10", "--points", "16", *SPEEDS,
+                  "--time", "1e-6", "--out", str(tmp_path / "l"))
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "l" / "limit_study.json").read_text())
+    assert 0.0 in [row["frequency_gap"] for row in report["rows"]]
+    assert all(row["field_gap"] == row["steps"] == 0 for row in report["rows"])
+    assert report["frequency_fit"] is report["field_fit"] is None
+    assert "warning: k = 1e-10: a frequency gap is zero" in res.stdout
+
+
+@pytest.mark.parametrize("spelling", ["flag", "scenario"])
+@pytest.mark.parametrize("command, name, value", [
+    ("newton", "kappa", math.nan), ("newton", "kappa", math.inf),
+    ("newton", "force", [1.0, math.nan, 0.0]), ("newton", "p0", [math.inf]),
+    ("solve", "cfl", math.nan), ("dispersion", "k", [-math.inf]),
+    ("limit-study", "c_values", [4.0, 8.0, 16.0, math.inf]),
+])
+def test_non_finite_numbers_are_refused_by_name(tmp_path, spelling, command,
+                                                name, value):
+    out = tmp_path / "x"
+    argv = [command, "--out", str(out)]
+    if spelling == "flag":
+        for v in value if isinstance(value, list) else [value]:
+            argv += ["--" + name.replace("_", "-"), repr(v)]
+    else:
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"command": command, "parameters": {name: value}}))
+        argv += ["--scenario", str(scenario)]
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout) == (2, "")
+    (line,) = res.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["type"], error["message"]) == ("CliValidationError",
+                                                 f"{name} must be finite")
     assert not out.exists()
 
 
@@ -543,8 +597,12 @@ class TestCommandLineErrors:
         assert not out.exists()
 
 
-def test_verify_report_csv_has_three_cells_per_row(tmp_path):
-    # seed 4 fails a check, and the report is still written
+def test_verify_report_csv_has_three_cells_per_row(tmp_path, monkeypatch):
+    # a failed check still writes the report
+    passing = cli.verify.CHECKS["dispersion-chain"]
+    monkeypatch.setitem(
+        cli.verify.CHECKS, "dispersion-chain",
+        lambda seed: dataclasses.replace(passing(seed), passed=False))
     res = run_cli("verify-all", "--seed", "4", "--out", str(tmp_path))
     assert res.returncode == 3, res.stdout + res.stderr
     with open(tmp_path / "verify_report.csv", newline="") as fh:
@@ -732,7 +790,8 @@ def test_any_scenario_exits_cleanly(spec_file, command, data):
     run_scenario(command, data.draw(scenario_params(command)), spec_file)
 
 
-# seed 4 fails the residual-decomposition check (about 1.4 s a run)
+# seed 4 failed the residual-decomposition check while it gated the raw
+# n = 256 mismatch; every seed from 0 to 20 passes now (about 1.4 s a run)
 @settings(max_examples=4, deadline=None)
 @given(params=scenario_params("verify-all"))
 @example(params={"seed": 4})

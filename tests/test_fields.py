@@ -82,6 +82,25 @@ def test_binary_round_trip_bytes_and_values(tmp_path):
     assert np.array_equal(loaded.values, f.values)
 
 
+def test_binary_round_trip_keeps_signed_zeros_and_infinite_parts():
+    g = Grid.cube(8, 2 * math.pi)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    values[0, 0, :4] = [complex(-0.0, 1.0), complex(1.0, -0.0),
+                        complex(1.0, math.inf), complex(-math.inf, -0.0)]
+    blob = field_to_bytes(ScalarField(g, values))
+    # the documented layout: row-major (re, im) little-endian float64 pairs
+    pairs = np.empty(2 * values.size, dtype="<f8")
+    pairs[0::2], pairs[1::2] = values.real.ravel(), values.imag.ravel()
+    assert blob[32:] == pairs.tobytes()
+    back = field_from_bytes(blob)
+    assert field_to_bytes(back) == blob
+    first = back.values[0, 0, :4]
+    assert np.array_equal(np.signbit(first.real), [True, False, False, True])
+    assert np.array_equal(np.signbit(first.imag), [False, True, False, True])
+    assert first[2].real == 1.0 and first[2].imag == math.inf
+
+
 def test_binary_header_layout():
     g = Grid.line(8, 4.0)
     f = ScalarField(g, np.arange(8, dtype=complex), time_stamp=2.0)

@@ -65,6 +65,16 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             LimitStudyConfig(k=5.0, c_values=(4.0, 8.0, 16.0, 32.0))
 
+    @pytest.mark.parametrize("k", [1e-300, 1e300, math.inf])
+    def test_k_square_out_of_range(self, k):
+        with pytest.raises(DomainError, match="k = .* is out of range"):
+            LimitStudyConfig(k=k, m0=2 * k, c_values=(4.0, 8.0, 16.0, 32.0))
+
+    @pytest.mark.parametrize("time", [0.0, math.inf, math.nan])
+    def test_time_positive_and_finite(self, time):
+        with pytest.raises(DomainError, match="positive and finite"):
+            LimitStudyConfig(evolution_time=time)
+
 
 class TestFrequencyGap:
     def test_closed_form_against_naive_oracle(self):

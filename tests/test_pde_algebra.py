@@ -21,6 +21,7 @@ from hjwave import (
     UnsupportedOrderError,
     ZeroFieldError,
     action_from_wavefunction,
+    decomposition_defect,
     residual_decomposition_check,
     dispersion_omega,
     dispersion_quadratic,
@@ -36,7 +37,9 @@ from hjwave import (
     residual_nonlinear,
     wavefunction_from_action,
 )
+from hjwave import pde_algebra
 from hjwave.pde_algebra import pde_spec_from_obj
+from hjwave.verify import random_mode_field
 
 NAT = PhysicalConstants()
 A_QM = NAT.hbar / 1j  # the physical transform constant
@@ -772,6 +775,73 @@ class TestStencilOracle:
                 got = _outcome(new, f, point)
                 assert got[0] == "DomainError"
                 assert got == _outcome(ref, f, point)
+
+
+# ---------------------------------------------------------------------------
+# Whole-grid decomposition defect against the per-point evaluator
+# ---------------------------------------------------------------------------
+
+# |decomposition_defect| and the per-point mismatch evaluate one formula on
+# the same differences, once in numpy and once in Python arithmetic.  Over
+# every point of the fields below they differed by at most 6.2e-16: lhs
+# and rhs are O(1) against a scale of at least 1, so a few ulps of each.
+DEFECT_TOL = 1e-14
+
+
+def per_point_mismatch(spec, A, field):
+    shape = field.grid.shape
+    return np.array([residual_decomposition_check(spec, A, field, p).mismatch
+                     for p in np.ndindex(shape)]).reshape(shape)
+
+
+class TestDecompositionDefect:
+    @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
+    def test_matches_per_point_mismatch_on_oracle_grids(self, n):
+        grid = ORACLE_GRIDS[n]
+        quadratic = oracle_specs(n, seed=10 + n)
+        for spec in quadratic + [log_transform(s, A_ORACLE) for s in quadratic]:
+            # a fresh field each, so that neither path reads the other's arrays
+            defect = decomposition_defect(spec, A_ORACLE, oracle_field(grid, n))
+            assert defect.shape == grid.shape
+            want = per_point_mismatch(spec, A_ORACLE, oracle_field(grid, n))
+            assert np.max(np.abs(np.abs(defect) - want)) <= DEFECT_TOL
+
+    def test_matches_per_point_mismatch_on_a_random_mode_field(self):
+        spec = log_transform(hje_pde_spec_1d(NAT), A_QM)
+        grid = Grid((128, 128), (2 * math.pi, 2 * math.pi))
+        defect = decomposition_defect(spec, A_QM, random_mode_field(grid, 0))
+        want = per_point_mismatch(spec, A_QM, random_mode_field(grid, 0))
+        assert np.max(np.abs(np.abs(defect) - want)) <= DEFECT_TOL
+        assert 1e-9 <= np.max(want) <= 1e-7  # the O(h^2) defect, not 0
+
+    def test_each_difference_is_computed_once_per_field(self, monkeypatch):
+        calls = []
+
+        def counted(values, axis, h):
+            calls.append(axis)
+            return central_difference(values, axis, h)
+
+        central_difference = pde_algebra.central_difference
+        monkeypatch.setattr(pde_algebra, "central_difference", counted)
+        spec = log_transform(hje_pde_spec_1d(NAT), A_QM)
+        field = random_mode_field(Grid((16, 16), (2 * math.pi,) * 2), 3)
+        decomposition_defect(spec, A_QM, field)
+        for point in np.ndindex(field.grid.shape):
+            residual_decomposition_check(spec, A_QM, field, point)
+            residual_nonlinear(spec, field, point)
+        assert sorted(calls) == [0, 1]
+
+    def test_near_zero_anywhere_is_refused(self):
+        spec = oracle_specs(2, seed=12)[-1]
+        values = np.array(oracle_field(ORACLE_GRIDS[2], seed=2).values)
+        values[3, 2] = 1e-15
+        with pytest.raises(ZeroFieldError, match="below 1e-12"):
+            decomposition_defect(spec, A_ORACLE, ScalarField(ORACLE_GRIDS[2], values))
+
+    def test_field_of_wrong_dimension_is_refused(self):
+        spec = oracle_specs(2, seed=12)[-1]
+        with pytest.raises(DomainError, match="3 axes but the equation has 2"):
+            decomposition_defect(spec, A_ORACLE, oracle_field(ORACLE_GRIDS[3], 3))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,14 @@ class TestConfigAndStability:
             expected, rel=1e-14
         )
 
+    @pytest.mark.parametrize("c, mu, name", [
+        (1e200, 0.0, "c"), (1e-200, 0.0, "c"), (1.0, math.inf, "rest frequency"),
+        (1.0, 1e-200, "rest frequency"),
+    ])
+    def test_limit_refuses_c_and_mu_out_of_range(self, c, mu, name):
+        with pytest.raises(DomainError, match=f"{name} .* is out of range"):
+            leapfrog_stability_limit(Grid.line(64, 2 * math.pi), c, mu)
+
     def test_cfl_violation_raises_before_stepping(self):
         grid, initial, rate, _ = traveling_wave_setup(64, 1.0, MASSLESS)
         bad = SolverConfig(dt=1.01 * grid.spacing, steps=10)

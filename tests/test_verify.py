@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hjwave import Grid
+from hjwave import Grid, pde_algebra, verify
 from hjwave.verify import random_mode_field
 
 
@@ -28,3 +28,37 @@ def test_random_mode_field_matches_dense_reference_bitwise(shape, seed):
     grid = Grid(shape, (2 * math.pi,) * len(shape))
     got = random_mode_field(grid, seed).values
     assert got.tobytes() == dense_random_mode_field(grid, seed).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_residual_decomposition_passes_for_every_seed(seed):
+    # the raw n = 256 maximum reads up to 2.1e-8 (seed 7): the gate is the
+    # extrapolated defect and the refinement ratio, not that raw value
+    result = verify.check_residual_decomposition(seed)
+    assert result.passed, result.detail
+
+
+def test_residual_decomposition_fails_on_grid_scale_noise(monkeypatch):
+    # the raw n = 256 maximum reads 9.3e-9 and the ratio 3.18, inside the
+    # old 1e-8 bound and [3.0, 5.5] band; the extrapolated defect, 4.3e-9,
+    # is 10x over its bound
+    clean = verify.random_mode_field
+
+    def noisy(grid, seed):
+        field = clean(grid, seed)
+        rng = np.random.default_rng(seed)
+        noise = 1e-7 * rng.standard_normal(grid.shape)
+        return field.with_values(field.values + noise)
+
+    monkeypatch.setattr(verify, "random_mode_field", noisy)
+    result = verify.check_residual_decomposition(0)
+    assert not result.passed, result.detail
+
+
+def test_residual_decomposition_fails_on_a_first_order_stencil(monkeypatch):
+    def forward_difference(values, axis, h):
+        return (np.roll(values, -1, axis=axis) - values) / h
+
+    monkeypatch.setattr(pde_algebra, "central_difference", forward_difference)
+    result = verify.check_residual_decomposition(0)
+    assert not result.passed, result.detail
