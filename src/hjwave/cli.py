@@ -319,7 +319,7 @@ def _consts(params: dict) -> PhysicalConstants:
 class CommandResult:
     """A command's output files, its stdout lines and its failure, if any.
 
-    ``files`` maps a file name to a CSV table ``(header, rows)``, a JSON
+    ``files`` maps a file name to a CSV table ``(header, columns)``, a JSON
     object (a dict) or a ScalarField.  An ``error`` (failed verify-all
     checks) is reported, and sets the exit code, after the files are written.
     """
@@ -344,7 +344,8 @@ def cmd_dispersion(params: dict) -> CommandResult:
         rows.append((float(k), omega, vph, vgr))
     return CommandResult(
         {
-            "dispersion.csv": (["k", "omega", "v_phase", "v_group"], rows),
+            "dispersion.csv": (["k", "omega", "v_phase", "v_group"],
+                               list(zip(*rows))),
             "summary.json": {"command": "dispersion", "hbar": consts.hbar,
                              "c": consts.c, "m0": consts.m0,
                              "count": len(rows)},
@@ -555,7 +556,7 @@ def cmd_verify_all(params: dict) -> CommandResult:
         {
             "verify_report.csv": (
                 ["check", "passed", "detail"],
-                [(r.name, r.passed, r.detail) for r in results],
+                list(zip(*[(r.name, r.passed, r.detail) for r in results])),
             ),
             "verify_report.json": report,
         },

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -87,6 +86,8 @@ class LimitStudyConfig:
             raise DomainError("c values must be strictly ascending")
         if any(c <= 0 for c in self.c_values):
             raise DomainError("c values must be positive")
+        for c in self.c_values:
+            _require_normal_square("c", c)  # the rest frequency has c^2
         if self.k < 0:
             raise DomainError("k must be >= 0")
         if self.k:
@@ -122,11 +123,10 @@ class LimitStudyReport:
     field_fit: OrderFit | None
     warnings: list[str] = field(default_factory=list)
 
-    def table(self) -> tuple[list[str], Iterable]:
-        """CSV header and lazily generated rows, one per c value."""
-        return ["c", "freq_gap", "field_gap", "x_param"], (
-            (r.c, r.frequency_gap, r.field_gap, r.x_param) for r in self.rows
-        )
+    def table(self) -> tuple[list[str], list[tuple[float, ...]]]:
+        """CSV header and columns c, gaps and x, one row per c value."""
+        return ["c", "freq_gap", "field_gap", "x_param"], list(zip(*(
+            (r.c, r.frequency_gap, r.field_gap, r.x_param) for r in self.rows)))
 
     def summary(self) -> dict:
         """Every field, rows and fits included, as nested JSON-ready dicts."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import hypot, isfinite
-from typing import Iterable
 
 import numpy as np
 
@@ -91,11 +90,10 @@ class Trajectory:
         return mags / (consts.m0 * np.hypot(1.0, mags / (consts.m0 * consts.c)))
 
     def table(self, potential: Potential, consts: PhysicalConstants
-              ) -> tuple[list[str], Iterable]:
-        """CSV header and lazily generated rows, one per sample."""
-        energies = self.energies(potential, consts)
-        rows = zip(self.t, *self.r.T, *self.p.T, energies)
-        return ["t", "rx", "ry", "rz", "px", "py", "pz", "energy"], rows
+              ) -> tuple[list[str], list[np.ndarray]]:
+        """CSV header and columns t, r, p and energy, one row per sample."""
+        return (["t", "rx", "ry", "rz", "px", "py", "pz", "energy"],
+                [self.t, *self.r.T, *self.p.T, self.energies(potential, consts)])
 
 
 def integrate_newton(potential: Potential, r0, p0,

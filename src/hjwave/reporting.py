@@ -9,6 +9,10 @@ and keys go through ``json.dumps``, which escapes control characters and
 non-ASCII text.  A text cell that holds a comma, a double quote or a line
 break is quoted as RFC 4180 asks, with its quotes doubled; numbers never
 need quoting.
+
+A CSV table is a header and equal-length columns.  ``write_csv`` formats a
+float array column with fmt_float and any other with fmt_cell, and holds
+the text of at most BLOCK_ROWS = 1024 rows at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ _BOOL = (bool, np.bool_)
 _INT = (int, np.integer)
 _FLOAT = (float, np.floating)
 _COMPLEX = (complex, np.complexfloating)
+BLOCK_ROWS = 1024  # rows formatted and written at a time
 
 
 def fmt_float(x: float) -> str:
@@ -45,22 +50,30 @@ def fmt_cell(value) -> str:
     if isinstance(value, _COMPLEX):
         value = complex(value)
         return fmt_float(value.real) + "+" + fmt_float(value.imag) + "j"
-    return _quote(str(value))
-
-
-def _quote(text: str) -> str:
+    text = str(value)
     if any(c in text for c in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def write_csv(path, header, rows) -> None:
-    """Write rows of scalars as CSV; empty rows produce a header-only file."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(v) for v in row))
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns (arrays or sequences) under ``header``.
+
+    A float array column is formatted with fmt_float from ``tolist()``,
+    any other column with fmt_cell, so the bytes are those of fmt_cell
+    applied row by row.  Columns of no rows give a header-only file.
+    """
+    rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(c) != rows for c in columns):
+        raise ValueError("need one column per header name, all of one length")
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for a in range(0, rows, BLOCK_ROWS):
+            block = [map(fmt_float, c[a:a + BLOCK_ROWS].tolist()) if f
+                     else map(fmt_cell, c[a:a + BLOCK_ROWS])
+                     for c, f in zip(columns, floats)]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _json_float(x) -> str:
@@ -69,48 +82,33 @@ def _json_float(x) -> str:
     return fmt_float(x)
 
 
-def _json_fragment(obj, indent, out) -> None:
-    pad = "  " * indent
+def _json_text(obj, pad: str) -> str:
+    """``obj`` as JSON text; its inner lines are indented past ``pad``."""
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, _BOOL):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, _INT):
-        out.append(str(int(obj)))
-    elif isinstance(obj, _FLOAT):
-        out.append(_json_float(obj))
-    elif isinstance(obj, _COMPLEX):
+        return "null"
+    if isinstance(obj, _BOOL + _INT):
+        return fmt_cell(obj)
+    if isinstance(obj, _FLOAT):
+        return _json_float(obj)
+    if isinstance(obj, _COMPLEX):
         obj = complex(obj)
-        out.append("[" + _json_float(obj.real) + ", " + _json_float(obj.imag)
-                   + "]")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append("  " * (indent + 1))
-            _json_fragment(item, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            out.append("  " * (indent + 1) + json.dumps(str(key)) + ": ")
+        return "[" + _json_float(obj.real) + ", " + _json_float(obj.imag) + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _json_text(item, inner) for item in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = []
+        for key, value in obj.items():
             try:
-                _json_fragment(value, indent + 1, out)
+                text = _json_text(value, inner)
             except NumericalError as exc:
                 raise NumericalError(f"{key}: {exc}") from None
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+            items.append(inner + json.dumps(str(key)) + ": " + text)
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def json_dumps(obj) -> str:
@@ -118,9 +116,7 @@ def json_dumps(obj) -> str:
 
     A nan or inf anywhere in ``obj`` raises NumericalError naming its keys.
     """
-    out: list[str] = []
-    _json_fragment(obj, 0, out)
-    return "".join(out) + "\n"
+    return _json_text(obj, "") + "\n"
 
 
 def write_json(path, obj) -> None:

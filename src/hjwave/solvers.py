@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -115,10 +114,10 @@ class Diagnostics:
     norm: np.ndarray
     energy: np.ndarray
 
-    def table(self) -> tuple[list[str], Iterable]:
-        """CSV header and lazily generated rows, one per step."""
-        rows = zip(self.step, self.time, self.norm, self.energy)
-        return ["step", "time", "norm", "energy"], rows
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """CSV header and the four series as columns, one row per step."""
+        return (["step", "time", "norm", "energy"],
+                [self.step, self.time, self.norm, self.energy])
 
     def to_csv(self, path) -> None:
         """Write ``table()`` as CSV; the benchmark's 3D runs call this."""
@@ -154,13 +153,19 @@ def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:
     """Largest stable dt: 2 / sqrt(4 c^2 sum_i h_i^-2 + mu^2).
 
     In 1D this is (h/c) / sqrt(1 + (mu h / 2c)^2), i.e. the plain CFL bound
-    dt <= h/c for mu = 0.  c and a nonzero mu must have normal squares.
+    dt <= h/c for mu = 0.  c and a nonzero mu must have normal squares, and
+    the sum under the root must be positive and finite.
     """
     _require_normal_square("c", c)
     if mu:
         _require_normal_square("rest frequency m0 c^2/hbar", mu)
     s = sum(1.0 / h**2 for h in grid.spacings)
-    return 2.0 / math.sqrt(4.0 * c**2 * s + mu**2)
+    q = 4.0 * c**2 * s + mu**2
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"c = {c!r} is out of range on a grid of spacings "
+                          f"{grid.spacings!r}: 4 c^2 sum h^-2 + mu^2 "
+                          f"{'overflows' if q else 'underflows'}")
+    return 2.0 / math.sqrt(q)
 
 
 # Bound on the steps x modes entries of one diagnostics block: the table of

@@ -501,6 +501,15 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
     (["limit-study", "--k", "1e-300", *SPEEDS], 2,
      "k = 1e-300 is out of range: its square underflows"),
     (["limit-study", "--time", "inf"], 2, "time must be finite"),
+    (["solve", "--equation", "wave", "--c", "1e154"], 2,
+     "c = 1e+154 is out of range on a grid of spacings (0.09817477042468103,)"
+     ": 4 c^2 sum h^-2 + mu^2 overflows"),
+    (["solve", "--c", "1e-150", "--length", "1e153"], 2,
+     "c = 1e-150 is out of range on a grid of spacings (1.5625e+151,)"
+     ": 4 c^2 sum h^-2 + mu^2 underflows"),
+    (["limit-study", "--c-values", "1e154", "--c-values", "2e154",
+      "--c-values", "4e154", "--c-values", "8e154", "--time", "1e-300"], 2,
+     "c = 2e+154 is out of range: its square overflows"),
 ])
 def test_out_of_range_inputs_are_named(tmp_path, argv, code, message):
     out = tmp_path / "x"

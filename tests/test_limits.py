@@ -70,6 +70,14 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="k = .* is out of range"):
             LimitStudyConfig(k=k, m0=2 * k, c_values=(4.0, 8.0, 16.0, 32.0))
 
+    @pytest.mark.parametrize("c_values, message", [
+        ((1e154, 2e154, 4e154, 8e154), r"c = 2e\+154 .* square overflows"),
+        ((1e-200, 1e-199, 1e-198, 1e-197), "c = 1e-200 .* square underflows"),
+    ])
+    def test_c_square_out_of_range(self, c_values, message):
+        with pytest.raises(DomainError, match=message):
+            LimitStudyConfig(c_values=c_values, evolution_time=1e-300)
+
     @pytest.mark.parametrize("time", [0.0, math.inf, math.nan])
     def test_time_positive_and_finite(self, time):
         with pytest.raises(DomainError, match="positive and finite"):

@@ -143,7 +143,7 @@ class TestConfigAndStability:
 
     @pytest.mark.parametrize("c, mu, name", [
         (1e200, 0.0, "c"), (1e-200, 0.0, "c"), (1.0, math.inf, "rest frequency"),
-        (1.0, 1e-200, "rest frequency"),
+        (1.0, 1e-200, "rest frequency"), (1e154, 0.0, "c"),
     ])
     def test_limit_refuses_c_and_mu_out_of_range(self, c, mu, name):
         with pytest.raises(DomainError, match=f"{name} .* is out of range"):
