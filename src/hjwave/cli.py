@@ -242,10 +242,8 @@ def parse_transform_constant(text: str, hbar: float) -> complex:
 
 
 def _load_spec(name: str, consts: PhysicalConstants):
-    if name == "hje-massive":
-        return hje_pde_spec(consts, massless=False)
-    if name == "hje-massless":
-        return hje_pde_spec(consts, massless=True)
+    if name in ("hje-massive", "hje-massless"):
+        return hje_pde_spec(consts, massless=name == "hje-massless")
     if os.path.exists(name):
         return load_pde_spec(name)
     raise CliValidationError(
@@ -381,12 +379,10 @@ def cmd_solve(params: dict) -> CommandResult:
     equation = params["equation"]
     if equation not in ("wave", "relativistic", "schrodinger"):
         raise CliValidationError(f"unknown equation {equation!r}")
-    if params["dims"] == 1:
-        grid = Grid.line(params["points"], params["length"])
-    elif params["dims"] == 3:
-        grid = Grid.cube(params["points"], params["length"])
-    else:
+    if params["dims"] not in (1, 3):
         raise CliValidationError("dims must be 1 or 3")
+    grid = Grid((params["points"],) * params["dims"],
+                (params["length"],) * params["dims"])
     require_solver_grid(grid)  # before the stability limit and any array
 
     k = 2 * math.pi * params["mode"] / params["length"]
@@ -504,7 +500,7 @@ def cmd_newton(params: dict) -> CommandResult:
     }
     return CommandResult(
         {
-            "trajectory.csv": traj.table(potential, consts),
+            "trajectory.csv": traj.table(energies),
             "summary.json": summary,
         },
         [f"{kind} trajectory: {params['steps']} steps, relative energy drift "

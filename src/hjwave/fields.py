@@ -80,10 +80,7 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        v = 1.0
-        for h in self.spacings:
-            v *= h
-        return v
+        return math.prod(self.spacings)
 
     @property
     def npoints(self) -> int:

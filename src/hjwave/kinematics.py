@@ -35,12 +35,17 @@ class PhysicalConstants:
 
     @property
     def rest_energy(self) -> float:
-        return self.m0 * self.c**2
+        """m0 c^2; DomainError naming c once c^2 overflows (c > 1.34e154)."""
+        try:
+            return self.m0 * self.c**2
+        except OverflowError:
+            raise DomainError(f"c = {self.c!r} is out of range: "
+                              "its square overflows") from None
 
     @property
     def rest_frequency(self) -> float:
         """m0 c^2 / hbar, the zero-momentum angular frequency."""
-        return self.m0 * self.c**2 / self.hbar
+        return self.rest_energy / self.hbar
 
 
 def _vec3(v) -> np.ndarray:
@@ -78,8 +83,6 @@ def dispersion_omega(k: float, consts: PhysicalConstants) -> float:
 
 def phase_velocity(k: float, consts: PhysicalConstants) -> float:
     """omega(k)/k; equals c for m0 = 0 and exceeds c for m0 > 0."""
-    if k < 0:
-        raise DomainError("wavenumber magnitude must be >= 0")
     if k == 0:
         if consts.m0 > 0:
             raise DomainError("phase velocity diverges at k = 0 for m0 > 0")

@@ -89,11 +89,10 @@ class Trajectory:
         mags = np.hypot.reduce(self.p, axis=1)
         return mags / (consts.m0 * np.hypot(1.0, mags / (consts.m0 * consts.c)))
 
-    def table(self, potential: Potential, consts: PhysicalConstants
-              ) -> tuple[list[str], list[np.ndarray]]:
-        """CSV header and columns t, r, p and energy, one row per sample."""
+    def table(self, energies: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+        """CSV header and columns t, r, p and the given ``energies()``."""
         return (["t", "rx", "ry", "rz", "px", "py", "pz", "energy"],
-                [self.t, *self.r.T, *self.p.T, self.energies(potential, consts)])
+                [self.t, *self.r.T, *self.p.T, energies])
 
 
 def integrate_newton(potential: Potential, r0, p0,

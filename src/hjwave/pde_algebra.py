@@ -102,6 +102,7 @@ class PdeSpec:
             object.__setattr__(
                 self, "transform_constant", complex(self.transform_constant)
             )
+        object.__setattr__(self, "_key", repr(self))  # exact, NaN-safe memo key
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,8 @@ def hje_pde_spec(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
 def hje_pde_spec_1d(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
     """One space dimension variant with arguments (x, t)."""
     b = 0.0 if massless else -(consts.rest_energy**2)
-    return PdeSpec(
-        n=2,
-        m=2,
-        terms=(PdeTerm(2, (1, 1), -consts.c**2), PdeTerm(2, (2, 2), 1.0)),
-        b=b,
-    )
+    terms = (PdeTerm(2, (1, 1), -consts.c**2), PdeTerm(2, (2, 2), 1.0))
+    return PdeSpec(n=2, m=2, terms=terms, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +335,7 @@ class AnalyticField:
 
 
 # ---------------------------------------------------------------------------
-# Per-point readers: value, d1, d2 and log_d2 of either kind of field
+# Readers: value, d1, d2 and log_d2 at a point, or over a sampled grid
 # ---------------------------------------------------------------------------
 
 class _Exact:
@@ -347,6 +344,8 @@ class _Exact:
     __slots__ = ("value", "_grad", "_hess")
 
     def __init__(self, field: AnalyticField, point, n: int):
+        if not isinstance(field, AnalyticField):
+            raise TypeError("field must be an AnalyticField or a ScalarField")
         x = np.asarray(point, dtype=float)
         if field.n != n or x.shape != (n,):
             raise DomainError(f"field and point need the spec's {n} arguments")
@@ -374,10 +373,10 @@ class _Exact:
 
 
 class _Sampled:
-    """Central differences of a ScalarField at one point, or (point None) all.
+    """Whole-grid central differences of a ScalarField, and a checked point.
 
-    Each whole-grid array is computed once per field, on first use, into
-    the field's ``_memo``; at a point the reads are Python complex numbers.
+    Each array, and each equation evaluated from them, is computed once
+    per field, on first use, into the field's ``_memo``.
     """
 
     def __init__(self, field: ScalarField, point, n: int):
@@ -386,73 +385,66 @@ class _Sampled:
             raise DomainError(
                 f"field has {len(shape)} axes but the equation has {n} arguments"
             )
-        self._field, self._point, self.value = field, None, field.values
+        self._field, self.value, self.hs = field, field.values, field.grid.spacings
         if point is not None:
             point = tuple(map(int, point))
             if len(point) != n:
                 raise DomainError("point must carry one index per grid axis")
-            if not all(0 <= i < s for i, s in zip(point, shape)):
+            if min(point) < 0 or not all(map(int.__lt__, point, shape)):
                 raise DomainError("point lies outside the grid")
-            self._point, self.value = point, field.values.item(point)
+        self.point = point
 
-    def _read(self, key, make):
+    def read(self, key, make):
         memo = self._field._memo
         if key not in memo:
             with np.errstate(all="ignore"):
-                memo[key] = make(self._field.values, self._field.grid.spacings)
-        return memo[key] if self._point is None else memo[key].item(self._point)
+                memo.setdefault(key, make(self))  # a concurrent first use wins
+        return memo[key]
 
-    def d1(self, axis: int):
-        return self._read(("d1", axis),
-                          lambda v, hs: central_difference(v, axis, hs[axis]))
+    def d1(self, axis: int) -> np.ndarray:
+        return self.read(("d1", axis), lambda f: central_difference(
+            f.value, axis, f.hs[axis]))
 
-    def d2(self, ax1: int, ax2: int):
+    def d2(self, ax1: int, ax2: int) -> np.ndarray:
         if ax1 == ax2:
-            make = lambda v, hs: second_difference(v, ax1, hs[ax1])
+            make = lambda f: second_difference(f.value, ax1, f.hs[ax1])
         else:
             ax1, ax2 = sorted((ax1, ax2))
-            make = lambda v, hs: central_difference(
-                central_difference(v, ax2, hs[ax2]), ax1, hs[ax1])
-        return self._read(("d2", ax1, ax2), make)
+            make = lambda f: central_difference(central_difference(
+                f.value, ax2, f.hs[ax2]), ax1, f.hs[ax1])
+        return self.read(("d2", ax1, ax2), make)
 
-    def log_d2(self, ax1: int, ax2: int):
+    def log_d2(self, ax1: int, ax2: int) -> np.ndarray:
         """Second derivative of ln(psi) from principal logs of neighbour ratios.
 
         Independent of d1/d2, and winding-safe.
         """
-        def make(v, hs):
+        def make(f):
+            v, hs = f.value, f.hs
             if ax1 == ax2:
                 up = np.log(np.roll(v, -1, axis=ax1) / v)  # ln(psi+ / psi)
                 return (up - np.roll(up, 1, axis=ax1)) / hs[ax1] ** 2
             across = np.log(np.roll(v, -1, axis=ax2) / np.roll(v, 1, axis=ax2))
             return central_difference(across / (2 * hs[ax2]), ax1, hs[ax1])
-        return self._read(("log_d2", ax1, ax2), make)
+        return self.read(("log_d2", ax1, ax2), make)
 
     def require_nonzero(self) -> None:
         """Refuse a sample, or an axis neighbour of one, below the cutoff."""
-        def make(v, hs):  # 2 at a small sample, else 1 next to one, else 0
-            small = np.abs(v) < _ZERO_FIELD_CUTOFF * self._field.max_abs()
+        def make(f):  # 2 at a small sample, else 1 next to one, else 0
+            small = np.abs(f.value) < _ZERO_FIELD_CUTOFF * f._field.max_abs()
             near = sum(np.roll(small, shift, axis=ax)
-                       for ax in range(v.ndim) for shift in (1, -1))
+                       for ax in range(small.ndim) for shift in (1, -1))
             return np.where(small, 2, near > 0)
-        code = self._read("zeros", make)
-        code = code.max() if self._point is None else code
+        code = self.read("zeros", make)
+        code = code.max() if self.point is None else code.item(self.point)
         if code == 2:
             raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
         if code == 1:
             raise ZeroFieldError("stencil touches a near-zero of the field")
 
 
-def _reader(field, point, n: int) -> _Sampled | _Exact:
-    if isinstance(field, ScalarField):
-        return _Sampled(field, point, n)
-    if isinstance(field, AnalyticField):
-        return _Exact(field, point, n)
-    raise TypeError("field must be an AnalyticField or a ScalarField")
-
-
 # ---------------------------------------------------------------------------
-# Residual evaluators
+# Residual evaluators; on a ScalarField one whole-grid evaluation per equation
 # ---------------------------------------------------------------------------
 
 def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
@@ -463,29 +455,38 @@ def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
     Analytic fields use exact derivatives, sampled fields second-order
     central differences with periodic wrap.
     """
-    f = _reader(field, point, spec.n)
-    v = f.value
-    total = 0.0 + 0.0j
-    for t in spec.terms:
-        prod = t.coeff
-        for i in t.indices:
-            prod *= f.d1(i - 1)
-        if spec.homogeneous and spec.m != t.degree:
-            prod *= v ** (spec.m - t.degree)
-        total += prod
-    total += spec.b * v**spec.m if spec.homogeneous else spec.b
-    return complex(total)
+    def nonlinear(f):
+        v = f.value
+        total = 0.0 + 0.0j
+        for t in spec.terms:
+            prod = t.coeff
+            for i in t.indices:
+                prod *= f.d1(i - 1)
+            if spec.homogeneous and spec.m != t.degree:
+                prod *= v ** (spec.m - t.degree)
+            total += prod
+        return total + (spec.b * v**spec.m if spec.homogeneous else spec.b)
+    if isinstance(field, ScalarField):
+        f = _Sampled(field, point, spec.n)
+        return f.read(("nonlinear", spec._key), nonlinear).item(f.point)
+    return complex(nonlinear(_Exact(field, point, spec.n)))
 
 
 def residual_linear(lspec: LinearPdeSpec, field, point) -> complex:
     """Left-hand side sum_jk M_jk d2 psi/dx_j dx_k + b psi at one point."""
-    f = _reader(field, point, lspec.n)
-    total = lspec.zeroth_coeff * f.value
-    for j, row in enumerate(lspec.second_order_coeffs.tolist()):
-        for k, m in enumerate(row):
-            if m != 0:
-                total += m * f.d2(j, k)
-    return complex(total)
+    def linear(f):
+        total = lspec.zeroth_coeff * f.value
+        for j, row in enumerate(lspec.second_order_coeffs.tolist()):
+            for k, m in enumerate(row):
+                if m != 0:
+                    total += m * f.d2(j, k)
+        return total
+    if isinstance(field, ScalarField):
+        f = _Sampled(field, point, lspec.n)
+        key = ("linear", lspec.second_order_coeffs.tobytes(),
+               repr(lspec.zeroth_coeff))
+        return f.read(key, linear).item(f.point)
+    return complex(linear(_Exact(field, point, lspec.n)))
 
 
 @dataclass(frozen=True)
@@ -504,14 +505,29 @@ class ResidualDecomposition:
     log_curvature_term: complex
 
 
-def _decomposition_terms(spec: PdeSpec, A: complex | None, field, point):
+def _decomposition(spec: PdeSpec, A: complex | None, field, point):
     """lhs, rhs, scale and correction at ``point``, or everywhere if None.
+
+    Memoised on a sampled field: _quadratic_entries runs on a miss only,
+    and an A it rejects raises before the field is read, on every call.
+    """
+    key = ("decomposition", spec._key, repr(A))
+    sampled = isinstance(field, ScalarField)
+    hit = sampled and key in field._memo
+    entries, b = (None, None) if hit else _quadratic_entries(spec, A)
+    f = (_Sampled if sampled else _Exact)(field, point, spec.n)
+    f.require_nonzero()
+    if not sampled:
+        return _decomposition_terms(entries, b, f)
+    terms = f.read(key, lambda f: _decomposition_terms(entries, b, f))
+    return terms if point is None else [a.item(f.point) for a in terms]
+
+
+def _decomposition_terms(entries, b: complex, f):
+    """lhs, rhs, scale and correction from the reader f, at its point or grid.
 
     The sums run over the nonzero M_jk in row-major order, then add b terms.
     """
-    entries, b = _quadratic_entries(spec, A)
-    f = _reader(field, point, spec.n)
-    f.require_nonzero()
     v = f.value
     lhs = linear = curvature = 0j
     scale = 0.0
@@ -539,7 +555,7 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
     stencils as the residuals - so the mismatch measures genuine O(h^2)
     discretization error instead of cancelling algebraically.
     """
-    lhs, rhs, scale, correction = _decomposition_terms(spec, A, field, point)
+    lhs, rhs, scale, correction = _decomposition(spec, A, field, point)
     diff = abs(lhs - rhs)
     mismatch = 0.0 if diff == 0.0 else diff / max(scale, 1e-300)
     return ResidualDecomposition(
@@ -550,7 +566,7 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
 def decomposition_defect(spec: PdeSpec, A: complex | None,
                          field: ScalarField) -> np.ndarray:
     """(lhs - rhs) / scale at every grid point: the mismatch with its phase."""
-    lhs, rhs, scale, _ = _decomposition_terms(spec, A, field, None)
+    lhs, rhs, scale, _ = _decomposition(spec, A, field, None)
     return (lhs - rhs) / np.maximum(scale, 1e-300)
 
 

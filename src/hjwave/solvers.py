@@ -203,13 +203,15 @@ def _exponential_sums(rates: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _checked_report(grid: Grid, final: np.ndarray, steps: np.ndarray,
-                    times: np.ndarray, norms: np.ndarray,
+def _checked_report(initial: ScalarField, cfg: SolverConfig,
+                    final: np.ndarray, norms: np.ndarray,
                     energies: np.ndarray, scheme: str) -> SolveReport:
     """Package a run, or raise NumericalError at its first non-finite step.
 
     The error carries the diagnostics rows of the steps before that one.
     """
+    steps = np.arange(1, cfg.steps + 1)
+    times = initial.time_stamp + cfg.dt * steps
     finite = np.isfinite(norms) & np.isfinite(energies)
     if not finite.all() or not np.all(np.isfinite(final)):
         bad = int(np.argmin(finite)) if not finite.all() else len(steps) - 1
@@ -220,7 +222,7 @@ def _checked_report(grid: Grid, final: np.ndarray, steps: np.ndarray,
             ),
         )
     return SolveReport(
-        final=ScalarField(grid, final, float(times[-1])),
+        final=ScalarField(initial.grid, final, float(times[-1])),
         diagnostics=Diagnostics(steps, times, norms, energies),
     )
 
@@ -241,8 +243,6 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
 
     dt = cfg.dt
     n_last = cfg.steps
-    steps = np.arange(1, n_last + 1)
-    times = initial.time_stamp + dt * steps
     scale = grid.cell_volume / grid.npoints  # Parseval: sum_x = sum_k / N
 
     # Mode k with operator eigenvalue sigma obeys
@@ -281,7 +281,7 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
         norms = _exponential_sums(2j * theta, beta - 1j * gamma, n_last)
         norms += float(np.sum(alpha)) + float(np.sum(aa[flat]))
         if flat.any():
-            n = steps.astype(float)
+            n = np.arange(1.0, n_last + 1)
             norms += n * (2.0 * float(np.sum(sign * ab[flat]))
                           + n * float(np.sum(bb[flat])))
         np.maximum(norms, 0.0, out=norms)
@@ -297,10 +297,8 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
         sin_n[flat] = n_last * sign ** (n_last - 1)
         final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
 
-    return _checked_report(
-        grid, final, steps, times, norms,
-        np.full(n_last, energy), "leapfrog",
-    )
+    return _checked_report(initial, cfg, final, norms,
+                           np.full(n_last, energy), "leapfrog")
 
 
 def solve_wave(initial: ScalarField, initial_rate: ScalarField,
@@ -323,14 +321,9 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
 
 def _stencil_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of the periodic central Laplacian, one per FFT mode."""
-    lam = np.zeros(grid.shape)
-    for ax, (n, h) in enumerate(zip(grid.shape, grid.spacings)):
-        modes = np.arange(n)
-        lam_ax = -(4.0 / h**2) * np.sin(np.pi * modes / n) ** 2
-        shape = [1] * grid.ndim
-        shape[ax] = n
-        lam = lam + lam_ax.reshape(shape)
-    return lam
+    per_axis = [-(4.0 / h**2) * np.sin(np.pi * np.arange(n) / n) ** 2
+                for n, h in zip(grid.shape, grid.spacings)]
+    return sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
 
 
 def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
@@ -359,17 +352,13 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
     kin_weight = -0.5 * consts.hbar**2 / consts.m0 * lam  # >= 0 per mode
     scale = grid.cell_volume / grid.npoints
 
-    steps = np.arange(1, cfg.steps + 1)
-    times = initial.time_stamp + dt * steps
     spectrum = np.fft.fftn(initial.values)
     power = spectrum.real**2 + spectrum.imag**2
     norm = math.sqrt(scale * float(np.sum(power)))
     energy = scale * float(np.sum(kin_weight * power))
     final = np.fft.ifftn(np.exp(1j * cfg.steps * phase) * spectrum)
-    return _checked_report(
-        grid, final, steps, times, np.full(cfg.steps, norm),
-        np.full(cfg.steps, energy), "Crank-Nicolson",
-    )
+    return _checked_report(initial, cfg, final, np.full(cfg.steps, norm),
+                           np.full(cfg.steps, energy), "Crank-Nicolson")
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,17 @@ class TestDispersion:
     def test_rest_frequency(self):
         assert dispersion_omega(0.0, NAT) == 1.0
 
+    def test_overflowing_c_squared_is_named(self):
+        # c^2 overflows past sqrt(max float) = 1.34e154
+        big = PhysicalConstants(hbar=0.5, c=1.35e154, m0=0.0)
+        message = r"^c = 1\.35e\+154 is out of range: its square overflows$"
+        for rest in ("rest_energy", "rest_frequency"):
+            with pytest.raises(DomainError, match=message):
+                getattr(big, rest)
+        edge = PhysicalConstants(hbar=0.5, c=1.34e154, m0=0.5)
+        assert edge.rest_energy == 0.5 * 1.34e154**2
+        assert edge.rest_frequency == 0.5 * 1.34e154**2 / 0.5
+
     def test_massless(self):
         assert dispersion_omega(3.0, MASSLESS) == 3.0
 

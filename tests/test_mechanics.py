@@ -194,7 +194,7 @@ class TestIntegrateNewton:
             pot, np.array([1.0, 0, 0]), np.zeros(3), NAT, dt=0.1, steps=10
         )
         path = tmp_path / "traj.csv"
-        write_csv(path, *traj.table(pot, NAT))
+        write_csv(path, *traj.table(traj.energies(pot, NAT)))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,rx,ry,rz,px,py,pz,energy"
         assert len(lines) == 12  # header + 11 samples

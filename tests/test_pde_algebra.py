@@ -1,6 +1,9 @@
 import cmath
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -781,11 +784,11 @@ class TestStencilOracle:
 # Whole-grid decomposition defect against the per-point evaluator
 # ---------------------------------------------------------------------------
 
-# |decomposition_defect| and the per-point mismatch evaluate one formula on
-# the same differences, once in numpy and once in Python arithmetic.  Over
-# every point of the fields below they differed by at most 6.2e-16: lhs
-# and rhs are O(1) against a scale of at least 1, so a few ulps of each.
-DEFECT_TOL = 1e-14
+# |decomposition_defect| and the per-point mismatch share one numpy
+# evaluation of lhs, rhs and scale; they differ only in taking |.| before
+# or after dividing by the scale.  Over every point of the fields below
+# they differed by at most 2.8e-17, a few ulps of mismatches below 1.
+DEFECT_TOL = 1e-15
 
 
 def per_point_mismatch(spec, A, field):
@@ -842,6 +845,156 @@ class TestDecompositionDefect:
         spec = oracle_specs(2, seed=12)[-1]
         with pytest.raises(DomainError, match="3 axes but the equation has 2"):
             decomposition_defect(spec, A_ORACLE, oracle_field(ORACLE_GRIDS[3], 3))
+
+
+# ---------------------------------------------------------------------------
+# Per-point calls read one memoised whole-grid evaluation per equation
+# ---------------------------------------------------------------------------
+
+MEMO_GRID = Grid((40, 25), (2 * math.pi, 1.3))  # 1,000 points
+
+
+def memo_equations(coeff=(1.0, 0.5), b=0.7 - 0.2j, A=A_ORACLE):
+    """A new plain spec, its linearization and A, equal for equal arguments.
+
+    The coefficient is a new complex on every call, so a NaN in it is not
+    the same object twice.
+    """
+    spec = PdeSpec(n=2, m=2, b=b, terms=(PdeTerm(2, (1, 1), complex(*coeff)),
+                                         PdeTerm(2, (2, 2), -1.3 + 0.4j),
+                                         PdeTerm(2, (1, 2), 0.2)))
+    return spec, linearize(spec, A), A
+
+
+def memo_calls(equations, field, point):
+    spec, lspec, A = equations
+    return (residual_decomposition_check(spec, A, field, point),
+            residual_nonlinear(spec, field, point),
+            residual_linear(lspec, field, point))
+
+
+def equation_keys(field):
+    return sorted(k[0] for k in field._memo
+                  if k[0] in ("decomposition", "nonlinear", "linear"))
+
+
+class TestWholeGridMemo:
+    @pytest.mark.parametrize("coeff", [(1.0, 0.5), (math.nan, 1.0)])
+    def test_equal_equations_rebuilt_at_each_point_share_one_entry(self, coeff):
+        field = oracle_field(MEMO_GRID, seed=5)
+        sizes = set()
+        for point in np.ndindex(MEMO_GRID.shape):
+            memo_calls(memo_equations(coeff), field, point)
+            sizes.add(len(field._memo))
+        assert len(sizes) == 1
+        assert equation_keys(field) == ["decomposition", "linear", "nonlinear"]
+
+    @pytest.mark.parametrize("other", [
+        {"coeff": (1.0 + 1e-3, 0.5)},
+        {"b": 0.7 - 0.2j + 1e-3},
+        {"A": A_ORACLE + 1e-3},
+    ])
+    def test_equations_differing_in_one_value_never_share_arrays(self, other):
+        pair = (memo_equations(), memo_equations(**other))
+        shared = oracle_field(MEMO_GRID, seed=6)
+        alone = [oracle_field(MEMO_GRID, seed=6) for _ in pair]
+        for point in np.ndindex(MEMO_GRID.shape):
+            got = [memo_calls(eq, shared, point) for eq in pair]
+            assert got == [memo_calls(eq, f, point) for eq, f in zip(pair, alone)]
+            assert got[0][0].lhs != got[1][0].lhs
+            assert got[0][2] != got[1][2]
+        assert equation_keys(shared) == ["decomposition"] * 2 + ["linear"] * 2 + [
+            "nonlinear"] * (1 if "A" in other else 2)
+
+    def test_a_rejected_constant_raises_on_every_call(self):
+        image = log_transform(oracle_specs(2, seed=12)[-1], A_ORACLE)
+        plain = oracle_specs(2, seed=12)[-1]
+        field = oracle_field(ORACLE_GRIDS[2], seed=2)
+        decomposition_defect(image, A_ORACLE, field)
+        decomposition_defect(plain, A_ORACLE, field)
+        wrong_dims = oracle_field(ORACLE_GRIDS[3], seed=3)
+        for point in np.ndindex(field.grid.shape):
+            residual_decomposition_check(image, A_ORACLE, field, point)
+            with pytest.raises(DomainError, match="A does not match"):
+                residual_decomposition_check(image, 2 * A_ORACLE, field, point)
+            with pytest.raises(DomainError, match="A is required"):
+                residual_decomposition_check(plain, None, field, point)
+        # the constant is checked before the field and the point
+        with pytest.raises(DomainError, match="A does not match"):
+            residual_decomposition_check(image, 2 * A_ORACLE, field, (99, 99))
+        with pytest.raises(DomainError, match="A does not match"):
+            residual_decomposition_check(image, 2 * A_ORACLE, wrong_dims, (0,) * 3)
+        with pytest.raises(DomainError, match="A does not match"):
+            decomposition_defect(image, 2 * A_ORACLE, field)
+
+    def test_zero_rejects_stay_per_point_after_the_grid_is_evaluated(self):
+        grid = ORACLE_GRIDS[2]
+        values = np.array(oracle_field(grid, seed=2).values)
+        values[3, 2] = 1e-15
+        field = ScalarField(grid, values)
+        spec = oracle_specs(2, seed=12)[-1]
+        residual_decomposition_check(spec, A_ORACLE, field, (0, 0))
+        assert equation_keys(field) == ["decomposition"]
+        for point in ((2, 2), (4, 2), (3, 1), (3, 3)):
+            with pytest.raises(ZeroFieldError, match="stencil touches"):
+                residual_decomposition_check(spec, A_ORACLE, field, point)
+        with pytest.raises(ZeroFieldError, match="below 1e-12"):
+            residual_decomposition_check(spec, A_ORACLE, field, (3, 2))
+        residual_decomposition_check(spec, A_ORACLE, field, (0, 0))
+        with pytest.raises(ZeroFieldError, match="below 1e-12"):
+            decomposition_defect(spec, A_ORACLE, field)
+
+    def test_decomposition_terms_run_once_per_field_and_equation(self,
+                                                                 monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1].value.shape)
+            return decomposition_terms(*args)
+
+        decomposition_terms = pde_algebra._decomposition_terms
+        monkeypatch.setattr(pde_algebra, "_decomposition_terms", counted)
+        grid = Grid((16, 16), (2 * math.pi,) * 2)
+        for seed in (3, 4):
+            field = random_mode_field(grid, seed)
+            for point in np.ndindex(grid.shape):
+                for massless in (False, True):
+                    spec = log_transform(hje_pde_spec_1d(NAT, massless), A_QM)
+                    residual_decomposition_check(spec, A_QM, field, point)
+                    decomposition_defect(spec, A_QM, field)
+        assert calls == [grid.shape] * 4  # two fields times two equations
+
+    def test_racing_first_uses_all_read_the_one_stored_array(self):
+        # more threads than cores, switching often, all missing one key
+        field = oracle_field(MEMO_GRID, seed=7)
+        made, got = [], []
+        start, second_miss = threading.Barrier(8), threading.Event()
+
+        def make(f):
+            array = np.zeros(1)
+            made.append(array)
+            if len(made) >= 2:
+                second_miss.set()
+            second_miss.wait(timeout=5)  # nothing is stored before two misses
+            return array
+
+        def use():
+            start.wait(timeout=5)
+            got.append(pde_algebra._Sampled(field, None, 2).read("race", make))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and len(made) >= 2
+        assert all(a is field._memo["race"] for a in got)
 
 
 # ---------------------------------------------------------------------------

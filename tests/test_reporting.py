@@ -104,10 +104,16 @@ NAT = PhysicalConstants()
 GRID = Grid.line(64, 2 * math.pi)
 WAVE = plane_wave_field(GRID, (1.0, 0.0, 0.0), omega=0.0, t=0.0)
 HARMONIC = Potential.harmonic(1.0)
+
+
+def trajectory_table():
+    traj = integrate_newton(HARMONIC, [1.0, 0.0, 0.0], [0.0, 0.5, 0.0], NAT,
+                            dt=1e-3, steps=2 * BLOCK_ROWS + 1)
+    return traj.table(traj.energies(HARMONIC, NAT))
+
+
 PRODUCERS = {
-    "trajectory": lambda: integrate_newton(
-        HARMONIC, [1.0, 0.0, 0.0], [0.0, 0.5, 0.0], NAT, dt=1e-3,
-        steps=2 * BLOCK_ROWS + 1).table(HARMONIC, NAT),
+    "trajectory": trajectory_table,
     "leapfrog": lambda: solve_relativistic(
         WAVE, WAVE.with_values(-1j * WAVE.values), NAT,
         SolverConfig(dt=1e-3, steps=BLOCK_ROWS + 1)).diagnostics.table(),
