@@ -34,13 +34,18 @@ class PhysicalConstants:
             raise DomainError("m0 must be non-negative and finite")
 
     @property
-    def rest_energy(self) -> float:
-        """m0 c^2; DomainError naming c once c^2 overflows (c > 1.34e154)."""
+    def c_squared(self) -> float:
+        """c^2; DomainError naming c once it overflows (c > 1.34e154)."""
         try:
-            return self.m0 * self.c**2
+            return self.c**2
         except OverflowError:
             raise DomainError(f"c = {self.c!r} is out of range: "
                               "its square overflows") from None
+
+    @property
+    def rest_energy(self) -> float:
+        """m0 c^2; DomainError naming c once c^2 overflows."""
+        return self.m0 * self.c_squared
 
     @property
     def rest_frequency(self) -> float:

@@ -27,8 +27,10 @@ The solvers evaluate both schemes in closed form per Fourier mode, so
 the step count, which grows as c^2 because dt ~ 1/c^2, costs no per-step
 field update and adds no rounding that grows with the number of steps.
 The closed form is the scheme's own discrete solution, not the exact PDE
-solution, so the TEMPORAL_SAFETY budget still applies.  Each report row
-records the leapfrog dt and step count it used.
+solution, so the TEMPORAL_SAFETY budget still applies.  The study reads
+only each run's final field, so the solvers' per-step rows, computed on
+first read, are never computed.  Each report row records the leapfrog dt
+and step count it used.
 """
 
 from __future__ import annotations

@@ -107,16 +107,20 @@ class PdeSpec:
 
 @dataclass(frozen=True)
 class LinearPdeSpec:
-    """Second-order linear PDE  sum_jk M_jk d2psi/dx_j dx_k + b psi = 0."""
+    """Second-order linear PDE  sum_jk M_jk d2psi/dx_j dx_k + b psi = 0.
+
+    The spec holds a read-only copy of the matrix it is given.
+    """
 
     n: int
     second_order_coeffs: np.ndarray  # (n, n) complex, already includes A^2
     zeroth_coeff: complex
 
     def __post_init__(self):
-        mat = np.asarray(self.second_order_coeffs, dtype=np.complex128)
+        mat = np.array(self.second_order_coeffs, dtype=np.complex128)
         if mat.shape != (self.n, self.n):
             raise ValueError("coefficient matrix must be n x n")
+        mat.flags.writeable = False
         object.__setattr__(self, "second_order_coeffs", mat)
         object.__setattr__(self, "zeroth_coeff", complex(self.zeroth_coeff))
 
@@ -154,7 +158,7 @@ def hje_pde_spec(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
     Arguments are (x, y, z, t): diagonal matrix with +1 on the t-t entry,
     -c^2 on the spatial diagonal, and free term -m0^2 c^4 (0 if massless).
     """
-    c2 = consts.c**2
+    c2 = consts.c_squared
     terms = [PdeTerm(2, (j, j), -c2) for j in (1, 2, 3)]
     terms.append(PdeTerm(2, (4, 4), 1.0))
     b = 0.0 if massless else -(consts.rest_energy**2)
@@ -164,7 +168,7 @@ def hje_pde_spec(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
 def hje_pde_spec_1d(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
     """One space dimension variant with arguments (x, t)."""
     b = 0.0 if massless else -(consts.rest_energy**2)
-    terms = (PdeTerm(2, (1, 1), -consts.c**2), PdeTerm(2, (2, 2), 1.0))
+    terms = (PdeTerm(2, (1, 1), -consts.c_squared), PdeTerm(2, (2, 2), 1.0))
     return PdeSpec(n=2, m=2, terms=terms, b=b)
 
 

@@ -23,11 +23,15 @@ Leapfrog starts from a Taylor step and reports the exactly conserved
 discrete energy E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>;
 Crank-Nicolson reports the L2 norm and the discrete kinetic energy, which
 its unit-modulus amplification factors conserve.  Every per-step row is
-computed from the spectra by Parseval's identity.  The conserved
+computed from the spectra by Parseval's identity, when a SolveReport's
+``diagnostics`` is first read: a caller that reads only the final field,
+such as the limit study, never computes a row.  The conserved
 quantities are evaluated once, so they are identical in every row; the
 leapfrog norm carries the rounding of its own row's evaluation, not
-rounding accumulated over steps.  A non-finite row or final field raises
-NumericalError carrying the rows before it.  A run takes at most MAX_STEPS
+rounding accumulated over steps.  A non-finite final field raises
+NumericalError at the solver call; a non-finite row raises it when the
+rows are first read.  Either error carries the rows before the first
+non-finite step.  A run takes at most MAX_STEPS
 steps, checked when its SolverConfig is built, before any row exists, on
 a grid of at most MAX_POINTS points, checked by require_solver_grid
 before any field exists.
@@ -42,7 +46,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,12 +73,14 @@ from .reporting import write_csv
 LEAPFROG = "leapfrog"
 CRANK_NICOLSON = "crank_nicolson"
 # Steps allowed in one run.  Every step gets a row of per-step results
-# (about 40 bytes of solver diagnostics, 56 of a Newton trajectory), so
-# the bound keeps a run's rows near 0.5 GB.
+# (about 40 bytes of solver diagnostics, computed when the rows are first
+# read, 56 of a Newton trajectory), so the bound keeps a run's rows near
+# 0.5 GB.
 MAX_STEPS = 10_000_000
-# Grid points allowed in one run (128^3).  A leapfrog run holds about 280
-# bytes a point: at the bound `solve` peaks at 580 MB RSS, 1D or 3D, and
-# `limit-study` at 676 MB (numpy 2.4, Python 3.11, x86-64 Linux).
+# Grid points allowed in one run (128^3).  A leapfrog run holds about 250
+# bytes a point: at the bound `solve` peaks at 532 MB RSS, 1D or 3D, and
+# `limit-study --time 1e-6` at 692 MB (numpy 2.4, Python 3.11, x86-64
+# Linux).
 MAX_POINTS = 1 << 21
 
 
@@ -124,10 +132,21 @@ class Diagnostics:
         write_csv(path, *self.table())
 
 
-@dataclass
 class SolveReport:
-    final: ScalarField
-    diagnostics: Diagnostics
+    """A run's final field, and its per-step rows computed on first read.
+
+    Reading ``diagnostics`` the first time evaluates the rows, or raises
+    NumericalError at the first non-finite one; later reads return the
+    same Diagnostics.
+    """
+
+    def __init__(self, final: ScalarField, rows: Callable[[], Diagnostics]):
+        self.final = final
+        self._rows = rows
+
+    @cached_property
+    def diagnostics(self) -> Diagnostics:
+        return self._rows()
 
 
 def require_solver_grid(grid: Grid) -> None:
@@ -203,28 +222,38 @@ def _exponential_sums(rates: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _checked_report(initial: ScalarField, cfg: SolverConfig,
-                    final: np.ndarray, norms: np.ndarray,
-                    energies: np.ndarray, scheme: str) -> SolveReport:
-    """Package a run, or raise NumericalError at its first non-finite step.
+def _report(initial: ScalarField, cfg: SolverConfig, final: np.ndarray,
+            series: Callable[[], tuple[np.ndarray, np.ndarray]],
+            scheme: str) -> SolveReport:
+    """Package a run whose rows ``series()`` computes when first read.
 
-    The error carries the diagnostics rows of the steps before that one.
+    ``series()`` returns the norm and energy series.  A non-finite final
+    field raises NumericalError now; a non-finite row raises it when the
+    rows are read.  Either error names the first non-finite step and
+    carries the rows of the steps before it.
     """
-    steps = np.arange(1, cfg.steps + 1)
-    times = initial.time_stamp + cfg.dt * steps
-    finite = np.isfinite(norms) & np.isfinite(energies)
-    if not finite.all() or not np.all(np.isfinite(final)):
-        bad = int(np.argmin(finite)) if not finite.all() else len(steps) - 1
-        raise NumericalError(
-            f"{scheme} produced non-finite values at step {bad + 1}",
-            diagnostics=Diagnostics(
-                steps[:bad], times[:bad], norms[:bad], energies[:bad]
-            ),
-        )
-    return SolveReport(
-        final=ScalarField(initial.grid, final, float(times[-1])),
-        diagnostics=Diagnostics(steps, times, norms, energies),
-    )
+    t0, dt, n_last = initial.time_stamp, cfg.dt, cfg.steps
+    final_ok = bool(np.all(np.isfinite(final)))
+
+    def rows() -> Diagnostics:
+        norms, energies = series()
+        steps = np.arange(1, n_last + 1)
+        times = t0 + dt * steps
+        finite = np.isfinite(norms) & np.isfinite(energies)
+        finite[-1] &= final_ok
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NumericalError(
+                f"{scheme} produced non-finite values at step {bad + 1}",
+                diagnostics=Diagnostics(
+                    steps[:bad], times[:bad], norms[:bad], energies[:bad]
+                ),
+            )
+        return Diagnostics(steps, times, norms, energies)
+
+    if not final_ok:
+        rows()
+    return SolveReport(ScalarField(initial.grid, final, t0 + dt * n_last), rows)
 
 
 def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
@@ -253,15 +282,6 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
     sigma = c * c * _stencil_eigenvalues(grid) - mu * mu
     q = 0.5 * dt * np.sqrt(-sigma).ravel()  # sin(theta / 2)
     s2 = 4.0 * q * q * (1.0 - q) * (1.0 + q)  # 1 - x^2 = sin(theta)^2
-    a = np.fft.fftn(initial.values).ravel()
-    b = dt * np.fft.fftn(initial_rate.values).ravel()
-    aa = a.real**2 + a.imag**2
-    bb = b.real**2 + b.imag**2
-    ab = (a * b.conj()).real
-
-    # The discrete energy of each mode is (|b|^2 + s2 |a|^2) / (2 dt^2),
-    # the same at every step.
-    energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
 
     # Modes with s2 > 0 oscillate.  The others have theta = 0 or pi: s2 = 0,
     # or one ulp below 0 from rounding at dt = limit.  There the mode is
@@ -272,22 +292,9 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
     root = np.sqrt(s2[osc])  # sin(theta)
     sign = np.where(q[flat] < 0.5, 1.0, -1.0)
 
-    # |U^n|^2 per oscillating mode is alpha + beta cos(2n theta)
-    # + gamma sin(2n theta).
+    a = np.fft.fftn(initial.values).ravel()
+    b = dt * np.fft.fftn(initial_rate.values).ravel()
     with np.errstate(invalid="ignore", over="ignore"):
-        ao, bo = aa[osc], bb[osc] / s2[osc]
-        alpha, beta, gamma = 0.5 * (ao + bo), 0.5 * (ao - bo), ab[osc] / root
-        # summed in place, so one steps-long array is live at a time
-        norms = _exponential_sums(2j * theta, beta - 1j * gamma, n_last)
-        norms += float(np.sum(alpha)) + float(np.sum(aa[flat]))
-        if flat.any():
-            n = np.arange(1.0, n_last + 1)
-            norms += n * (2.0 * float(np.sum(sign * ab[flat]))
-                          + n * float(np.sum(bb[flat])))
-        np.maximum(norms, 0.0, out=norms)
-        norms *= scale
-        np.sqrt(norms, out=norms)
-
         # The last step, mode by mode: U^n = cos_n a + sin_n b.
         cos_n = np.empty(q.size)
         sin_n = np.empty(q.size)
@@ -297,8 +304,40 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
         sin_n[flat] = n_last * sign ** (n_last - 1)
         final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
 
-    return _checked_report(initial, cfg, final, norms,
-                           np.full(n_last, energy), "leapfrog")
+    aa = a.real**2 + a.imag**2
+    bb = b.real**2 + b.imag**2
+    ab = (a * b.conj()).real
+
+    # The discrete energy of each mode is (|b|^2 + s2 |a|^2) / (2 dt^2),
+    # the same at every step.
+    energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
+
+    # |U^n|^2 per oscillating mode is alpha + beta cos(2n theta)
+    # + gamma sin(2n theta) = alpha + Re[(beta - i gamma) exp(2i n theta)].
+    # The rows need only these rates and weights and the sums below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        ao, bo = aa[osc], bb[osc] / s2[osc]
+        rates = 2j * theta
+        weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root)
+        constant = float(np.sum(0.5 * (ao + bo))) + float(np.sum(aa[flat]))
+        drifts = bool(flat.any())
+        linear = 2.0 * float(np.sum(sign * ab[flat]))
+        quadratic = float(np.sum(bb[flat]))
+
+    def series() -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(invalid="ignore", over="ignore"):
+            # summed in place, so one steps-long array is live at a time
+            norms = _exponential_sums(rates, weights, n_last)
+            norms += constant
+            if drifts:
+                n = np.arange(1.0, n_last + 1)
+                norms += n * (linear + n * quadratic)
+            np.maximum(norms, 0.0, out=norms)
+            norms *= scale
+            np.sqrt(norms, out=norms)
+        return norms, np.full(n_last, energy)
+
+    return _report(initial, cfg, final, series, "leapfrog")
 
 
 def solve_wave(initial: ScalarField, initial_rate: ScalarField,
@@ -357,8 +396,9 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
     norm = math.sqrt(scale * float(np.sum(power)))
     energy = scale * float(np.sum(kin_weight * power))
     final = np.fft.ifftn(np.exp(1j * cfg.steps * phase) * spectrum)
-    return _checked_report(initial, cfg, final, np.full(cfg.steps, norm),
-                           np.full(cfg.steps, energy), "Crank-Nicolson")
+    return _report(initial, cfg, final,
+                   lambda: (np.full(cfg.steps, norm), np.full(cfg.steps, energy)),
+                   "Crank-Nicolson")
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,10 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
      "c = 1e+200 is out of range: its square overflows"),
     (["solve", "--c", "1e-200"], 2,
      "c = 1e-200 is out of range: its square underflows"),
+    (["transform", "--c", "1e200"], 2,
+     "c = 1e+200 is out of range: its square overflows"),
+    (["residual", "--c", "1e200", "--on-shell"], 2,
+     "c = 1e+200 is out of range: its square overflows"),
     (["solve", "--hbar", "1e-320"], 2,
      "rest frequency m0 c^2/hbar = inf is out of range: its square overflows"),
     (["limit-study", "--k", "1e300", "--m0", "1e301", *SPEEDS], 2,

@@ -14,7 +14,9 @@ from hjwave import (
     factor_rest_energy,
     plane_wave_field,
     run_limit_study,
+    solve_relativistic,
 )
+from hjwave import limits, solvers, verify
 from hjwave.limits import MAX_STEPS
 from hjwave.reporting import write_csv, write_json
 
@@ -165,3 +167,25 @@ class TestStudyRuns:
         for row in summary["rows"]:
             assert isinstance(row["steps"], int) and row["steps"] >= 1
             assert row["steps"] * row["dt"] == pytest.approx(2e-4, rel=1e-12)
+
+
+def test_study_computes_no_per_step_rows(monkeypatch):
+    # Reading every row's diagnostics, or never computing them, gives the
+    # same reports: the study and its verify check read final fields only.
+    def eager(*args):
+        report = solve_relativistic(*args)
+        report.diagnostics
+        return report
+
+    monkeypatch.setattr(limits, "solve_relativistic", eager)
+    expected = run_limit_study(LimitStudyConfig()).summary()
+    expected_check = verify.check_limit_frequency_order(0)
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("per-step rows computed")
+
+    monkeypatch.setattr(solvers, "_exponential_sums", refuse)
+    assert run_limit_study(LimitStudyConfig()).summary() == expected
+    check = verify.check_limit_frequency_order(0)
+    assert check.passed and check == expected_check

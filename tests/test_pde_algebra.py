@@ -206,6 +206,15 @@ class TestLinearize:
         with pytest.raises(UnsupportedOrderError):
             linearize(spec, 1.0)
 
+    def test_linear_spec_is_immutable(self):
+        given = np.eye(2, dtype=complex)
+        lin = LinearPdeSpec(2, given, zeroth_coeff=1.0)
+        given[0, 0] = 5.0  # the caller's array is not the spec's
+        assert np.array_equal(lin.second_order_coeffs, np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            lin.second_order_coeffs[0, 0] = 5.0
+        assert np.array_equal(lin.second_order_coeffs, np.eye(2))
+
 
 # ---------------------------------------------------------------------------
 # Dispersion extraction

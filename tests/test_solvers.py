@@ -635,12 +635,36 @@ def test_leapfrog_overflow_raises_with_rows_so_far():
     rate = initial.with_values(np.full(64, 1e150, dtype=np.complex128))
     dt = 0.5 * leapfrog_stability_limit(grid, MASSLESS.c)
     cfg = SolverConfig(dt=dt, steps=200_000)
+    report = solve_wave(initial, rate, MASSLESS, cfg)  # the final field is finite
     with pytest.raises(NumericalError) as err:
-        solve_wave(initial, rate, MASSLESS, cfg)
+        report.diagnostics  # the rows are computed, and checked, when read
     d = err.value.diagnostics
     assert 0 < len(d.step) < cfg.steps
     assert list(d.step) == list(range(1, len(d.step) + 1))
     assert np.all(np.isfinite(d.norm)) and np.all(np.isfinite(d.energy))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the inf
+def test_non_finite_final_field_raises_at_the_call():
+    grid = Grid.line(16, 2 * math.pi)
+    values = np.ones(16, dtype=np.complex128)
+    values[3] = np.inf
+    initial = ScalarField(grid, values)
+    cfg = SolverConfig(dt=0.5 * leapfrog_stability_limit(grid, 1.0), steps=10)
+    with pytest.raises(NumericalError, match="leapfrog produced non-finite"):
+        solve_wave(initial, initial.with_values(np.zeros(16)), MASSLESS, cfg)
+
+
+@pytest.mark.parametrize("equation", ["wave", "schrodinger"])
+def test_diagnostics_are_computed_once(equation):
+    grid, initial, rate, dt = traveling_wave_setup(32, 1.0, MASSLESS)
+    if equation == "wave":
+        report = solve_wave(initial, rate, MASSLESS, SolverConfig(dt, 5))
+    else:
+        report = solve_schrodinger(initial, NAT,
+                                   SolverConfig(dt, 5, CRANK_NICOLSON))
+    assert report.diagnostics is report.diagnostics
+    assert list(report.diagnostics.step) == [1, 2, 3, 4, 5]
 
 
 def test_diagnostics_csv(tmp_path):
