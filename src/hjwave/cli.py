@@ -387,9 +387,8 @@ def cmd_solve(params: dict) -> CommandResult:
 
     k = 2 * math.pi * params["mode"] / params["length"]
     k_vec = (k, 0.0, 0.0)  # along the first axis on 1D and 3D grids
-    limit = leapfrog_stability_limit(grid, consts.c)  # refuses c before mu
-    if equation == "relativistic":
-        limit = leapfrog_stability_limit(grid, consts.c, consts.rest_frequency)
+    mu = consts.rest_frequency if equation == "relativistic" else 0.0
+    limit = leapfrog_stability_limit(grid, consts.c, mu)
     dt = params["dt"] if params["dt"] is not None else params["cfl"] * limit
     steps = params["steps"]
     scheme = CRANK_NICOLSON if equation == "schrodinger" else LEAPFROG

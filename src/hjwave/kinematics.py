@@ -120,10 +120,10 @@ def momentum_from_velocity(v, consts: PhysicalConstants) -> np.ndarray:
     v = _vec3(v)
     if consts.m0 <= 0:
         raise DomainError("momentum from velocity needs m0 > 0")
-    beta2 = float(np.dot(v, v)) / consts.c**2
-    if beta2 >= 1.0:
+    beta = math.hypot(*v.tolist()) / consts.c  # c^2 alone can overflow
+    if beta >= 1.0:
         raise DomainError("|v| must be below c")
-    return consts.m0 * v / math.sqrt(1.0 - beta2)
+    return consts.m0 * v / math.sqrt(1.0 - beta * beta)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ leapfrog norm carries the rounding of its own row's evaluation, not
 rounding accumulated over steps.  A non-finite final field raises
 NumericalError at the solver call; a non-finite row raises it when the
 rows are first read.  Either error carries the rows before the first
-non-finite step.  A run takes at most MAX_STEPS
-steps, checked when its SolverConfig is built, before any row exists, on
-a grid of at most MAX_POINTS points, checked by require_solver_grid
-before any field exists.
+non-finite step.  Reading the rows of a run of more than MAX_STEPS
+steps raises DomainError before any row exists.  A grid holds at most
+MAX_POINTS points, checked by require_solver_grid before any field
+exists.
 
 The module also evaluates pointwise residuals of the nonlinear
 Hamilton-Jacobi equations on action fields (two time levels, or closed
@@ -72,10 +72,10 @@ from .reporting import write_csv
 
 LEAPFROG = "leapfrog"
 CRANK_NICOLSON = "crank_nicolson"
-# Steps allowed in one run.  Every step gets a row of per-step results
-# (about 40 bytes of solver diagnostics, computed when the rows are first
-# read, 56 of a Newton trajectory), so the bound keeps a run's rows near
-# 0.5 GB.
+# Steps of a run whose per-step rows are computed.  Every step gets a row
+# (about 40 bytes of solver diagnostics, 56 of a Newton trajectory), so
+# the bound keeps a run's rows near 0.5 GB.  It is checked where rows are
+# built: a solver's final field alone takes any number of steps.
 MAX_STEPS = 10_000_000
 # Grid points allowed in one run (128^3).  A leapfrog run holds about 250
 # bytes a point: at the bound `solve` peaks at 532 MB RSS, 1D or 3D, and
@@ -104,9 +104,6 @@ class SolverConfig:
             raise DomainError("dt must be positive")
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
-        if self.steps > MAX_STEPS:
-            raise DomainError(
-                f"a run of {self.steps} steps exceeds the bound of {MAX_STEPS}")
         if self.scheme == LEAPFROG:
             _require_normal_square("dt", self.dt)  # the energy divides by dt^2
         if self.scheme not in (LEAPFROG, CRANK_NICOLSON):
@@ -173,13 +170,14 @@ def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:
 
     In 1D this is (h/c) / sqrt(1 + (mu h / 2c)^2), i.e. the plain CFL bound
     dt <= h/c for mu = 0.  c and a nonzero mu must have normal squares, and
-    the sum under the root must be positive and finite.
+    the sum under the root must be positive and finite.  c is checked, and
+    named, before mu: first its square, then the sum without mu^2.
     """
     _require_normal_square("c", c)
-    if mu:
+    q = 4.0 * c**2 * sum(1.0 / h**2 for h in grid.spacings)
+    if 0.0 < q < math.inf and mu:
         _require_normal_square("rest frequency m0 c^2/hbar", mu)
-    s = sum(1.0 / h**2 for h in grid.spacings)
-    q = 4.0 * c**2 * s + mu**2
+        q += mu**2
     if not 0.0 < q < math.inf:
         raise DomainError(f"c = {c!r} is out of range on a grid of spacings "
                           f"{grid.spacings!r}: 4 c^2 sum h^-2 + mu^2 "
@@ -230,12 +228,16 @@ def _report(initial: ScalarField, cfg: SolverConfig, final: np.ndarray,
     ``series()`` returns the norm and energy series.  A non-finite final
     field raises NumericalError now; a non-finite row raises it when the
     rows are read.  Either error names the first non-finite step and
-    carries the rows of the steps before it.
+    carries the rows of the steps before it.  Past MAX_STEPS, DomainError
+    comes first.
     """
     t0, dt, n_last = initial.time_stamp, cfg.dt, cfg.steps
     final_ok = bool(np.all(np.isfinite(final)))
 
     def rows() -> Diagnostics:
+        if n_last > MAX_STEPS:
+            raise DomainError(
+                f"a run of {n_last} steps exceeds the bound of {MAX_STEPS}")
         norms, energies = series()
         steps = np.arange(1, n_last + 1)
         times = t0 + dt * steps
@@ -292,9 +294,10 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
     root = np.sqrt(s2[osc])  # sin(theta)
     sign = np.where(q[flat] < 0.5, 1.0, -1.0)
 
-    a = np.fft.fftn(initial.values).ravel()
-    b = dt * np.fft.fftn(initial_rate.values).ravel()
+    # non-finite input surfaces as NumericalError in _report, not a warning
     with np.errstate(invalid="ignore", over="ignore"):
+        a = np.fft.fftn(initial.values).ravel()
+        b = dt * np.fft.fftn(initial_rate.values).ravel()
         # The last step, mode by mode: U^n = cos_n a + sin_n b.
         cos_n = np.empty(q.size)
         sin_n = np.empty(q.size)
@@ -304,18 +307,17 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
         sin_n[flat] = n_last * sign ** (n_last - 1)
         final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
 
-    aa = a.real**2 + a.imag**2
-    bb = b.real**2 + b.imag**2
-    ab = (a * b.conj()).real
+        aa = a.real**2 + a.imag**2
+        bb = b.real**2 + b.imag**2
+        ab = (a * b.conj()).real
 
-    # The discrete energy of each mode is (|b|^2 + s2 |a|^2) / (2 dt^2),
-    # the same at every step.
-    energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
+        # The discrete energy of each mode is (|b|^2 + s2 |a|^2) / (2 dt^2),
+        # the same at every step.
+        energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
 
-    # |U^n|^2 per oscillating mode is alpha + beta cos(2n theta)
-    # + gamma sin(2n theta) = alpha + Re[(beta - i gamma) exp(2i n theta)].
-    # The rows need only these rates and weights and the sums below.
-    with np.errstate(invalid="ignore", over="ignore"):
+        # |U^n|^2 per oscillating mode is alpha + beta cos(2n theta)
+        # + gamma sin(2n theta) = alpha + Re[(beta - i gamma) exp(2i n theta)].
+        # The rows need only these rates and weights and the sums below.
         ao, bo = aa[osc], bb[osc] / s2[osc]
         rates = 2j * theta
         weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root)

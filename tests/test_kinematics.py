@@ -188,6 +188,15 @@ class TestParticleVelocity:
         with pytest.raises(DomainError):
             momentum_from_velocity((1.5, 0, 0), NAT)
 
+    def test_momentum_at_extreme_c(self):
+        # |v| / c is formed before it is squared: c^2 would overflow at
+        # c = 1e200, and |v|^2 / c^2 divide by an underflowed 0 at 1e-200
+        v = np.array([0.1, 0.0, 0.0])
+        slow = PhysicalConstants(c=1e200, m0=2.5)
+        assert np.array_equal(momentum_from_velocity(v, slow), 2.5 * v)
+        with pytest.raises(DomainError, match=r"^\|v\| must be below c$"):
+            momentum_from_velocity(v, PhysicalConstants(c=1e-200))
+
 
 class TestMasslessDegeneration:
     """At m0 = 0 every relation collapses to E = pc and omega = ck."""

@@ -28,7 +28,7 @@ from hjwave import (
     solve_wave,
 )
 from hjwave.fields import second_difference
-from hjwave.solvers import _stencil_eigenvalues
+from hjwave.solvers import MAX_STEPS, _stencil_eigenvalues
 
 NAT = PhysicalConstants()
 MASSLESS = PhysicalConstants(1.0, 1.0, 0.0)
@@ -644,7 +644,6 @@ def test_leapfrog_overflow_raises_with_rows_so_far():
     assert np.all(np.isfinite(d.norm)) and np.all(np.isfinite(d.energy))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the inf
 def test_non_finite_final_field_raises_at_the_call():
     grid = Grid.line(16, 2 * math.pi)
     values = np.ones(16, dtype=np.complex128)
@@ -653,6 +652,23 @@ def test_non_finite_final_field_raises_at_the_call():
     cfg = SolverConfig(dt=0.5 * leapfrog_stability_limit(grid, 1.0), steps=10)
     with pytest.raises(NumericalError, match="leapfrog produced non-finite"):
         solve_wave(initial, initial.with_values(np.zeros(16)), MASSLESS, cfg)
+
+
+@pytest.mark.parametrize("equation", ["relativistic", "schrodinger"])
+def test_rows_past_the_step_bound_are_refused_when_read(equation):
+    # the bound caps the memory of per-step rows, so a run past it still
+    # yields its final field, and refuses only to compute its rows
+    grid, initial, rate, dt = traveling_wave_setup(32, 1.0, NAT)
+    if equation == "relativistic":
+        report = solve_relativistic(initial, rate, NAT,
+                                    SolverConfig(dt, MAX_STEPS + 1))
+    else:
+        report = solve_schrodinger(
+            initial, NAT, SolverConfig(dt, MAX_STEPS + 1, CRANK_NICOLSON))
+    assert np.all(np.isfinite(report.final.values))
+    message = f"a run of {MAX_STEPS + 1} steps exceeds the bound of {MAX_STEPS}"
+    with pytest.raises(DomainError, match=message):
+        report.diagnostics
 
 
 @pytest.mark.parametrize("equation", ["wave", "schrodinger"])
