@@ -90,6 +90,7 @@ from .solvers import (
     hje_residual,
     leapfrog_stability_limit,
     log_curvature_check,
+    solve_plane_wave,
     solve_relativistic,
     solve_schrodinger,
     solve_wave,

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import verify
 from .errors import HjwaveError, NumericalError, VerificationError
-from .fields import Grid, ScalarField, plane_wave_field, save_field
+from .fields import Grid, ScalarField, save_field
 from .kinematics import (
     PhysicalConstants,
     dispersion_omega,
@@ -64,14 +64,9 @@ from .pde_algebra import (
 )
 from .reporting import json_dumps, write_csv, write_json
 from .solvers import (
-    CRANK_NICOLSON,
-    LEAPFROG,
-    SolverConfig,
     leapfrog_stability_limit,
     require_solver_grid,
-    solve_relativistic,
-    solve_schrodinger,
-    solve_wave,
+    solve_plane_wave,
 )
 
 
@@ -375,6 +370,9 @@ def cmd_transform(params: dict) -> CommandResult:
 
 
 def cmd_solve(params: dict) -> CommandResult:
+    """Evolve the plane wave of ``mode`` through solve_plane_wave; dt
+    defaults to ``cfl`` times the leapfrog stability limit, massless unless
+    the equation is relativistic."""
     consts = _consts(params)
     equation = params["equation"]
     if equation not in ("wave", "relativistic", "schrodinger"):
@@ -386,29 +384,14 @@ def cmd_solve(params: dict) -> CommandResult:
     require_solver_grid(grid)  # before the stability limit and any array
 
     k = 2 * math.pi * params["mode"] / params["length"]
-    k_vec = (k, 0.0, 0.0)  # along the first axis on 1D and 3D grids
     mu = consts.rest_frequency if equation == "relativistic" else 0.0
     limit = leapfrog_stability_limit(grid, consts.c, mu)
     dt = params["dt"] if params["dt"] is not None else params["cfl"] * limit
     steps = params["steps"]
-    scheme = CRANK_NICOLSON if equation == "schrodinger" else LEAPFROG
-    cfg = SolverConfig(dt=dt, steps=steps, scheme=scheme)
-
-    initial = plane_wave_field(grid, k_vec, omega=0.0, t=0.0)
-    if equation == "schrodinger":
-        report = solve_schrodinger(initial, consts, cfg)
-        omega = consts.hbar * k**2 / (2 * consts.m0)
-    else:
-        omega = consts.c * k if equation == "wave" else dispersion_omega(k, consts)
-        rate = initial.with_values(-1j * omega * initial.values)
-        solver = solve_wave if equation == "wave" else solve_relativistic
-        report = solver(initial, rate, consts, cfg)
-
+    report, omega, error = solve_plane_wave(equation, grid, k, consts, dt, steps)
     tee = report.final.time_stamp
-    analytic = plane_wave_field(grid, k_vec, omega=omega, t=tee)
-    error = float(np.max(np.abs(report.final.values - analytic.values)))
     norms = report.diagnostics.norm
-    drift = float(np.max(np.abs(norms / norms[0] - 1.0))) if norms.size else 0.0
+    drift = float(np.max(np.abs(norms / norms[0] - 1.0)))
     summary = {
         "command": "solve",
         "equation": equation,

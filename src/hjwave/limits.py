@@ -36,14 +36,17 @@ rest phase mu t are each one rounded product, so their error is near
 omega t eps (eps = 2^-53), not n eps: 4.8e-14 at c = 1024 (1.4e9 steps)
 and 2.1e-13 at c = 1664 (9.9e9 steps), against a 50-digit evaluation.
 omega t grows as c^2 and the gap falls as c^-2, so rounding takes about
-8 eps x^-4 of the gap, 1e-3 at x = 1e-3; it dominates from x near 2e-4
-(a sweep to c = 16384 fits a field order of 1.63).
+8 eps x^-4 of the gap, 1e-3 at x = 1e-3; it dominates from x near 2e-4.
+A row whose omega t eps exceeds ROUNDING_SHARE of its field gap is named
+in a warning.  That share is at most 1.2e-3 in studies that fit field
+orders within 0.011 of 2; it is 1.6e-2 at c = 2048 (a sweep of 4, 8, 16,
+2048 still fits 2.006) and 1.13 at c = 16384 (adding it fits 1.633).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +67,7 @@ from .solvers import (
 
 TEMPORAL_SAFETY = 0.05  # leapfrog phase-error budget as a gap fraction
 SCHRODINGER_STEPS = 256  # Crank-Nicolson steps of the Schrodinger endpoint
+ROUNDING_SHARE = 0.1  # of a row's field gap that phase rounding may take
 
 
 def factor_rest_energy(psi: ScalarField, consts: PhysicalConstants,
@@ -161,17 +165,17 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     consts_per_c = [
         PhysicalConstants(hbar=cfg.hbar, c=c, m0=cfg.m0) for c in cfg.c_values
     ]
-    freq_gaps = [
-        abs(_omega_minus_rest(cc, cfg.k) - schrodinger_rate)
-        for cc in consts_per_c
-    ]
+    rows: list[LimitRow] = []  # the field gaps are filled in below
+    for cc in consts_per_c:
+        rest = _omega_minus_rest(cc, cfg.k)
+        rows.append(LimitRow(cc.c, rest, schrodinger_rate,
+                             abs(rest - schrodinger_rate), 0.0,
+                             cfg.hbar * cfg.k / (cfg.m0 * cc.c)))
+    freq_gaps = [row.frequency_gap for row in rows]
 
     if not all(freq_gaps):
         # The rest mode k = 0, or a k so small that a gap rounds to 0: the
         # step budget below would be 0, and there is no gap to evolve or fit.
-        rows = [LimitRow(cc.c, _omega_minus_rest(cc, cfg.k), schrodinger_rate,
-                         gap, 0.0, cfg.hbar * cfg.k / (cfg.m0 * cc.c))
-                for cc, gap in zip(consts_per_c, freq_gaps)]
         warnings.append(f"k = {cfg.k:g}: a frequency gap is zero, no field "
                         "evolved and no order fitted")
         return LimitStudyReport(rows, None, None, warnings)
@@ -204,10 +208,9 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     h = grid.spacing
     k_stencil = (2.0 / h) * math.sin(0.5 * cfg.k * h)
 
-    rows: list[LimitRow] = []
-    field_gaps: list[float] = []
-    for cc, gap in zip(consts_per_c, freq_gaps):
-        dt = min(theta / dispersion_omega(cfg.k, cc),
+    for i, cc in enumerate(consts_per_c):
+        omega = dispersion_omega(cfg.k, cc)
+        dt = min(theta / omega,
                  0.5 * leapfrog_stability_limit(grid, cc.c, cc.rest_frequency))
         steps = max(1, math.ceil(tee / dt))
         run_cfg = SolverConfig(dt=tee / steps, steps=steps)
@@ -216,20 +219,15 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
         rel = solve_relativistic(initial, rate, cc, run_cfg)
         psi0 = factor_rest_energy(rel.final, cc, tee)
         field_gap = float(np.max(np.abs(psi0.values - psi_schr.values)))
-        field_gaps.append(field_gap)
-        rows.append(
-            LimitRow(
-                c=cc.c,
-                omega_minus_rest=_omega_minus_rest(cc, cfg.k),
-                omega_schrodinger=schrodinger_rate,
-                frequency_gap=gap,
-                field_gap=field_gap,
-                x_param=cfg.hbar * cfg.k / (cfg.m0 * cc.c),
-                dt=run_cfg.dt,
-                steps=run_cfg.steps,
-            )
-        )
+        rounding = omega * tee * 2.0**-53
+        if rounding > ROUNDING_SHARE * field_gap:
+            warnings.append(f"c = {cc.c:g}: phase rounding {rounding:.2e} "
+                            f"exceeds {ROUNDING_SHARE:g} of the field gap "
+                            f"{field_gap:.2e}")
+        rows[i] = replace(rows[i], field_gap=field_gap, dt=run_cfg.dt,
+                          steps=run_cfg.steps)
 
+    field_gaps = [row.field_gap for row in rows]
     for name, gaps in (("frequency", freq_gaps), ("field", field_gaps)):
         if any(b >= a for a, b in zip(gaps, gaps[1:])):
             warnings.append(f"{name} gap is not strictly decreasing in c")

@@ -19,6 +19,9 @@ O(dt^2) phase error is unchanged.  Leapfrog runs only within its
 stability limit, where theta is real: dt > leapfrog_stability_limit
 raises StabilityError.
 
+solve_plane_wave alone picks each equation's solver and plane-wave
+frequency, on the positive branch E = hbar omega >= 0.
+
 Leapfrog starts from a Taylor step and reports the exactly conserved
 discrete energy E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>;
 Crank-Nicolson reports the L2 norm and the discrete kinetic energy, which
@@ -28,13 +31,10 @@ computed from the spectra by Parseval's identity, when a SolveReport's
 such as the limit study, never computes a row.  The conserved
 quantities are evaluated once, so they are identical in every row; the
 leapfrog norm carries the rounding of its own row's evaluation, not
-rounding accumulated over steps.  A non-finite final field raises
-NumericalError at the solver call; a non-finite row raises it when the
-rows are first read.  Either error carries the rows before the first
-non-finite step.  Reading the rows of a run of more than MAX_STEPS
-steps raises DomainError before any row exists.  A grid holds at most
-MAX_POINTS points, checked by require_solver_grid before any field
-exists.
+rounding accumulated over steps.  SolveReport says when a non-finite
+field or row, or the rows of a run past MAX_STEPS, raise.  A grid holds
+at most MAX_POINTS points, checked by require_solver_grid before any
+field exists.
 
 The module also evaluates pointwise residuals of the nonlinear
 Hamilton-Jacobi equations on action fields (two time levels, or closed
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +67,12 @@ from .fields import (
     plane_wave_field,
     second_difference,
 )
-from .kinematics import ParticleState, PhysicalConstants, PlaneWave
+from .kinematics import (
+    ParticleState,
+    PhysicalConstants,
+    PlaneWave,
+    dispersion_omega,
+)
 from .reporting import write_csv
 
 LEAPFROG = "leapfrog"
@@ -132,18 +137,46 @@ class Diagnostics:
 class SolveReport:
     """A run's final field, and its per-step rows computed on first read.
 
-    Reading ``diagnostics`` the first time evaluates the rows, or raises
-    NumericalError at the first non-finite one; later reads return the
-    same Diagnostics.
+    ``series()`` returns the norm and energy series of steps 1..cfg.steps.
+    A non-finite final field raises NumericalError at construction; a
+    non-finite row raises it when ``diagnostics`` is first read.  Either
+    error names the first non-finite step and carries the rows of the
+    steps before it.  Reading the rows of a run past MAX_STEPS raises
+    DomainError first.  Later reads return the same Diagnostics.
     """
 
-    def __init__(self, final: ScalarField, rows: Callable[[], Diagnostics]):
-        self.final = final
-        self._rows = rows
+    def __init__(self, initial: ScalarField, cfg: SolverConfig,
+                 final: np.ndarray,
+                 series: Callable[[], tuple[np.ndarray, np.ndarray]],
+                 scheme: str):
+        self._t0, self._cfg = initial.time_stamp, cfg
+        self._series, self._scheme = series, scheme
+        self._final_ok = bool(np.all(np.isfinite(final)))
+        if not self._final_ok:
+            self.diagnostics
+        self.final = ScalarField(initial.grid, final,
+                                 self._t0 + cfg.dt * cfg.steps)
 
     @cached_property
     def diagnostics(self) -> Diagnostics:
-        return self._rows()
+        n_last = self._cfg.steps
+        if n_last > MAX_STEPS:
+            raise DomainError(
+                f"a run of {n_last} steps exceeds the bound of {MAX_STEPS}")
+        norms, energies = self._series()
+        steps = np.arange(1, n_last + 1)
+        times = self._t0 + self._cfg.dt * steps
+        finite = np.isfinite(norms) & np.isfinite(energies)
+        finite[-1] &= self._final_ok
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NumericalError(
+                f"{self._scheme} produced non-finite values at step {bad + 1}",
+                diagnostics=Diagnostics(
+                    steps[:bad], times[:bad], norms[:bad], energies[:bad]
+                ),
+            )
+        return Diagnostics(steps, times, norms, energies)
 
 
 def require_solver_grid(grid: Grid) -> None:
@@ -220,44 +253,6 @@ def _exponential_sums(rates: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _report(initial: ScalarField, cfg: SolverConfig, final: np.ndarray,
-            series: Callable[[], tuple[np.ndarray, np.ndarray]],
-            scheme: str) -> SolveReport:
-    """Package a run whose rows ``series()`` computes when first read.
-
-    ``series()`` returns the norm and energy series.  A non-finite final
-    field raises NumericalError now; a non-finite row raises it when the
-    rows are read.  Either error names the first non-finite step and
-    carries the rows of the steps before it.  Past MAX_STEPS, DomainError
-    comes first.
-    """
-    t0, dt, n_last = initial.time_stamp, cfg.dt, cfg.steps
-    final_ok = bool(np.all(np.isfinite(final)))
-
-    def rows() -> Diagnostics:
-        if n_last > MAX_STEPS:
-            raise DomainError(
-                f"a run of {n_last} steps exceeds the bound of {MAX_STEPS}")
-        norms, energies = series()
-        steps = np.arange(1, n_last + 1)
-        times = t0 + dt * steps
-        finite = np.isfinite(norms) & np.isfinite(energies)
-        finite[-1] &= final_ok
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise NumericalError(
-                f"{scheme} produced non-finite values at step {bad + 1}",
-                diagnostics=Diagnostics(
-                    steps[:bad], times[:bad], norms[:bad], energies[:bad]
-                ),
-            )
-        return Diagnostics(steps, times, norms, energies)
-
-    if not final_ok:
-        rows()
-    return SolveReport(ScalarField(initial.grid, final, t0 + dt * n_last), rows)
-
-
 def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
               c: float, mu: float, cfg: SolverConfig) -> SolveReport:
     grid = initial.grid
@@ -294,7 +289,7 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
     root = np.sqrt(s2[osc])  # sin(theta)
     sign = np.where(q[flat] < 0.5, 1.0, -1.0)
 
-    # non-finite input surfaces as NumericalError in _report, not a warning
+    # non-finite input surfaces as NumericalError in SolveReport, not a warning
     with np.errstate(invalid="ignore", over="ignore"):
         a = np.fft.fftn(initial.values).ravel()
         b = dt * np.fft.fftn(initial_rate.values).ravel()
@@ -339,7 +334,7 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
             np.sqrt(norms, out=norms)
         return norms, np.full(n_last, energy)
 
-    return _report(initial, cfg, final, series, "leapfrog")
+    return SolveReport(initial, cfg, final, series, "leapfrog")
 
 
 def solve_wave(initial: ScalarField, initial_rate: ScalarField,
@@ -398,9 +393,42 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
     norm = math.sqrt(scale * float(np.sum(power)))
     energy = scale * float(np.sum(kin_weight * power))
     final = np.fft.ifftn(np.exp(1j * cfg.steps * phase) * spectrum)
-    return _report(initial, cfg, final,
-                   lambda: (np.full(cfg.steps, norm), np.full(cfg.steps, energy)),
-                   "Crank-Nicolson")
+    return SolveReport(initial, cfg, final,
+                       lambda: (np.full(cfg.steps, norm),
+                                np.full(cfg.steps, energy)),
+                       "Crank-Nicolson")
+
+
+def solve_plane_wave(equation: str, grid: Grid, k: float,
+                     consts: PhysicalConstants, dt: float, steps: int
+                     ) -> tuple[SolveReport, float, float]:
+    """Evolve exp(i k x_1); return (report, omega, error).
+
+    k runs along the first axis, 1D or 3D, and every equation takes the
+    positive branch E = hbar omega >= 0, so a negative k travels toward
+    -x.  ``wave`` is the relativistic equation at m0 = 0; ``relativistic``
+    starts leapfrog from the rate -i omega psi, omega = dispersion_omega(|k|);
+    ``schrodinger`` runs Crank-Nicolson, omega = hbar k^2 / (2 m0).  error
+    is the max distance from the continuum plane wave at the final time.
+    """
+    k_vec = (k, 0.0, 0.0)
+    initial = plane_wave_field(grid, k_vec, omega=0.0, t=0.0)
+    if equation == "schrodinger":
+        cfg = SolverConfig(dt=dt, steps=steps, scheme=CRANK_NICOLSON)
+        report = solve_schrodinger(initial, consts, cfg)
+        omega = consts.hbar * k**2 / (2 * consts.m0)  # the solver refused m0 = 0
+    elif equation in ("wave", "relativistic"):
+        cfg = SolverConfig(dt=dt, steps=steps)
+        if equation == "wave":
+            consts = replace(consts, m0=0.0)
+        omega = dispersion_omega(abs(k), consts)
+        rate = initial.with_values(-1j * omega * initial.values)
+        report = solve_relativistic(initial, rate, consts, cfg)
+    else:
+        raise DomainError(f"unknown equation {equation!r}")
+    analytic = plane_wave_field(grid, k_vec, omega, t=report.final.time_stamp)
+    error = float(np.max(np.abs(report.final.values - analytic.values)))
+    return report, omega, error
 
 
 # ---------------------------------------------------------------------------

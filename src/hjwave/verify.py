@@ -60,9 +60,8 @@ from .solvers import (
     hje_residual,
     leapfrog_stability_limit,
     log_curvature_check,
-    solve_relativistic,
+    solve_plane_wave,
     solve_schrodinger,
-    solve_wave,
 )
 
 
@@ -183,43 +182,35 @@ def check_residual_decomposition(seed: int) -> CheckResult:
     )
 
 
-def _leapfrog_plane_wave(n: int, massive: bool, steps: int | None = None):
-    """Leapfrog run of the k = 1 plane wave on n points, and its frequency.
+def _leapfrog_plane_wave(n: int, equation: str, steps: int | None = None):
+    """solve_plane_wave of the k = 1 wave on n points, by leapfrog.
 
-    Massless: solve_wave at dt = h/2c, by default n/2 steps (t = pi/2).
-    Massive: solve_relativistic at half the stability limit, by default
-    to t ~ 1.
+    wave: dt = h/2c, by default n/2 steps (t = pi/2).  relativistic: half
+    the stability limit, by default to t ~ 1.
     """
-    k = 1.0
     grid = Grid.line(n, 2 * math.pi)
-    initial = plane_wave_field(grid, k, omega=0.0)
-    if massive:
-        omega = dispersion_omega(k, NATURAL)
+    if equation == "wave":
+        dt, default_steps = 0.5 * grid.spacing / NATURAL.c, n // 2
+    else:
         dt = 0.5 * leapfrog_stability_limit(grid, NATURAL.c,
                                             NATURAL.rest_frequency)
-        default_steps, solver = int(round(1.0 / dt)), solve_relativistic
-    else:
-        omega = NATURAL.c * k
-        dt = 0.5 * grid.spacing / NATURAL.c
-        default_steps, solver = n // 2, solve_wave
-    rate = initial.with_values(-1j * omega * initial.values)
-    cfg = SolverConfig(dt=dt, steps=steps or default_steps)
-    return solver(initial, rate, NATURAL, cfg), omega
+        default_steps = int(round(1.0 / dt))
+    return solve_plane_wave(equation, grid, 1.0, NATURAL, dt,
+                            steps or default_steps)
 
 
 def check_wave_solver_order(seed: int) -> CheckResult:
     orders = []
-    for massive in (False, True):
+    for equation in ("wave", "relativistic"):
         hs, errs = [], []
         for n in (32, 64, 128):
-            report, omega = _leapfrog_plane_wave(n, massive)
-            final = report.final
-            target = plane_wave_field(final.grid, 1.0, omega, t=final.time_stamp)
-            hs.append(final.grid.spacing)
-            errs.append(float(np.max(np.abs(final.values - target.values))))
+            report, _, error = _leapfrog_plane_wave(n, equation)
+            hs.append(report.final.grid.spacing)
+            errs.append(error)
         orders.append(fit_order(hs, errs).order)
 
-    energy = _leapfrog_plane_wave(64, True, 10_000)[0].diagnostics.energy
+    energy = _leapfrog_plane_wave(64, "relativistic",
+                                  10_000)[0].diagnostics.energy
     oscillation = float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
     ok = all(1.9 <= q <= 2.1 for q in orders) and oscillation <= 1e-6
     return CheckResult(
@@ -232,16 +223,13 @@ def check_wave_solver_order(seed: int) -> CheckResult:
 def check_schrodinger_cn(seed: int) -> CheckResult:
     k = 1.0
     tee = 0.5
-    omega = NATURAL.hbar * k**2 / (2 * NATURAL.m0)
     hs, errs = [], []
     for n in (32, 64, 128):
         grid = Grid.line(n, 2 * math.pi)
         steps = 25 * (n // 32)
-        cfg = SolverConfig(dt=tee / steps, steps=steps, scheme=CRANK_NICOLSON)
-        report = solve_schrodinger(plane_wave_field(grid, k, 0.0), NATURAL, cfg)
-        target = plane_wave_field(grid, k, omega, t=tee)
         hs.append(grid.spacing)
-        errs.append(float(np.max(np.abs(report.final.values - target.values))))
+        errs.append(solve_plane_wave("schrodinger", grid, k, NATURAL,
+                                     tee / steps, steps)[2])
     order = fit_order(hs, errs).order
 
     grid = Grid.line(64, 2 * math.pi)

@@ -277,6 +277,28 @@ class TestSolveCommand:
         res = run_cli("solve", "--equation", "heat", "--out", str(tmp_path / "x"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("dims", [[], ["--dims", "3", "--points", "16"]],
+                             ids=["1d", "3d"])
+    @pytest.mark.parametrize("equation",
+                             ["wave", "relativistic", "schrodinger"])
+    def test_negative_mode_takes_the_positive_branch(self, tmp_path,
+                                                     equation, dims):
+        summaries = {}
+        for mode in ("1", "-1"):
+            out = tmp_path / mode
+            res = run_cli("solve", "--equation", equation, "--mode", mode,
+                          *dims, "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            summaries[mode] = json.loads((out / "summary.json").read_text())
+        plus, minus = summaries["1"], summaries["-1"]
+        assert minus["k"] == -plus["k"]
+        assert minus["omega_analytic"] == plus["omega_analytic"] >= 0
+        # mode -1 is the mirror image of mode 1, so the two errors
+        # differ only by rounding of the unit-amplitude field (at most
+        # 8.8e-15 here, 3.3e-12 of the 1D wave's 2.7e-3 error)
+        assert abs(minus["error_vs_analytic"]
+                   - plus["error_vs_analytic"]) <= 1e-12
+
 
 class TestResidualCommand:
     def test_on_shell_residuals_vanish(self, tmp_path):
@@ -484,6 +506,31 @@ def test_failed_command_writes_nothing(tmp_path, argv, code, error_type):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, argv, message", [
+    ("{", [], "scenario is not valid JSON"),
+    ("[]", [], "scenario must be a JSON object"),
+    ({"command": "solve", "seed": 1}, [], "unknown scenario keys: ['seed']"),
+    ({"command": "solve", "parameters": [1]}, [],
+     "scenario parameters must be an object"),
+    ({"command": "solve", "output_dir": 1}, [], "output_dir must be a string"),
+    (None, ["--dims", "2"], "dims must be 1 or 3"),
+], ids=["not-json", "not-object", "unknown-key", "parameters-not-object",
+        "output-dir-not-string", "dims-2"])
+def test_invalid_scenario_or_dims_writes_nothing(tmp_path, scenario, argv,
+                                                message):
+    if scenario is not None:
+        text = scenario if isinstance(scenario, str) else json.dumps(scenario)
+        (tmp_path / "scenario.json").write_text(text)
+        argv = ["--scenario", "scenario.json", *argv]
+    before = sorted(os.listdir(tmp_path))
+    res = run_cli("solve", *argv, cwd=tmp_path)  # default output hjwave-out
+    assert (res.returncode, res.stdout) == (2, "")
+    (line,) = res.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["exit_code"] == 2 and error["message"].startswith(message)
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 # the smallest grids past solvers.MAX_POINTS, so that a regression
 # allocates megabytes: one point more in 1D, the first n^3 above it in 3D
 CUBE_SIDE = next(n for n in range(8, MAX_POINTS) if n**3 > MAX_POINTS)
@@ -518,6 +565,9 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
      "c = 1e+200 is out of range: its square overflows"),
     (["solve", "--hbar", "1e-320"], 2,
      "rest frequency m0 c^2/hbar = inf is out of range: its square overflows"),
+    # omega = hbar k^2 / (2 m0) is formed only after the solver refused m0
+    (["solve", "--equation", "schrodinger", "--m0", "0"], 2,
+     "the free Schrodinger equation needs m0 > 0"),
     (["limit-study", "--k", "1e300", "--m0", "1e301", *SPEEDS], 2,
      "k = 1e+300 is out of range: its square overflows"),
     (["limit-study", "--k", "1e-300", *SPEEDS], 2,

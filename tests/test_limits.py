@@ -174,6 +174,26 @@ class TestStudyRuns:
             assert row["steps"] * row["dt"] == pytest.approx(2e-4, rel=1e-12)
 
 
+class TestPhaseRounding:
+    # rounding takes 2.5e-7 and 1.0e-6 of a field gap here (and 1.2e-3 in
+    # TestStudyRuns.test_rows_past_the_step_bound_run, also warning-free)
+    @pytest.mark.parametrize("cfg", [
+        LimitStudyConfig(),
+        LimitStudyConfig(evolution_time=1e-4, hbar=0.7),
+    ], ids=["default", "t=1e-4,hbar=0.7"])
+    def test_no_warning_below_the_share(self, cfg):
+        assert run_limit_study(cfg).warnings == []
+
+    def test_row_swamped_by_rounding_is_named(self):
+        # omega t eps is 1.6e-2 of the c = 2048 gap and 1.13 of c = 16384's
+        report = run_limit_study(LimitStudyConfig(
+            c_values=(4.0, 8.0, 16.0, 2048.0, 16384.0)))
+        (warning,) = [w for w in report.warnings if "rounding" in w]
+        assert warning.startswith("c = 16384: phase rounding 1.49e-11 "
+                                  "exceeds 0.1 of the field gap 1.32e-11")
+        assert report.field_fit.order < 1.8  # what the warning explains
+
+
 def test_study_computes_no_per_step_rows(monkeypatch):
     # Reading every row's diagnostics, or never computing them, gives the
     # same reports: the study and its verify check read final fields only.

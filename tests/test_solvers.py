@@ -23,6 +23,7 @@ from hjwave import (
     leapfrog_stability_limit,
     log_curvature_check,
     plane_wave_field,
+    solve_plane_wave,
     solve_relativistic,
     solve_schrodinger,
     solve_wave,
@@ -691,3 +692,27 @@ def test_diagnostics_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,time,norm,energy"
     assert len(lines) == 6
+
+
+class TestSolvePlaneWave:
+    @pytest.mark.parametrize("grid", [Grid.line(32, 2 * math.pi),
+                                      Grid.cube(8, 2 * math.pi)],
+                             ids=["1d", "3d"])
+    def test_wave_is_solve_wave(self, grid):
+        # the massless relativistic run is solve_wave's, bit for bit; the
+        # constants' own mass does not enter
+        consts = PhysicalConstants(0.7, 2.0, 1.3)
+        k, steps = 2.0, 37
+        dt = 0.5 * leapfrog_stability_limit(grid, consts.c)
+        report, omega, _ = solve_plane_wave("wave", grid, k, consts, dt, steps)
+        initial = plane_wave_field(grid, (k, 0.0, 0.0), omega=0.0)
+        rate = initial.with_values(-1j * consts.c * k * initial.values)
+        expected = solve_wave(initial, rate, consts, SolverConfig(dt, steps))
+        assert omega == consts.c * k
+        assert np.array_equal(report.final.values, expected.final.values)
+        assert report.final.time_stamp == expected.final.time_stamp
+
+    def test_unknown_equation(self):
+        with pytest.raises(DomainError, match="unknown equation 'heat'"):
+            solve_plane_wave("heat", Grid.line(32, 2 * math.pi), 1.0, NAT,
+                             0.01, 5)
