@@ -170,7 +170,8 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("dims", "int", 1, "grid dimensionality: 1 or 3"),
         Param("points", "int", 64, "grid points per axis"),
         Param("length", "float", 2 * math.pi, "box length per axis"),
-        Param("mode", "int", 1, "plane-wave mode number (k = 2 pi mode/length)"),
+        Param("mode", "int", 1, "plane-wave mode number (k = 2 pi mode/length),"
+              " |mode| <= points // 2"),
         Param("dt", "float", None, "time step (default: cfl * stability limit)"),
         Param("cfl", "float", 0.5, "fraction of the stability limit for dt"),
         Param("steps", "int", 200, "number of time steps"),
@@ -203,8 +204,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("c_values", "float_list", [4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
               "ascending light speeds to sweep"),
         Param("time", "float", 5e-4, "physical evolution time per run"),
-        Param("points", "int", 64, "grid points"),
-        Param("mode", "int", 1, "grid length is mode * 2 pi / k"),
+        Param("points", "int", 64, "grid points on one wavelength 2 pi / k"),
         _HBAR, _M0,
         # not read; bench/workloads.py LimitSweep passes it (ROADMAP item 1)
         Param("seed", "int", 0, "accepted and ignored"),
@@ -372,7 +372,8 @@ def cmd_transform(params: dict) -> CommandResult:
 def cmd_solve(params: dict) -> CommandResult:
     """Evolve the plane wave of ``mode`` through solve_plane_wave; dt
     defaults to ``cfl`` times the leapfrog stability limit, massless unless
-    the equation is relativistic."""
+    the equation is relativistic.  A mode past points // 2 would alias on
+    the grid, and is refused."""
     consts = _consts(params)
     equation = params["equation"]
     if equation not in ("wave", "relativistic", "schrodinger"):
@@ -383,7 +384,11 @@ def cmd_solve(params: dict) -> CommandResult:
                 (params["length"],) * params["dims"])
     require_solver_grid(grid)  # before the stability limit and any array
 
-    k = 2 * math.pi * params["mode"] / params["length"]
+    mode, bound = params["mode"], params["points"] // 2
+    if abs(mode) > bound:  # past Nyquist the samples alias to mode - points
+        raise CliValidationError(f"mode {mode} is out of range: |mode| must "
+                                 f"not exceed points // 2 = {bound}")
+    k = 2 * math.pi * mode / params["length"]
     mu = consts.rest_frequency if equation == "relativistic" else 0.0
     limit = leapfrog_stability_limit(grid, consts.c, mu)
     dt = params["dt"] if params["dt"] is not None else params["cfl"] * limit
@@ -498,7 +503,6 @@ def cmd_limit_study(params: dict) -> CommandResult:
         hbar=params["hbar"],
         evolution_time=params["time"],
         grid_points=params["points"],
-        mode=params["mode"],
     )
     report = run_limit_study(cfg)
     freq, fld = (f"{fit.order:.3f}" if fit else "n/a"

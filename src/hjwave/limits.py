@@ -10,8 +10,9 @@ gap (leading term hbar^3 k^4 / (8 m0^3 c^2)).  The study quantifies that
 limit two ways per speed value: a closed-form frequency gap, and a field
 gap between factored leapfrog evolution of the relativistic equation and
 Crank-Nicolson evolution of the Schrodinger equation from the same
-initial plane wave over the same physical time.  Both gap sequences are
-fitted to  gap ~ C * c^(-q).
+initial plane wave over the same physical time, on a periodic grid of
+one wavelength 2 pi / k.  Both gap sequences are fitted to
+gap ~ C * c^(-q).
 
 Temporal discretization is controlled by holding omega * dt constant
 across the sweep, with the constant chosen from the leapfrog phase-error
@@ -21,7 +22,9 @@ which would otherwise swamp the O(c^-2) signal at large c).  The initial
 rate uses the dispersion frequency of the *stencil* wavenumber
 (2/h) sin(kh/2): an analytic-frequency rate would seed the backward
 branch of the leapfrog recurrence with an O(h^2/c^2) amplitude, the same
-order as the signal under measurement.
+order as the signal under measurement.  So the relativistic runs call
+solve_relativistic with that rate, while the Schrodinger endpoint, whose
+one-level scheme needs no rate, is solve_plane_wave's.
 
 The solvers evaluate both schemes in closed form per Fourier mode, so
 the step count, which grows as c^2 because dt ~ 1/c^2, costs no per-step
@@ -55,13 +58,12 @@ from .errors import DomainError, InsufficientDataError
 from .fields import Grid, ScalarField, plane_wave_field
 from .kinematics import PhysicalConstants, dispersion_omega
 from .solvers import (
-    CRANK_NICOLSON,
     SolverConfig,
     _require_normal_square,
     leapfrog_stability_limit,
     require_solver_grid,
+    solve_plane_wave,
     solve_relativistic,
-    solve_schrodinger,
 )
 
 
@@ -87,8 +89,7 @@ class LimitStudyConfig:
     m0: float = 1.0
     hbar: float = 1.0
     evolution_time: float = 5e-4
-    grid_points: int = 64
-    mode: int = 1  # the grid length is set to mode * 2*pi / k
+    grid_points: int = 64  # on one wavelength, 2 pi / k
 
     def __post_init__(self):
         if len(self.c_values) < 4:
@@ -180,7 +181,7 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
                         "evolved and no order fitted")
         return LimitStudyReport(rows, None, None, warnings)
 
-    grid = Grid.line(cfg.grid_points, cfg.mode * 2.0 * math.pi / cfg.k)
+    grid = Grid.line(cfg.grid_points, 2.0 * math.pi / cfg.k)
     require_solver_grid(grid)
     tee = cfg.evolution_time
 
@@ -196,14 +197,11 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     theta = min(theta, 0.5)
 
     # The Schrodinger endpoint does not depend on c: evolve it once.
-    initial = plane_wave_field(grid, cfg.k, omega=0.0, t=0.0)
     consts_nr = PhysicalConstants(hbar=cfg.hbar, c=1.0, m0=cfg.m0)
-    schr_cfg = SolverConfig(
-        dt=tee / SCHRODINGER_STEPS,
-        steps=SCHRODINGER_STEPS,
-        scheme=CRANK_NICOLSON,
-    )
-    psi_schr = solve_schrodinger(initial, consts_nr, schr_cfg).final
+    psi_schr = solve_plane_wave("schrodinger", grid, cfg.k, consts_nr,
+                                tee / SCHRODINGER_STEPS,
+                                SCHRODINGER_STEPS)[0].final
+    initial = plane_wave_field(grid, cfg.k, omega=0.0, t=0.0)
 
     h = grid.spacing
     k_stencil = (2.0 / h) * math.sin(0.5 * cfg.k * h)

@@ -152,24 +152,27 @@ class DispersionQuadratic:
 # Physical spec factories
 # ---------------------------------------------------------------------------
 
-def hje_pde_spec(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
-    """Free-particle Hamilton-Jacobi equation as a coefficient tensor.
+def _hje_spec(consts: PhysicalConstants, massless: bool, dims: int) -> PdeSpec:
+    """Free-particle HJE with ``dims`` space arguments, then t.
 
-    Arguments are (x, y, z, t): diagonal matrix with +1 on the t-t entry,
-    -c^2 on the spatial diagonal, and free term -m0^2 c^4 (0 if massless).
+    Diagonal matrix with +1 on the t-t entry, -c^2 on the spatial
+    diagonal, and free term -m0^2 c^4 (0 if massless).
     """
     c2 = consts.c_squared
-    terms = [PdeTerm(2, (j, j), -c2) for j in (1, 2, 3)]
-    terms.append(PdeTerm(2, (4, 4), 1.0))
+    terms = [PdeTerm(2, (j, j), -c2) for j in range(1, dims + 1)]
+    terms.append(PdeTerm(2, (dims + 1, dims + 1), 1.0))
     b = 0.0 if massless else -(consts.rest_energy**2)
-    return PdeSpec(n=4, m=2, terms=tuple(terms), b=b)
+    return PdeSpec(n=dims + 1, m=2, terms=tuple(terms), b=b)
+
+
+def hje_pde_spec(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
+    """Free-particle Hamilton-Jacobi equation in arguments (x, y, z, t)."""
+    return _hje_spec(consts, massless, 3)
 
 
 def hje_pde_spec_1d(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
     """One space dimension variant with arguments (x, t)."""
-    b = 0.0 if massless else -(consts.rest_energy**2)
-    terms = (PdeTerm(2, (1, 1), -consts.c_squared), PdeTerm(2, (2, 2), 1.0))
-    return PdeSpec(n=2, m=2, terms=terms, b=b)
+    return _hje_spec(consts, massless, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +204,12 @@ def log_transform(spec: PdeSpec, A: complex) -> PdeSpec:
     )
 
 
-def _quadratic_entries(spec: PdeSpec, A: complex | None = None
-                       ) -> tuple[list[tuple[int, int, complex]], complex]:
-    """Nonzero (j, k, M_jk) of linearize's M in row-major order, and b.
+def linearize(spec: PdeSpec, A: complex | None = None) -> LinearPdeSpec:
+    """Equivalent linear second-order PDE: M = A^2 a_jk, zeroth coefficient b.
 
-    Indices are 0-based; entries hit by several terms are summed in term
-    order before the zero test.
+    For a homogeneous spec the A^2 factor is already folded into the stored
+    coefficients; a supplied A must then match the recorded constant.
+    Entries hit by several terms are summed in term order.
     """
     if spec.m != 2:
         raise UnsupportedOrderError("only quadratic (m = 2) specs are supported")
@@ -223,25 +226,18 @@ def _quadratic_entries(spec: PdeSpec, A: complex | None = None
         if A is None:
             raise DomainError("A is required for a spec not yet transformed")
         factor = complex(A) ** 2
-    acc: dict[tuple[int, int], complex] = {}
+    mat = [[0j] * spec.n for _ in range(spec.n)]
     for t in spec.terms:
         j, k = t.indices
-        acc[j - 1, k - 1] = acc.get((j - 1, k - 1), 0j) + factor * t.coeff
-    entries = [(j, k, m) for (j, k), m in sorted(acc.items()) if m != 0]
-    return entries, spec.b
+        mat[j - 1][k - 1] += factor * t.coeff
+    return LinearPdeSpec(n=spec.n, second_order_coeffs=mat, zeroth_coeff=spec.b)
 
 
-def linearize(spec: PdeSpec, A: complex | None = None) -> LinearPdeSpec:
-    """Equivalent linear second-order PDE: M = A^2 a_jk, zeroth coefficient b.
-
-    For a homogeneous spec the A^2 factor is already folded into the stored
-    coefficients; a supplied A must then match the recorded constant.
-    """
-    entries, b = _quadratic_entries(spec, A)
-    mat = np.zeros((spec.n, spec.n), dtype=np.complex128)
-    for j, k, m in entries:
-        mat[j, k] = m
-    return LinearPdeSpec(n=spec.n, second_order_coeffs=mat, zeroth_coeff=b)
+def _entries(lspec: LinearPdeSpec) -> list[tuple[int, int, complex]]:
+    """Nonzero (j, k, M_jk) of the matrix, 0-based, in row-major order."""
+    return [(j, k, m)
+            for j, row in enumerate(lspec.second_order_coeffs.tolist())
+            for k, m in enumerate(row) if m != 0]
 
 
 def dispersion_quadratic(spec: PdeSpec, A: complex | None, k
@@ -480,10 +476,8 @@ def residual_linear(lspec: LinearPdeSpec, field, point) -> complex:
     """Left-hand side sum_jk M_jk d2 psi/dx_j dx_k + b psi at one point."""
     def linear(f):
         total = lspec.zeroth_coeff * f.value
-        for j, row in enumerate(lspec.second_order_coeffs.tolist()):
-            for k, m in enumerate(row):
-                if m != 0:
-                    total += m * f.d2(j, k)
+        for j, k, m in _entries(lspec):
+            total += m * f.d2(j, k)
         return total
     if isinstance(field, ScalarField):
         f = _Sampled(field, point, lspec.n)
@@ -512,30 +506,29 @@ class ResidualDecomposition:
 def _decomposition(spec: PdeSpec, A: complex | None, field, point):
     """lhs, rhs, scale and correction at ``point``, or everywhere if None.
 
-    Memoised on a sampled field: _quadratic_entries runs on a miss only,
-    and an A it rejects raises before the field is read, on every call.
+    Memoised on a sampled field: linearize runs on a miss only, and an A
+    it rejects raises before the field is read, on every call.
     """
     key = ("decomposition", spec._key, repr(A))
     sampled = isinstance(field, ScalarField)
-    hit = sampled and key in field._memo
-    entries, b = (None, None) if hit else _quadratic_entries(spec, A)
+    lspec = None if sampled and key in field._memo else linearize(spec, A)
     f = (_Sampled if sampled else _Exact)(field, point, spec.n)
     f.require_nonzero()
     if not sampled:
-        return _decomposition_terms(entries, b, f)
-    terms = f.read(key, lambda f: _decomposition_terms(entries, b, f))
+        return _decomposition_terms(lspec, f)
+    terms = f.read(key, lambda f: _decomposition_terms(lspec, f))
     return terms if point is None else [a.item(f.point) for a in terms]
 
 
-def _decomposition_terms(entries, b: complex, f):
+def _decomposition_terms(lspec: LinearPdeSpec, f):
     """lhs, rhs, scale and correction from the reader f, at its point or grid.
 
     The sums run over the nonzero M_jk in row-major order, then add b terms.
     """
-    v = f.value
+    v, b = f.value, lspec.zeroth_coeff
     lhs = linear = curvature = 0j
     scale = 0.0
-    for j, k, m in entries:
+    for j, k, m in _entries(lspec):
         gg = f.d1(j) * f.d1(k)
         lhs += m * gg
         linear += m * f.d2(j, k)

@@ -54,14 +54,11 @@ from .pde_algebra import (
     wavefunction_from_action,
 )
 from .solvers import (
-    CRANK_NICOLSON,
-    SolverConfig,
     eigen_checks,
     hje_residual,
     leapfrog_stability_limit,
     log_curvature_check,
     solve_plane_wave,
-    solve_schrodinger,
 )
 
 
@@ -232,11 +229,8 @@ def check_schrodinger_cn(seed: int) -> CheckResult:
                                      tee / steps, steps)[2])
     order = fit_order(hs, errs).order
 
-    grid = Grid.line(64, 2 * math.pi)
-    cfg = SolverConfig(dt=5e-4, steps=10_000, scheme=CRANK_NICOLSON)
-    norms = solve_schrodinger(
-        plane_wave_field(grid, k, 0.0), NATURAL, cfg
-    ).diagnostics.norm
+    norms = solve_plane_wave("schrodinger", Grid.line(64, 2 * math.pi), k,
+                             NATURAL, 5e-4, 10_000)[0].diagnostics.norm
     drift = float(np.max(np.abs(norms[1:] / norms[:-1] - 1.0)))
     ok = 1.9 <= order <= 2.1 and drift <= 1e-12
     return CheckResult(

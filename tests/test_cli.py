@@ -267,6 +267,31 @@ class TestSolveCommand:
         assert summary["steps"] == 10
         assert load_field(out / "final.field").grid.shape == (16, 16, 16)
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "33"], ["--mode", "-33"], ["--mode", "40"],
+        ["--mode", "100000000000000000000"], ["--mode", str(10**310)],
+        ["--dims", "3", "--points", "16", "--mode", "9"],
+    ], ids=["33", "-33", "40", "1e20", "1e310", "3d-9"])
+    def test_mode_past_half_the_points_exits_2(self, tmp_path, argv):
+        # past points // 2 the samples alias to grid mode ``mode - points``
+        out = tmp_path / "x"
+        res = run_cli("solve", *argv, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        error = json.loads(res.stderr)["error"]
+        assert error["type"] == "CliValidationError"
+        mode = argv[argv.index("--mode") + 1]
+        bound = "8" if "--dims" in argv else "32"
+        assert f"mode {mode} is out of range" in error["message"]
+        assert error["message"].endswith(f"points // 2 = {bound}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["32", "-32"])
+    def test_nyquist_mode_runs(self, tmp_path, mode):
+        res = run_cli("solve", "--mode", mode, "--steps", "5",
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 0, res.stderr
+
     def test_cfl_violation_exits_numerical(self, tmp_path):
         res = run_cli("solve", "--equation", "wave", "--points", "32",
                       "--dt", "1.0", "--steps", "5", "--out", str(tmp_path / "x"))
@@ -766,8 +791,7 @@ SCENARIO_PARAMS = {
                                     max_size=5),
                     "time": st.floats(0.0, 1e-4)
                             | st.sampled_from([-1e-4, math.nan, math.inf]),
-                    "points": st.integers(-1, 32), "mode": st.integers(-1, 3),
-                    "seed": st.integers()},
+                    "points": st.integers(-1, 32), "seed": st.integers()},
     "verify-all": {"seed": st.integers(-1, 20)},
 }
 # parameters every scenario of the command sets, so that no example runs
@@ -938,8 +962,8 @@ def test_commands_read_exactly_their_declared_parameters(spec_file, tmp_path,
 
 REMOVED = [("dispersion", "seed"), ("transform", "seed"), ("solve", "seed"),
            ("residual", "seed"), ("newton", "seed"), ("newton", "hbar"),
-           ("limit-study", "c"), ("verify-all", "hbar"), ("verify-all", "c"),
-           ("verify-all", "m0")]
+           ("limit-study", "c"), ("limit-study", "mode"), ("verify-all", "hbar"),
+           ("verify-all", "c"), ("verify-all", "m0")]
 
 
 @pytest.mark.parametrize("spelling", ["flag", "scenario"])

@@ -712,6 +712,23 @@ class TestSolvePlaneWave:
         assert np.array_equal(report.final.values, expected.final.values)
         assert report.final.time_stamp == expected.final.time_stamp
 
+    @pytest.mark.parametrize("grid", [Grid.line(32, 2 * math.pi),
+                                      Grid.cube(8, 2 * math.pi)],
+                             ids=["1d", "3d"])
+    def test_schrodinger_is_solve_schrodinger(self, grid):
+        # the limit study's endpoint and verify-all's norm run go through
+        # here, so their fields must be solve_schrodinger's, bit for bit
+        consts = PhysicalConstants(0.7, 2.0, 1.3)
+        k, dt, steps = 2.0, 0.013, 37
+        report, omega, _ = solve_plane_wave("schrodinger", grid, k, consts,
+                                            dt, steps)
+        initial = plane_wave_field(grid, (k, 0.0, 0.0), omega=0.0)
+        expected = solve_schrodinger(
+            initial, consts, SolverConfig(dt, steps, scheme=CRANK_NICOLSON))
+        assert omega == consts.hbar * k**2 / (2 * consts.m0)
+        assert np.array_equal(report.final.values, expected.final.values)
+        assert report.final.time_stamp == expected.final.time_stamp
+
     def test_unknown_equation(self):
         with pytest.raises(DomainError, match="unknown equation 'heat'"):
             solve_plane_wave("heat", Grid.line(32, 2 * math.pi), 1.0, NAT,
