@@ -389,9 +389,10 @@ def cmd_solve(params: dict) -> CommandResult:
         raise CliValidationError(f"mode {mode} is out of range: |mode| must "
                                  f"not exceed points // 2 = {bound}")
     k = 2 * math.pi * mode / params["length"]
-    mu = consts.rest_frequency if equation == "relativistic" else 0.0
-    limit = leapfrog_stability_limit(grid, consts.c, mu)
-    dt = params["dt"] if params["dt"] is not None else params["cfl"] * limit
+    dt = params["dt"]
+    if dt is None:
+        mu = consts.rest_frequency if equation == "relativistic" else 0.0
+        dt = params["cfl"] * leapfrog_stability_limit(grid, consts.c, mu)
     steps = params["steps"]
     report, omega, error = solve_plane_wave(equation, grid, k, consts, dt, steps)
     tee = report.final.time_stamp

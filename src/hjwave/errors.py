@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all hjwave modules."""
+"""Exception hierarchy shared by all hjwave modules; errors carry a message."""
 
 
 class HjwaveError(Exception):
@@ -14,14 +14,7 @@ class StabilityError(HjwaveError):
 
 
 class NumericalError(HjwaveError):
-    """A numerical procedure failed (non-finite values, failed solve).
-
-    Carries whatever per-step diagnostics were collected before the failure.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """A numerical procedure failed (non-finite values, failed solve)."""
 
 
 class FormatError(HjwaveError, ValueError):
@@ -41,15 +34,7 @@ class ZeroFieldError(HjwaveError, ValueError):
 
 
 class DivergenceError(HjwaveError):
-    """A trajectory integration produced non-finite state.
-
-    The partial trajectory up to the last valid step is attached.
-    """
-
-    def __init__(self, message, partial=None, last_valid_step=None):
-        super().__init__(message)
-        self.partial = partial
-        self.last_valid_step = last_valid_step
+    """A trajectory integration produced non-finite state."""
 
 
 class DegenerateQuadraticError(HjwaveError, ValueError):

@@ -210,6 +210,9 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
         omega = dispersion_omega(cfg.k, cc)
         dt = min(theta / omega,
                  0.5 * leapfrog_stability_limit(grid, cc.c, cc.rest_frequency))
+        if tee / dt == math.inf:
+            raise DomainError(f"evolution time {tee!r} at c = {cc.c!r} "
+                              "needs a step count that overflows a float")
         steps = max(1, math.ceil(tee / dt))
         run_cfg = SolverConfig(dt=tee / steps, steps=steps)
         omega_grid = dispersion_omega(k_stencil, cc)

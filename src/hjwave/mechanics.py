@@ -35,7 +35,6 @@ class Potential:
     shape (...).
     """
 
-    name: str
     kappa: float
     force: tuple[float, float, float]
 
@@ -43,7 +42,7 @@ class Potential:
     def free(cls) -> "Potential":
         # F = -0.0 makes the force -grad(0) a negated zero, which keeps
         # the sign of zero momentum components through a step
-        return cls("free", 0.0, (-0.0, -0.0, -0.0))
+        return cls(0.0, (-0.0, -0.0, -0.0))
 
     @classmethod
     def linear(cls, force) -> "Potential":
@@ -51,12 +50,12 @@ class Potential:
         f = np.asarray(force, dtype=float)
         if f.shape != (3,):
             raise DomainError("force must be a 3-vector")
-        return cls("linear", 0.0, tuple(f.tolist()))
+        return cls(0.0, tuple(f.tolist()))
 
     @classmethod
     def harmonic(cls, kappa: float) -> "Potential":
         """Phi = kappa |r|^2 / 2."""
-        return cls("harmonic", float(kappa), (0.0, 0.0, 0.0))
+        return cls(float(kappa), (0.0, 0.0, 0.0))
 
     # At kappa = 0 the kappa terms are left out, not multiplied by zero,
     # which would give nan where r or |r|^2 is infinite.
@@ -135,7 +134,8 @@ def integrate_newton(potential: Potential, r0, p0,
     ay1 = ay2 = ay3 = ay4 = fy
     az1 = az2 = az3 = az4 = fz
     # A non-finite state never turns finite again, so the loop checks only
-    # every 256 steps and a scan of the rows finds the first diverged step.
+    # every 256 steps and a scan of the rows finds the first diverged step,
+    # which DivergenceError names.
     for i in range(1, steps + 1):
         d = m0 * hypot(1.0, hypot(px, py, pz) / mc)
         vx1, vy1, vz1 = px / d, py / d, pz / d
@@ -184,13 +184,8 @@ def integrate_newton(potential: Potential, r0, p0,
     diverged = ~(np.isfinite(rs[done]).all(axis=1)
                  & np.isfinite(ps[done]).all(axis=1))
     if diverged.any():
-        i = int(np.argmax(diverged)) + 1
-        partial = Trajectory(ts[:i], rs[:i].copy(), ps[:i].copy())
         raise DivergenceError(
-            f"trajectory diverged at step {i}",
-            partial=partial,
-            last_valid_step=i - 1,
-        )
+            f"trajectory diverged at step {int(np.argmax(diverged)) + 1}")
     return Trajectory(ts, rs, ps)
 
 

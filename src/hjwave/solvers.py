@@ -31,8 +31,9 @@ computed from the spectra by Parseval's identity, when a SolveReport's
 such as the limit study, never computes a row.  The conserved
 quantities are evaluated once, so they are identical in every row; the
 leapfrog norm carries the rounding of its own row's evaluation, not
-rounding accumulated over steps.  SolveReport says when a non-finite
-field or row, or the rows of a run past MAX_STEPS, raise.  A grid holds
+rounding accumulated over steps.  A non-finite final field raises at
+the solver call, before any row is computed; a non-finite row, or the
+rows of a run past MAX_STEPS, raise when the rows are read.  A grid holds
 at most MAX_POINTS points, checked by require_solver_grid before any
 field exists.
 
@@ -138,22 +139,22 @@ class SolveReport:
     """A run's final field, and its per-step rows computed on first read.
 
     ``series()`` returns the norm and energy series of steps 1..cfg.steps.
-    A non-finite final field raises NumericalError at construction; a
-    non-finite row raises it when ``diagnostics`` is first read.  Either
-    error names the first non-finite step and carries the rows of the
-    steps before it.  Reading the rows of a run past MAX_STEPS raises
-    DomainError first.  Later reads return the same Diagnostics.
+    A non-finite final field raises NumericalError at construction, naming
+    step cfg.steps, and no row is computed.  Reading the rows of a run
+    past MAX_STEPS raises DomainError; a non-finite row raises
+    NumericalError naming its first non-finite step.  Later reads return
+    the same Diagnostics.
     """
 
     def __init__(self, initial: ScalarField, cfg: SolverConfig,
                  final: np.ndarray,
                  series: Callable[[], tuple[np.ndarray, np.ndarray]],
                  scheme: str):
+        if not np.all(np.isfinite(final)):
+            raise NumericalError(f"{scheme} produced non-finite values in "
+                                 f"the final field, at step {cfg.steps}")
         self._t0, self._cfg = initial.time_stamp, cfg
         self._series, self._scheme = series, scheme
-        self._final_ok = bool(np.all(np.isfinite(final)))
-        if not self._final_ok:
-            self.diagnostics
         self.final = ScalarField(initial.grid, final,
                                  self._t0 + cfg.dt * cfg.steps)
 
@@ -167,15 +168,9 @@ class SolveReport:
         steps = np.arange(1, n_last + 1)
         times = self._t0 + self._cfg.dt * steps
         finite = np.isfinite(norms) & np.isfinite(energies)
-        finite[-1] &= self._final_ok
         if not finite.all():
-            bad = int(np.argmin(finite))
-            raise NumericalError(
-                f"{self._scheme} produced non-finite values at step {bad + 1}",
-                diagnostics=Diagnostics(
-                    steps[:bad], times[:bad], norms[:bad], energies[:bad]
-                ),
-            )
+            raise NumericalError(f"{self._scheme} produced non-finite values "
+                                 f"at step {int(np.argmin(finite)) + 1}")
         return Diagnostics(steps, times, norms, energies)
 
 

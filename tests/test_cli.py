@@ -292,6 +292,12 @@ class TestSolveCommand:
                       "--out", str(tmp_path / "x"))
         assert res.returncode == 0, res.stderr
 
+    def test_schrodinger_with_dt_does_not_need_c(self, tmp_path):
+        # neither the equation nor an explicit dt reads c, so no c is refused
+        res = run_cli("solve", "--equation", "schrodinger", "--c", "1e200",
+                      "--dt", "0.01", "--out", str(tmp_path / "x"))
+        assert (res.returncode, res.stderr) == (0, ""), res.stderr
+
     def test_cfl_violation_exits_numerical(self, tmp_path):
         res = run_cli("solve", "--equation", "wave", "--points", "32",
                       "--dt", "1.0", "--steps", "5", "--out", str(tmp_path / "x"))
@@ -584,6 +590,9 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
      "c = 1e+200 is out of range: its square overflows"),
     (["solve", "--c", "1e-200"], 2,
      "c = 1e-200 is out of range: its square underflows"),
+    # with dt given, c is checked by the solver, not by the default dt
+    (["solve", "--equation", "relativistic", "--c", "1e200", "--dt", "0.01"],
+     2, "c = 1e+200 is out of range: its square overflows"),
     (["transform", "--c", "1e200"], 2,
      "c = 1e+200 is out of range: its square overflows"),
     (["residual", "--c", "1e200", "--on-shell"], 2,
@@ -598,6 +607,9 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
     (["limit-study", "--k", "1e-300", *SPEEDS], 2,
      "k = 1e-300 is out of range: its square underflows"),
     (["limit-study", "--time", "inf"], 2, "time must be finite"),
+    (["limit-study", "--time", "1e300"], 2,
+     "evolution time 1e+300 at c = 128.0 needs a step count that overflows "
+     "a float"),
     (["solve", "--equation", "wave", "--c", "1e154"], 2,
      "c = 1e+154 is out of range on a grid of spacings (0.09817477042468103,)"
      ": 4 c^2 sum h^-2 + mu^2 overflows"),

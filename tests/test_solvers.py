@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hjwave import (
     solve_schrodinger,
     solve_wave,
 )
+from hjwave import solvers
 from hjwave.fields import second_difference
 from hjwave.solvers import MAX_STEPS, _stencil_eigenvalues
 
@@ -639,9 +641,13 @@ def test_leapfrog_overflow_raises_with_rows_so_far():
     report = solve_wave(initial, rate, MASSLESS, cfg)  # the final field is finite
     with pytest.raises(NumericalError) as err:
         report.diagnostics  # the rows are computed, and checked, when read
-    d = err.value.diagnostics
-    assert 0 < len(d.step) < cfg.steps
-    assert list(d.step) == list(range(1, len(d.step) + 1))
+    step = int(re.fullmatch(r"leapfrog produced non-finite values at step "
+                            r"(\d+)", str(err.value)).group(1))
+    assert 1 < step < cfg.steps
+    # the rows so far are those of the same run stopped one step earlier
+    d = solve_wave(initial, rate, MASSLESS,
+                   SolverConfig(dt=dt, steps=step - 1)).diagnostics
+    assert list(d.step) == list(range(1, step))
     assert np.all(np.isfinite(d.norm)) and np.all(np.isfinite(d.energy))
 
 
@@ -653,6 +659,35 @@ def test_non_finite_final_field_raises_at_the_call():
     cfg = SolverConfig(dt=0.5 * leapfrog_stability_limit(grid, 1.0), steps=10)
     with pytest.raises(NumericalError, match="leapfrog produced non-finite"):
         solve_wave(initial, initial.with_values(np.zeros(16)), MASSLESS, cfg)
+
+
+def nan_input_leapfrog(steps):
+    """A 32^3 leapfrog run, one NaN in its initial field, of ``steps`` steps."""
+    grid = Grid.cube(32, 2 * math.pi)
+    values = np.ones(grid.shape, dtype=np.complex128)
+    values[1, 2, 3] = np.nan
+    initial = ScalarField(grid, values)
+    dt = 0.5 * leapfrog_stability_limit(grid, MASSLESS.c)
+    return solve_wave(initial, initial.with_values(np.zeros(grid.shape)),
+                      MASSLESS, SolverConfig(dt, steps))
+
+
+def test_non_finite_final_field_past_the_step_bound_raises_at_the_call():
+    # the final field is checked before, and apart from, the rows' bound
+    with pytest.raises(NumericalError, match=f"at step {MAX_STEPS + 1}$"):
+        nan_input_leapfrog(MAX_STEPS + 1)
+
+
+def test_reports_are_built_without_computing_rows(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a per-step row was computed")
+
+    monkeypatch.setattr(solvers, "_exponential_sums", no_rows)
+    with pytest.raises(NumericalError, match="leapfrog produced non-finite"):
+        nan_input_leapfrog(10_000)
+    grid, initial, rate, dt = traveling_wave_setup(32, 1.0, NAT)
+    solve_relativistic(initial, rate, NAT, SolverConfig(dt, 10_000))
+    solve_schrodinger(initial, NAT, SolverConfig(dt, 10_000, CRANK_NICOLSON))
 
 
 @pytest.mark.parametrize("equation", ["relativistic", "schrodinger"])
