@@ -33,7 +33,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,7 +62,7 @@ from .pde_algebra import (
     residual_linear,
     residual_nonlinear,
 )
-from .reporting import json_dumps, write_csv, write_json
+from .reporting import json_dumps, write_csv
 from .solvers import (
     leapfrog_stability_limit,
     require_solver_grid,
@@ -312,9 +312,10 @@ def _consts(params: dict) -> PhysicalConstants:
 class CommandResult:
     """A command's output files, its stdout lines and its failure, if any.
 
-    ``files`` maps a file name to a CSV table ``(header, columns)``, a JSON
-    object (a dict) or a ScalarField.  An ``error`` (failed verify-all
-    checks) is reported, and sets the exit code, after the files are written.
+    ``files`` maps a file name to a CSV table ``(header, columns)``, a
+    ScalarField or a JSON object (a dict or a dataclass instance).  An
+    ``error`` (failed verify-all checks) is reported, and sets the exit
+    code, after the files are written.
     """
 
     files: dict[str, object]
@@ -449,7 +450,7 @@ def cmd_residual(params: dict) -> CommandResult:
         "dispersion_roots": list(disp.roots),
         "nonlinear_residual": nonlinear,
         "linear_residual": linear,
-        "decomposition": asdict(decomp),
+        "decomposition": decomp,
     }
     return CommandResult(
         {"residual.json": residual},
@@ -513,7 +514,7 @@ def cmd_limit_study(params: dict) -> CommandResult:
     return CommandResult(
         {
             "limit_study.csv": report.table(),
-            "limit_study.json": report.summary(),
+            "limit_study.json": report,
         },
         [headline] + [f"warning: {w}" for w in report.warnings],
     )
@@ -533,7 +534,7 @@ def cmd_verify_all(params: dict) -> CommandResult:
         "command": "verify-all",
         "passed": passed,
         "total": len(results),
-        "checks": [asdict(r) for r in results],
+        "checks": results,
     }
     return CommandResult(
         {
@@ -586,20 +587,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_outputs(out: str, files: dict[str, object]) -> None:
     """Create ``out`` and write every file of a command.
 
-    Every JSON object is encoded before the directory is created, so a
-    value JSON cannot hold (nan, inf) raises NumericalError and leaves
+    Every JSON object is encoded once, before the directory is created, so
+    a value JSON cannot hold (nan, inf) raises NumericalError and leaves
     nothing on disk.
     """
-    for data in files.values():
-        if isinstance(data, dict):
-            json_dumps(data)
+    texts = {name: json_dumps(data) for name, data in files.items()
+             if not isinstance(data, (tuple, ScalarField))}
     os.makedirs(out, exist_ok=True)
     for name, data in files.items():
         path = os.path.join(out, name)
-        if isinstance(data, ScalarField):
+        if name in texts:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(texts[name])
+        elif isinstance(data, ScalarField):
             save_field(path, data)
-        elif isinstance(data, dict):
-            write_json(path, data)
         else:
             write_csv(path, *data)
 

@@ -18,13 +18,10 @@ Temporal discretization is controlled by holding omega * dt constant
 across the sweep, with the constant chosen from the leapfrog phase-error
 budget so the scheme error stays a small fraction of the physical gap at
 every c (leapfrog advances phases at omega*(1 + (omega dt)^2/24 + ...),
-which would otherwise swamp the O(c^-2) signal at large c).  The initial
-rate uses the dispersion frequency of the *stencil* wavenumber
-(2/h) sin(kh/2): an analytic-frequency rate would seed the backward
-branch of the leapfrog recurrence with an O(h^2/c^2) amplitude, the same
-order as the signal under measurement.  So the relativistic runs call
-solve_relativistic with that rate, while the Schrodinger endpoint, whose
-one-level scheme needs no rate, is solve_plane_wave's.
+which would otherwise swamp the O(c^-2) signal at large c).  Both
+endpoints are solve_plane_wave's; its stencil-frequency leapfrog start
+keeps the backward leapfrog branch, which the analytic frequency would
+seed at the O(h^2/c^2) order of the signal, out of the field gap.
 
 The solvers evaluate both schemes in closed form per Fourier mode, so
 the step count, which grows as c^2 because dt ~ 1/c^2, costs no per-step
@@ -49,20 +46,19 @@ orders within 0.011 of 2; it is 1.6e-2 at c = 2048 (a sweep of 4, 8, 16,
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .convergence import OrderFit, fit_order
 from .errors import DomainError, InsufficientDataError
-from .fields import Grid, ScalarField, plane_wave_field
+from .fields import Grid, ScalarField
 from .kinematics import PhysicalConstants, dispersion_omega
 from .solvers import (
-    SolverConfig,
     _require_normal_square,
     leapfrog_stability_limit,
-    require_solver_grid,
     solve_plane_wave,
+    # not called; bench/tests/test_harness.py reads it (ROADMAP item 1)
     solve_relativistic,
 )
 
@@ -70,6 +66,7 @@ from .solvers import (
 TEMPORAL_SAFETY = 0.05  # leapfrog phase-error budget as a gap fraction
 SCHRODINGER_STEPS = 256  # Crank-Nicolson steps of the Schrodinger endpoint
 ROUNDING_SHARE = 0.1  # of a row's field gap that phase rounding may take
+MAX_ROW_STEPS = 2**53  # leapfrog steps of a row: a double holds each count
 
 
 def factor_rest_energy(psi: ScalarField, consts: PhysicalConstants,
@@ -140,10 +137,6 @@ class LimitStudyReport:
         return ["c", "freq_gap", "field_gap", "x_param"], list(zip(*(
             (r.c, r.frequency_gap, r.field_gap, r.x_param) for r in self.rows)))
 
-    def summary(self) -> dict:
-        """Every field, rows and fits included, as nested JSON-ready dicts."""
-        return asdict(self)
-
 
 def _omega_minus_rest(consts: PhysicalConstants, k: float) -> float:
     """omega(k) - m0 c^2/hbar = mu x^2 / (1 + sqrt(1 + x^2)), cancellation-free."""
@@ -182,7 +175,6 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
         return LimitStudyReport(rows, None, None, warnings)
 
     grid = Grid.line(cfg.grid_points, 2.0 * math.pi / cfg.k)
-    require_solver_grid(grid)
     tee = cfg.evolution_time
 
     # One step-size budget for the whole sweep: omega*dt = theta with
@@ -201,32 +193,26 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     psi_schr = solve_plane_wave("schrodinger", grid, cfg.k, consts_nr,
                                 tee / SCHRODINGER_STEPS,
                                 SCHRODINGER_STEPS)[0].final
-    initial = plane_wave_field(grid, cfg.k, omega=0.0, t=0.0)
-
-    h = grid.spacing
-    k_stencil = (2.0 / h) * math.sin(0.5 * cfg.k * h)
 
     for i, cc in enumerate(consts_per_c):
         omega = dispersion_omega(cfg.k, cc)
         dt = min(theta / omega,
                  0.5 * leapfrog_stability_limit(grid, cc.c, cc.rest_frequency))
-        if tee / dt == math.inf:
-            raise DomainError(f"evolution time {tee!r} at c = {cc.c!r} "
-                              "needs a step count that overflows a float")
+        if tee / dt > MAX_ROW_STEPS:
+            raise DomainError(f"evolution time {tee!r} at c = {cc.c!r} needs "
+                              f"more than 2**53 = {MAX_ROW_STEPS} steps")
         steps = max(1, math.ceil(tee / dt))
-        run_cfg = SolverConfig(dt=tee / steps, steps=steps)
-        omega_grid = dispersion_omega(k_stencil, cc)
-        rate = initial.with_values(-1j * omega_grid * initial.values)
-        rel = solve_relativistic(initial, rate, cc, run_cfg)
-        psi0 = factor_rest_energy(rel.final, cc, tee)
+        dt = tee / steps
+        rel = solve_plane_wave("relativistic", grid, cfg.k, cc, dt,
+                               steps)[0].final
+        psi0 = factor_rest_energy(rel, cc, tee)
         field_gap = float(np.max(np.abs(psi0.values - psi_schr.values)))
         rounding = omega * tee * 2.0**-53
         if rounding > ROUNDING_SHARE * field_gap:
             warnings.append(f"c = {cc.c:g}: phase rounding {rounding:.2e} "
                             f"exceeds {ROUNDING_SHARE:g} of the field gap "
                             f"{field_gap:.2e}")
-        rows[i] = replace(rows[i], field_gap=field_gap, dt=run_cfg.dt,
-                          steps=run_cfg.steps)
+        rows[i] = replace(rows[i], field_gap=field_gap, dt=dt, steps=steps)
 
     field_gaps = [row.field_gap for row in rows]
     for name, gaps in (("frequency", freq_gaps), ("field", field_gaps)):

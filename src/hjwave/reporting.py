@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -96,6 +97,8 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     inner = pad + "  "
+    if is_dataclass(obj):  # the object of its fields, in field order
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, (list, tuple)):
         items = [inner + _json_text(item, inner) for item in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"

@@ -20,7 +20,9 @@ stability limit, where theta is real: dt > leapfrog_stability_limit
 raises StabilityError.
 
 solve_plane_wave alone picks each equation's solver and plane-wave
-frequency, on the positive branch E = hbar omega >= 0.
+frequency, on the positive branch E = hbar omega >= 0.  Its leapfrog
+starts from the frequency of the stencil wavenumber (2/h) sin(kh/2): the
+analytic one would seed the backward leapfrog branch at O(h^2).
 
 Leapfrog starts from a Taylor step and reports the exactly conserved
 discrete energy E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>;
@@ -399,13 +401,16 @@ def solve_plane_wave(equation: str, grid: Grid, k: float,
                      ) -> tuple[SolveReport, float, float]:
     """Evolve exp(i k x_1); return (report, omega, error).
 
-    k runs along the first axis, 1D or 3D, and every equation takes the
-    positive branch E = hbar omega >= 0, so a negative k travels toward
-    -x.  ``wave`` is the relativistic equation at m0 = 0; ``relativistic``
-    starts leapfrog from the rate -i omega psi, omega = dispersion_omega(|k|);
-    ``schrodinger`` runs Crank-Nicolson, omega = hbar k^2 / (2 m0).  error
-    is the max distance from the continuum plane wave at the final time.
+    The grid is checked first.  k runs along the first axis, 1D or 3D, and
+    every equation takes the positive branch E = hbar omega >= 0, so a
+    negative k travels toward -x.  ``wave`` is the relativistic equation at
+    m0 = 0; ``relativistic`` has omega = dispersion_omega(|k|) and starts
+    leapfrog from the rate -i omega_h psi, omega_h that of the stencil
+    wavenumber |(2/h) sin(kh/2)|, as omega would seed the backward branch
+    at O(h^2); ``schrodinger`` runs Crank-Nicolson, omega = hbar k^2/(2 m0).
+    error is the max distance from the continuum plane wave at the end.
     """
+    require_solver_grid(grid)
     k_vec = (k, 0.0, 0.0)
     initial = plane_wave_field(grid, k_vec, omega=0.0, t=0.0)
     if equation == "schrodinger":
@@ -417,7 +422,9 @@ def solve_plane_wave(equation: str, grid: Grid, k: float,
         if equation == "wave":
             consts = replace(consts, m0=0.0)
         omega = dispersion_omega(abs(k), consts)
-        rate = initial.with_values(-1j * omega * initial.values)
+        h = grid.spacings[0]
+        omega_h = dispersion_omega(abs(2.0 / h * math.sin(0.5 * k * h)), consts)
+        rate = initial.with_values(-1j * omega_h * initial.values)
         report = solve_relativistic(initial, rate, consts, cfg)
     else:
         raise DomainError(f"unknown equation {equation!r}")

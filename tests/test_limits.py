@@ -16,7 +16,7 @@ from hjwave import (
     run_limit_study,
     solve_relativistic,
 )
-from hjwave import limits, solvers, verify
+from hjwave import solvers, verify
 from hjwave.solvers import MAX_STEPS
 from hjwave.reporting import write_csv, write_json
 
@@ -158,7 +158,7 @@ class TestStudyRuns:
         csv_path = tmp_path / "study.csv"
         json_path = tmp_path / "study.json"
         write_csv(csv_path, *report.table())
-        write_json(json_path, report.summary())
+        write_json(json_path, report)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "c,freq_gap,field_gap,x_param"
         assert len(lines) == 5
@@ -197,20 +197,24 @@ class TestPhaseRounding:
 def test_study_computes_no_per_step_rows(monkeypatch):
     # Reading every row's diagnostics, or never computing them, gives the
     # same reports: the study and its verify check read final fields only.
+    calls = []
+
     def eager(*args):
         report = solve_relativistic(*args)
-        report.diagnostics
+        calls.append(report.diagnostics)
         return report
 
-    monkeypatch.setattr(limits, "solve_relativistic", eager)
-    expected = run_limit_study(LimitStudyConfig()).summary()
+    # solve_plane_wave calls solvers' binding, not the one limits imports
+    monkeypatch.setattr(solvers, "solve_relativistic", eager)
+    expected = run_limit_study(LimitStudyConfig())
     expected_check = verify.check_limit_frequency_order(0)
     monkeypatch.undo()
+    assert len(calls) == 2 * len(LimitStudyConfig().c_values)
 
     def refuse(*args):
         raise AssertionError("per-step rows computed")
 
     monkeypatch.setattr(solvers, "_exponential_sums", refuse)
-    assert run_limit_study(LimitStudyConfig()).summary() == expected
+    assert run_limit_study(LimitStudyConfig()) == expected
     check = verify.check_limit_frequency_order(0)
     assert check.passed and check == expected_check

@@ -219,6 +219,14 @@ class TestReportingHelpers:
         assert json.loads(json_dumps(obj)) == obj
         assert json_dumps({"plain": "a b/c"}) == '{\n  "plain": "a b/c"\n}\n'
 
+    def test_dataclass_is_the_object_of_its_fields(self):
+        # nested, in field order, with the bytes of its asdict copy
+        report = run_limit_study(LimitStudyConfig(
+            c_values=(4.0, 8.0, 16.0, 32.0), evolution_time=2e-4))
+        assert json_dumps(report) == json_dumps(dataclasses.asdict(report))
+        assert list(json.loads(json_dumps(report))) == [
+            "rows", "frequency_fit", "field_fit", "warnings"]
+
     def test_negative_zero_survives_json_round_trip(self):
         assert fmt_float(-0.0) == "-0.0"
         assert math.copysign(1.0, json.loads(fmt_float(-0.0))) == -1.0

@@ -31,7 +31,7 @@ from hjwave import (
 )
 from hjwave import solvers
 from hjwave.fields import second_difference
-from hjwave.solvers import MAX_STEPS, _stencil_eigenvalues
+from hjwave.solvers import MAX_POINTS, MAX_STEPS, _stencil_eigenvalues
 
 NAT = PhysicalConstants()
 MASSLESS = PhysicalConstants(1.0, 1.0, 0.0)
@@ -729,23 +729,82 @@ def test_diagnostics_csv(tmp_path):
     assert len(lines) == 6
 
 
+def stencil_wavenumber(grid, k):
+    """|(2/h) sin(kh/2)|, the wavenumber the central Laplacian sees."""
+    h = grid.spacings[0]
+    return abs((2.0 / h) * math.sin(0.5 * k * h))
+
+
 class TestSolvePlaneWave:
     @pytest.mark.parametrize("grid", [Grid.line(32, 2 * math.pi),
                                       Grid.cube(8, 2 * math.pi)],
                              ids=["1d", "3d"])
     def test_wave_is_solve_wave(self, grid):
-        # the massless relativistic run is solve_wave's, bit for bit; the
-        # constants' own mass does not enter
+        # the massless relativistic run is solve_wave's from the stencil
+        # rate, bit for bit; the constants' own mass does not enter
         consts = PhysicalConstants(0.7, 2.0, 1.3)
         k, steps = 2.0, 37
         dt = 0.5 * leapfrog_stability_limit(grid, consts.c)
         report, omega, _ = solve_plane_wave("wave", grid, k, consts, dt, steps)
         initial = plane_wave_field(grid, (k, 0.0, 0.0), omega=0.0)
-        rate = initial.with_values(-1j * consts.c * k * initial.values)
+        omega_h = consts.c * stencil_wavenumber(grid, k)
+        rate = initial.with_values(-1j * omega_h * initial.values)
         expected = solve_wave(initial, rate, consts, SolverConfig(dt, steps))
         assert omega == consts.c * k
         assert np.array_equal(report.final.values, expected.final.values)
         assert report.final.time_stamp == expected.final.time_stamp
+
+    @pytest.mark.parametrize("grid", [Grid.line(32, 2 * math.pi),
+                                      Grid.cube(8, 2 * math.pi)],
+                             ids=["1d", "3d"])
+    def test_relativistic_is_solve_relativistic(self, grid):
+        # the limit study's relativistic runs go through here, so their
+        # fields must be solve_relativistic's from the stencil rate
+        consts = PhysicalConstants(0.7, 2.0, 1.3)
+        k, steps = 2.0, 37
+        dt = 0.5 * leapfrog_stability_limit(grid, consts.c,
+                                            consts.rest_frequency)
+        report, omega, _ = solve_plane_wave("relativistic", grid, k, consts,
+                                            dt, steps)
+        initial = plane_wave_field(grid, (k, 0.0, 0.0), omega=0.0)
+        omega_h = dispersion_omega(stencil_wavenumber(grid, k), consts)
+        rate = initial.with_values(-1j * omega_h * initial.values)
+        expected = solve_relativistic(initial, rate, consts,
+                                      SolverConfig(dt, steps))
+        assert omega == dispersion_omega(k, consts)
+        assert np.array_equal(report.final.values, expected.final.values)
+        assert report.final.time_stamp == expected.final.time_stamp
+
+    @pytest.mark.parametrize("equation", ["wave", "relativistic"])
+    def test_stencil_start_drifts_less(self, equation):
+        # solve's default 1D run: the analytic rate -i omega(k) psi seeds
+        # the backward leapfrog branch, and the norm beats with it
+        consts = NAT if equation == "relativistic" else MASSLESS
+        grid = Grid.line(64, 2 * math.pi)
+        dt = 0.5 * leapfrog_stability_limit(grid, consts.c,
+                                            consts.rest_frequency)
+        report, omega, _ = solve_plane_wave(equation, grid, 1.0, NAT, dt, 200)
+        initial = plane_wave_field(grid, (1.0, 0.0, 0.0), omega=0.0)
+        rate = initial.with_values(-1j * omega * initial.values)
+        analytic = solve_relativistic(initial, rate, consts,
+                                      SolverConfig(dt, 200))
+
+        def drift(r):
+            norms = r.diagnostics.norm
+            return float(np.max(np.abs(norms / norms[0] - 1.0)))
+
+        assert drift(report) < drift(analytic)
+
+    def test_grid_is_checked_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("plane wave sampled")
+
+        monkeypatch.setattr(solvers, "plane_wave_field", refuse)
+        with pytest.raises(DomainError, match=f"exceeds the bound of "
+                                              f"{MAX_POINTS}"):
+            solve_plane_wave("relativistic", Grid.line(MAX_POINTS + 1,
+                                                       2 * math.pi),
+                             1.0, NAT, 0.01, 5)
 
     @pytest.mark.parametrize("grid", [Grid.line(32, 2 * math.pi),
                                       Grid.cube(8, 2 * math.pi)],
