@@ -14,6 +14,7 @@ integrator steps six Python floats.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from math import hypot, isfinite
 
@@ -69,7 +70,12 @@ class Potential:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled phase-space history (t_i, r_i, p_i), i = 0..steps."""
+    """Sampled phase-space history (t_i, r_i, p_i), i = 0..steps.
+
+    From integrate_newton, ``r`` and ``p`` are read-only strided views of
+    one (samples, 6) buffer of rows (x, y, z, px, py, pz): columns 0-2
+    and 3-5.  Copy them to get writable arrays.
+    """
 
     t: np.ndarray
     r: np.ndarray  # (samples, 3)
@@ -116,9 +122,6 @@ def integrate_newton(potential: Potential, r0, p0,
         raise DomainError("r0 and p0 must be 3-vectors")
 
     ts = np.arange(steps + 1) * dt
-    rs = np.empty((steps + 1, 3))
-    ps = np.empty((steps + 1, 3))
-    rs[0], ps[0] = r, p
 
     # One RK4 step over Python floats.  The velocity repeats
     # particle_velocity's operations, p_i / (m0 hypot(1, |p| / (m0 c))),
@@ -130,6 +133,7 @@ def integrate_newton(potential: Potential, r0, p0,
     half, sixth = 0.5 * dt, dt / 6.0
     x, y, z = r.tolist()
     px, py, pz = p.tolist()
+    buf = array("d", (x, y, z, px, py, pz))  # one row per sample
     ax1 = ax2 = ax3 = ax4 = fx
     ay1 = ay2 = ay3 = ay4 = fy
     az1 = az2 = az3 = az4 = fz
@@ -173,20 +177,19 @@ def integrate_newton(potential: Potential, r0, p0,
         px = px + sixth * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
         py = py + sixth * (ay1 + 2 * ay2 + 2 * ay3 + ay4)
         pz = pz + sixth * (az1 + 2 * az2 + 2 * az3 + az4)
-        rs[i] = x, y, z
-        ps[i] = px, py, pz
+        buf.extend((x, y, z, px, py, pz))
         if i % 256 == 0 and not (isfinite(x) and isfinite(y) and isfinite(z)
                                  and isfinite(px) and isfinite(py)
                                  and isfinite(pz)):
             break
 
-    done = slice(1, i + 1)
-    diverged = ~(np.isfinite(rs[done]).all(axis=1)
-                 & np.isfinite(ps[done]).all(axis=1))
+    rows = np.frombuffer(buf).reshape(-1, 6)
+    diverged = ~np.isfinite(rows[1:]).all(axis=1)
     if diverged.any():
         raise DivergenceError(
             f"trajectory diverged at step {int(np.argmax(diverged)) + 1}")
-    return Trajectory(ts, rs, ps)
+    rows.flags.writeable = False
+    return Trajectory(ts, rows[:, :3], rows[:, 3:])
 
 
 def curl_check(p_field, grid: Grid) -> float:

@@ -10,9 +10,18 @@ non-ASCII text.  A text cell that holds a comma, a double quote or a line
 break is quoted as RFC 4180 asks, with its quotes doubled; numbers never
 need quoting.
 
-A CSV table is a header and equal-length columns.  ``write_csv`` formats a
-float array column with fmt_float and any other with fmt_cell, and holds
-the text of at most BLOCK_ROWS = 1024 rows at a time.
+A CSV table is a header and equal-length columns, written BLOCK_ROWS = 1024
+rows at a time with one ``%`` format per block.  The block's template
+holds one field per cell: ``%.17g`` for a float array column (read as
+float64), ``%d`` for an integer array column, and ``%s`` for any other
+column, whose cells fmt_cell formats first.  fmt_float adds ``.0`` to a
+float whose 17-digit text is all digits; that is exactly a finite,
+integral float below 1e17 in magnitude (-0.0 included), and for those
+cells, and only those, ``%.1f`` gives fmt_float's text.  numpy finds
+them, and the block repeats one row template, which takes ``%.1f`` in a
+column that is integral in most of the block's rows, and rewrites only
+the rows that differ from it.  So the file holds the bytes of fmt_cell
+applied row by row.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +40,7 @@ _INT = (int, np.integer)
 _FLOAT = (float, np.floating)
 _COMPLEX = (complex, np.complexfloating)
 BLOCK_ROWS = 1024  # rows formatted and written at a time
+_FORMAT = {"f": "%.17g", "i": "%d", "u": "%d"}  # array dtype kind -> field
 
 
 def fmt_float(x: float) -> str:
@@ -57,24 +68,55 @@ def fmt_cell(value) -> str:
     return text
 
 
+def _block_template(formats, floats, block) -> str:
+    """The ``%`` template of one block, one line per row.
+
+    ``floats`` indexes the float columns in ``formats``; an integral cell
+    of one of them takes ``%.1f`` in place of ``%.17g``.
+    """
+    line = ",".join(formats) + "\n"
+    rows = len(block[0])
+    if not floats:
+        return line * rows
+    x = np.column_stack([block[j] for j in floats])
+    integral = (np.abs(x) < 1e17) & (np.trunc(x) == x)
+    spec = list(formats)
+
+    def marked(row) -> str:
+        for j, dot in zip(floats, row):
+            spec[j] = "%.1f" if dot else "%.17g"
+        return ",".join(spec) + "\n"
+
+    common = integral.sum(axis=0) * 2 > rows
+    lines = [marked(common)] * rows
+    for i in np.flatnonzero((integral != common).any(axis=1)).tolist():
+        lines[i] = marked(integral[i])
+    return "".join(lines)
+
+
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns (arrays or sequences) under ``header``.
 
-    A float array column is formatted with fmt_float from ``tolist()``,
-    any other column with fmt_cell, so the bytes are those of fmt_cell
+    Each block of BLOCK_ROWS rows is one ``%`` format of its template
+    (see the module docstring), so the bytes are those of fmt_cell
     applied row by row.  Columns of no rows give a header-only file.
     """
     rows = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != rows for c in columns):
         raise ValueError("need one column per header name, all of one length")
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "" for c in columns]
+    columns = [np.asarray(c, dtype=float) if k == "f" else c
+               for c, k in zip(columns, kinds)]
+    formats = [_FORMAT.get(k, "%s") for k in kinds]
+    floats = [j for j, k in enumerate(kinds) if k == "f"]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for a in range(0, rows, BLOCK_ROWS):
-            block = [map(fmt_float, c[a:a + BLOCK_ROWS].tolist()) if f
-                     else map(fmt_cell, c[a:a + BLOCK_ROWS])
-                     for c, f in zip(columns, floats)]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            block = [c[a:a + BLOCK_ROWS] for c in columns]
+            cells = [b.tolist() if f != "%s" else map(fmt_cell, b)
+                     for b, f in zip(block, formats)]
+            fh.write(_block_template(formats, floats, block)
+                     % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _json_float(x) -> str:

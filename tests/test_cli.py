@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -371,6 +372,21 @@ class TestNewtonCommand:
         assert len(lines) == 22
         summary = json.loads((out / "summary.json").read_text())
         assert summary["energy_drift_rel"] <= 1e-12
+
+    def test_harmonic_trajectory_bytes_pinned(self, tmp_path):
+        # 2049 steps: two full CSV blocks and one row.  The RK4 rows are
+        # Python float arithmetic, and the energies' one matrix product is
+        # with a zero force, exact under any BLAS; z stays 0.0, so rz and
+        # pz are integral cells in every row.
+        out = tmp_path / "n"
+        res = run_cli("newton", "--potential", "harmonic", "--steps", "2049",
+                      "--r0", "1", "--r0", "0", "--r0", "0",
+                      "--p0", "0", "--p0", "0.5", "--p0", "0",
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes())
+        assert digest.hexdigest() == (
+            "a37b5e778fd3ca76e26f2c9e907181e11456dc0760145d103a5dcb7985163f64")
 
     def test_huge_momentum_stays_finite(self, tmp_path):
         out = tmp_path / "n"

@@ -253,6 +253,29 @@ class TestSteppedOracle:
         assert traj.r.tobytes() == rs.tobytes()
         assert traj.p.tobytes() == ps.tobytes()
 
+    # one step, and one step past the first finiteness check at step 256
+    @pytest.mark.parametrize("steps", [1, 257])
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    def test_rows_bit_identical_at_edge_step_counts(self, kind, steps):
+        rng = np.random.default_rng(steps)
+        potential = POTENTIALS[kind](rng)
+        r0, p0 = seeded_vector(rng), seeded_vector(rng)
+        traj = integrate_newton(potential, r0, p0, NAT, 0.01, steps)
+        rs, ps = stepped_rk4(potential, r0, p0, NAT, 0.01, steps)
+        assert traj.r.shape == traj.p.shape == (steps + 1, 3)
+        assert traj.r.tobytes() == rs.tobytes()
+        assert traj.p.tobytes() == ps.tobytes()
+
+    def test_rows_are_read_only_views_of_one_buffer(self):
+        traj = integrate_newton(Potential.harmonic(1.0), [1.0, 0.0, 0.0],
+                                [0.0, 0.5, 0.0], NAT, 0.01, 10)
+        assert not traj.r.flags.writeable and not traj.p.flags.writeable
+        assert traj.r.base is traj.p.base
+        with pytest.raises(ValueError, match="read-only"):
+            traj.r[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.p[-1] = 0.0
+
 
 class TestCurlCheck:
     def test_gradient_witness(self):

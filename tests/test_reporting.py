@@ -67,7 +67,8 @@ COLUMN_KINDS = {
     "bool": (st.booleans(), np.bool_),
     "bool list": (st.booleans(), None),
     "complex": (st.complex_numbers(), np.complex128),
-    "text": (st.text(st.sampled_from('ab ,"\n\r\'-.0e'), max_size=8), None),
+    "text": (st.text(st.sampled_from('ab ,"\n\r\'-.0e%()s'), max_size=8),
+             None),
 }
 
 
@@ -93,6 +94,35 @@ def test_write_csv_matches_row_oracle(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     write_csv(path, *table)
     assert path.read_bytes() == _row_oracle(*table)
+
+
+def test_write_csv_integral_cells_and_percent_signs(tmp_path):
+    # integral cells take %.1f in the block template: put them in the rows
+    # at both sides of the first block boundary and in the first and last
+    # rows, next to a column integral in every row, one integral in every
+    # row but those, and text and a header name that look like templates
+    rows = 2 * BLOCK_ROWS + 1
+    edges = [0, BLOCK_ROWS - 1, BLOCK_ROWS, rows - 1]
+    integral = [0.0, -0.0, 3.0, 1e16, 1e17, -1.2e17]
+    cells = np.repeat(np.linspace(0.1, 7.3, rows)[:, None], len(integral), 1)
+    cells[edges] = integral
+    mostly = np.arange(rows, dtype=float)
+    mostly[edges] += 0.5
+    text = [("%s", "%%", "%(a)s", "50% off")[i % 4] for i in range(rows)]
+    header = [f"x{j}" for j in range(len(integral))] + [
+        "n%", "mostly", "text", "count"]
+    columns = [*cells.T, np.arange(rows, dtype=float), mostly, text,
+               np.arange(rows)]
+    path = tmp_path / "table.csv"
+    write_csv(path, header, columns)
+    expected = _row_oracle(header, columns)
+    assert path.read_bytes() == expected
+    lines = expected.decode().splitlines()
+    assert lines[0] == "x0,x1,x2,x3,x4,x5,n%,mostly,text,count"
+    row = "0.0,-0.0,3.0,10000000000000000.0,1e+17,-1.2e+17"
+    assert lines[1] == row + ",0.0,0.5,%s,0"
+    for at in edges[2:]:
+        assert lines[at + 1] == row + f",{at}.0,{at}.5,%s,{at}"
 
 
 def _failing_dispersion_chain(seed):
