@@ -33,7 +33,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -238,7 +238,8 @@ def parse_transform_constant(text: str, hbar: float) -> complex:
 
 def _load_spec(name: str, consts: PhysicalConstants):
     if name in ("hje-massive", "hje-massless"):
-        return hje_pde_spec(consts, massless=name == "hje-massless")
+        return hje_pde_spec(consts if name == "hje-massive"
+                            else replace(consts, m0=0.0))
     if os.path.exists(name):
         return load_pde_spec(name)
     raise CliValidationError(

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all hjwave modules; errors carry a message."""
+"""Exception hierarchy and the range check shared by all hjwave modules."""
+
+import math
+import sys
 
 
 class HjwaveError(Exception):
@@ -47,3 +50,12 @@ class UnsupportedOrderError(HjwaveError, ValueError):
 
 class VerificationError(HjwaveError):
     """One or more verify-all acceptance checks failed."""
+
+
+def require_normal_power(name: str, value: complex, power: int = 2) -> None:
+    """Refuse a value whose |value|^power, or its reciprocal, overflows."""
+    size = math.prod([abs(value)] * power)  # inf or 0 out of range, no raise
+    if not sys.float_info.min <= size <= sys.float_info.max:
+        which = "square" if power == 2 else f"power {power}"
+        raise DomainError(f"{name} = {value!r} is out of range: its {which} "
+                          f"{'overflows' if size > 1.0 else 'underflows'}")

@@ -51,11 +51,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .convergence import OrderFit, fit_order
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, require_normal_power
 from .fields import Grid, ScalarField
 from .kinematics import PhysicalConstants, dispersion_omega
 from .solvers import (
-    _require_normal_square,
     leapfrog_stability_limit,
     solve_plane_wave,
     # not called; bench/tests/test_harness.py reads it (ROADMAP item 1)
@@ -96,11 +95,11 @@ class LimitStudyConfig:
         if any(c <= 0 for c in self.c_values):
             raise DomainError("c values must be positive")
         for c in self.c_values:
-            _require_normal_square("c", c)  # the rest frequency has c^2
+            require_normal_power("c", c)  # the rest frequency has c^2
         if self.k < 0:
             raise DomainError("k must be >= 0")
         if self.k:
-            _require_normal_square("k", self.k)  # the Schrodinger rate has k^2
+            require_normal_power("k", self.k)  # the Schrodinger rate has k^2
         if self.m0 <= 0 or self.hbar <= 0:
             raise DomainError("m0 and hbar must be positive")
         if not 0 < self.evolution_time < math.inf:

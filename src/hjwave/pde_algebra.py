@@ -35,6 +35,7 @@ from .errors import (
     NumericalError,
     UnsupportedOrderError,
     ZeroFieldError,
+    require_normal_power,
 )
 from .fields import (_ZERO_FIELD_CUTOFF, ScalarField, central_difference,
                      nonzero_peak, second_difference)
@@ -152,27 +153,27 @@ class DispersionQuadratic:
 # Physical spec factories
 # ---------------------------------------------------------------------------
 
-def _hje_spec(consts: PhysicalConstants, massless: bool, dims: int) -> PdeSpec:
+def _hje_spec(consts: PhysicalConstants, dims: int) -> PdeSpec:
     """Free-particle HJE with ``dims`` space arguments, then t.
 
     Diagonal matrix with +1 on the t-t entry, -c^2 on the spatial
-    diagonal, and free term -m0^2 c^4 (0 if massless).
+    diagonal, and free term -m0^2 c^4, +0.0 when m0 = 0.
     """
     c2 = consts.c_squared
     terms = [PdeTerm(2, (j, j), -c2) for j in range(1, dims + 1)]
     terms.append(PdeTerm(2, (dims + 1, dims + 1), 1.0))
-    b = 0.0 if massless else -(consts.rest_energy**2)
+    b = 0.0 - consts.rest_energy**2
     return PdeSpec(n=dims + 1, m=2, terms=tuple(terms), b=b)
 
 
-def hje_pde_spec(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
+def hje_pde_spec(consts: PhysicalConstants) -> PdeSpec:
     """Free-particle Hamilton-Jacobi equation in arguments (x, y, z, t)."""
-    return _hje_spec(consts, massless, 3)
+    return _hje_spec(consts, 3)
 
 
-def hje_pde_spec_1d(consts: PhysicalConstants, massless: bool = False) -> PdeSpec:
+def hje_pde_spec_1d(consts: PhysicalConstants) -> PdeSpec:
     """One space dimension variant with arguments (x, t)."""
-    return _hje_spec(consts, massless, 1)
+    return _hje_spec(consts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +183,13 @@ def hje_pde_spec_1d(consts: PhysicalConstants, massless: bool = False) -> PdeSpe
 def log_transform(spec: PdeSpec, A: complex) -> PdeSpec:
     """Substitute y = A ln(psi): degree-j coefficients gain A^j, b gains psi^m.
 
-    The result is flagged homogeneous; every monomial of the image carries
-    an implicit psi^(m - degree) factor so that all monomials share total
+    |A|^m must neither overflow nor underflow (A = 0 underflows).  The
+    result is flagged homogeneous; every monomial of the image carries an
+    implicit psi^(m - degree) factor so that all monomials share total
     degree m in psi.
     """
     A = complex(A)
-    if A == 0:
-        raise DomainError("transform constant A must be nonzero")
+    require_normal_power("transform constant A", A, spec.m)
     if spec.homogeneous:
         raise DomainError("spec is already the image of a log transform")
     terms = tuple(
@@ -208,8 +209,9 @@ def linearize(spec: PdeSpec, A: complex | None = None) -> LinearPdeSpec:
     """Equivalent linear second-order PDE: M = A^2 a_jk, zeroth coefficient b.
 
     For a homogeneous spec the A^2 factor is already folded into the stored
-    coefficients; a supplied A must then match the recorded constant.
-    Entries hit by several terms are summed in term order.
+    coefficients; a supplied A must then match the recorded constant, and
+    otherwise |A|^2 must be in range.  Entries hit by several terms are
+    summed in term order.
     """
     if spec.m != 2:
         raise UnsupportedOrderError("only quadratic (m = 2) specs are supported")
@@ -225,6 +227,7 @@ def linearize(spec: PdeSpec, A: complex | None = None) -> LinearPdeSpec:
     else:
         if A is None:
             raise DomainError("A is required for a spec not yet transformed")
+        require_normal_power("transform constant A", complex(A), spec.m)
         factor = complex(A) ** 2
     mat = [[0j] * spec.n for _ in range(spec.n)]
     for t in spec.terms:

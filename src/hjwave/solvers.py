@@ -2,9 +2,10 @@
 
 Three linear equations are integrated on periodic cubic grids (1D or 3D):
 
-* the massless wave equation       psi_tt = c^2 lap(psi)          (leapfrog)
 * the relativistic free equation   psi_tt = c^2 lap(psi) - mu^2 psi, with
   mu = m0 c^2 / hbar                                              (leapfrog)
+* the massless wave equation       psi_tt = c^2 lap(psi): solve_wave is
+  solve_relativistic at m0 = 0                                    (leapfrog)
 * the free Schrodinger equation    i hbar psi_t = -(hbar^2/2 m0) lap(psi)
                                                           (Crank-Nicolson)
 
@@ -22,22 +23,25 @@ raises StabilityError.
 solve_plane_wave alone picks each equation's solver and plane-wave
 frequency, on the positive branch E = hbar omega >= 0.  Its leapfrog
 starts from the frequency of the stencil wavenumber (2/h) sin(kh/2): the
-analytic one would seed the backward leapfrog branch at O(h^2).
+analytic one would seed the backward leapfrog branch at O(h^2).  Its error
+reference is the initial sample rotated by exp(-i omega T).
 
 Leapfrog starts from a Taylor step and reports the exactly conserved
 discrete energy E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>;
 Crank-Nicolson reports the L2 norm and the discrete kinetic energy, which
 its unit-modulus amplification factors conserve.  Every per-step row is
 computed from the spectra by Parseval's identity, when a SolveReport's
-``diagnostics`` is first read: a caller that reads only the final field,
-such as the limit study, never computes a row.  The conserved
-quantities are evaluated once, so they are identical in every row; the
-leapfrog norm carries the rounding of its own row's evaluation, not
-rounding accumulated over steps.  A non-finite final field raises at
-the solver call, before any row is computed; a non-finite row, or the
-rows of a run past MAX_STEPS, raise when the rows are read.  A grid holds
-at most MAX_POINTS points, checked by require_solver_grid before any
-field exists.
+``diagnostics`` is first read, and so are the leapfrog energy and the
+modes' weights, rates and drift sums: until then a leapfrog report holds
+|a|^2, |b|^2 and Re(a conj(b)) per mode, so a caller that reads only the
+final field, such as the limit study, pays for two FFTs and the last step.
+The conserved quantities are evaluated once, so they are identical in
+every row; the leapfrog norm carries the rounding of its own row's
+evaluation, not rounding accumulated over steps.  A non-finite final
+field raises at the solver call, before any row is computed; a
+non-finite row, or the rows of a run past MAX_STEPS, raise when the
+rows are read.  A grid holds at most MAX_POINTS points, checked by
+require_solver_grid before any field exists.
 
 The module also evaluates pointwise residuals of the nonlinear
 Hamilton-Jacobi equations on action fields (two time levels, or closed
@@ -47,8 +51,8 @@ plane waves.
 
 from __future__ import annotations
 
+import cmath
 import math
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -60,6 +64,7 @@ from .errors import (
     InsufficientDataError,
     NumericalError,
     StabilityError,
+    require_normal_power,
 )
 from .fields import (
     Grid,
@@ -92,15 +97,6 @@ MAX_STEPS = 10_000_000
 MAX_POINTS = 1 << 21
 
 
-def _require_normal_square(name: str, value: float) -> None:
-    """Refuse a value whose square, or the square's reciprocal, overflows."""
-    square = value * value
-    if not sys.float_info.min <= square <= sys.float_info.max:
-        fault = "overflows" if square > 1.0 else "underflows"
-        raise DomainError(
-            f"{name} = {value!r} is out of range: its square {fault}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -113,7 +109,7 @@ class SolverConfig:
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
         if self.scheme == LEAPFROG:
-            _require_normal_square("dt", self.dt)  # the energy divides by dt^2
+            require_normal_power("dt", self.dt)  # the energy divides by dt^2
         if self.scheme not in (LEAPFROG, CRANK_NICOLSON):
             raise DomainError(f"unknown scheme {self.scheme!r}")
 
@@ -192,7 +188,7 @@ def require_solver_grid(grid: Grid) -> None:
     if grid.npoints > MAX_POINTS:
         raise DomainError(f"a grid of {grid.npoints} points exceeds the "
                           f"bound of {MAX_POINTS}")
-    _require_normal_square("grid spacing", grid.spacings[0])
+    require_normal_power("grid spacing", grid.spacings[0])
 
 
 def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:
@@ -203,10 +199,10 @@ def leapfrog_stability_limit(grid: Grid, c: float, mu: float = 0.0) -> float:
     the sum under the root must be positive and finite.  c is checked, and
     named, before mu: first its square, then the sum without mu^2.
     """
-    _require_normal_square("c", c)
+    require_normal_power("c", c)
     q = 4.0 * c**2 * sum(1.0 / h**2 for h in grid.spacings)
     if 0.0 < q < math.inf and mu:
-        _require_normal_square("rest frequency m0 c^2/hbar", mu)
+        require_normal_power("rest frequency m0 c^2/hbar", mu)
         q += mu**2
     if not 0.0 < q < math.inf:
         raise DomainError(f"c = {c!r} is out of range on a grid of spacings "
@@ -250,14 +246,28 @@ def _exponential_sums(rates: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
-              c: float, mu: float, cfg: SolverConfig) -> SolveReport:
+def solve_wave(initial: ScalarField, initial_rate: ScalarField,
+               consts: PhysicalConstants, cfg: SolverConfig) -> SolveReport:
+    """Advance psi_tt = c^2 lap(psi): solve_relativistic at m0 = 0."""
+    return solve_relativistic(initial, initial_rate, replace(consts, m0=0.0),
+                              cfg)
+
+
+def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
+                       consts: PhysicalConstants, cfg: SolverConfig
+                       ) -> SolveReport:
+    """Advance psi_tt = c^2 lap(psi) - mu^2 psi, mu = m0 c^2/hbar, by leapfrog.
+
+    The first step is a Taylor step.  Plane waves rotate at the dispersion
+    frequency omega = sqrt(c^2 k^2 + mu^2) up to O(dt^2, h^2).
+    """
     grid = initial.grid
     require_solver_grid(grid)
     if initial_rate.grid != grid:
         raise DomainError("initial and rate fields must share a grid")
     if cfg.scheme != LEAPFROG:
         raise DomainError("second-order-in-time equations use the leapfrog scheme")
+    c, mu = consts.c, consts.rest_frequency
     limit = leapfrog_stability_limit(grid, c, mu)
     if cfg.dt > limit:
         raise StabilityError(
@@ -298,58 +308,32 @@ def _leapfrog(initial: ScalarField, initial_rate: ScalarField,
         cos_n[flat] = sign**n_last
         sin_n[flat] = n_last * sign ** (n_last - 1)
         final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
-
         aa = a.real**2 + a.imag**2
         bb = b.real**2 + b.imag**2
         ab = (a * b.conj()).real
 
-        # The discrete energy of each mode is (|b|^2 + s2 |a|^2) / (2 dt^2),
-        # the same at every step.
-        energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
-
-        # |U^n|^2 per oscillating mode is alpha + beta cos(2n theta)
-        # + gamma sin(2n theta) = alpha + Re[(beta - i gamma) exp(2i n theta)].
-        # The rows need only these rates and weights and the sums below.
-        ao, bo = aa[osc], bb[osc] / s2[osc]
-        rates = 2j * theta
-        weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root)
-        constant = float(np.sum(0.5 * (ao + bo))) + float(np.sum(aa[flat]))
-        drifts = bool(flat.any())
-        linear = 2.0 * float(np.sum(sign * ab[flat]))
-        quadratic = float(np.sum(bb[flat]))
-
     def series() -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(invalid="ignore", over="ignore"):
-            # summed in place, so one steps-long array is live at a time
-            norms = _exponential_sums(rates, weights, n_last)
-            norms += constant
-            if drifts:
+            # Each mode's discrete energy, (|b|^2 + s2 |a|^2) / (2 dt^2), is
+            # the same at every step.
+            energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
+            # |U^n|^2 per oscillating mode is alpha + Re[(beta - i gamma) z^n]
+            # with z = exp(2i theta), summed in place, so one steps-long
+            # array is live at a time.
+            ao, bo = aa[osc], bb[osc] / s2[osc]
+            weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root)
+            norms = _exponential_sums(2j * theta, weights, n_last)
+            norms += float(np.sum(0.5 * (ao + bo))) + float(np.sum(aa[flat]))
+            if flat.any():  # |U^n|^2 = |a|^2 + 2 e n Re(a conj(b)) + n^2 |b|^2
                 n = np.arange(1.0, n_last + 1)
-                norms += n * (linear + n * quadratic)
+                linear = 2.0 * float(np.sum(sign * ab[flat]))
+                norms += n * (linear + n * float(np.sum(bb[flat])))
             np.maximum(norms, 0.0, out=norms)
             norms *= scale
             np.sqrt(norms, out=norms)
         return norms, np.full(n_last, energy)
 
     return SolveReport(initial, cfg, final, series, "leapfrog")
-
-
-def solve_wave(initial: ScalarField, initial_rate: ScalarField,
-               consts: PhysicalConstants, cfg: SolverConfig) -> SolveReport:
-    """Advance psi_tt = c^2 lap(psi) by leapfrog with a Taylor first step."""
-    return _leapfrog(initial, initial_rate, consts.c, 0.0, cfg)
-
-
-def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
-                       consts: PhysicalConstants, cfg: SolverConfig
-                       ) -> SolveReport:
-    """Advance psi_tt = c^2 lap(psi) - (m0 c^2/hbar)^2 psi by leapfrog.
-
-    Plane waves rotate at the dispersion frequency
-    omega = sqrt(c^2 k^2 + (m0 c^2/hbar)^2) up to O(dt^2, h^2); with
-    m0 = 0 the trajectory is bit-identical to solve_wave.
-    """
-    return _leapfrog(initial, initial_rate, consts.c, consts.rest_frequency, cfg)
 
 
 def _stencil_eigenvalues(grid: Grid) -> np.ndarray:
@@ -408,11 +392,11 @@ def solve_plane_wave(equation: str, grid: Grid, k: float,
     leapfrog from the rate -i omega_h psi, omega_h that of the stencil
     wavenumber |(2/h) sin(kh/2)|, as omega would seed the backward branch
     at O(h^2); ``schrodinger`` runs Crank-Nicolson, omega = hbar k^2/(2 m0).
-    error is the max distance from the continuum plane wave at the end.
+    error is the max distance from the continuum plane wave at the end: the
+    initial sample rotated by exp(-i omega T), T the final time.
     """
     require_solver_grid(grid)
-    k_vec = (k, 0.0, 0.0)
-    initial = plane_wave_field(grid, k_vec, omega=0.0, t=0.0)
+    initial = plane_wave_field(grid, (k, 0.0, 0.0), omega=0.0, t=0.0)
     if equation == "schrodinger":
         cfg = SolverConfig(dt=dt, steps=steps, scheme=CRANK_NICOLSON)
         report = solve_schrodinger(initial, consts, cfg)
@@ -428,8 +412,8 @@ def solve_plane_wave(equation: str, grid: Grid, k: float,
         report = solve_relativistic(initial, rate, consts, cfg)
     else:
         raise DomainError(f"unknown equation {equation!r}")
-    analytic = plane_wave_field(grid, k_vec, omega, t=report.final.time_stamp)
-    error = float(np.max(np.abs(report.final.values - analytic.values)))
+    phase = cmath.rect(1.0, -omega * report.final.time_stamp)
+    error = float(np.max(np.abs(report.final.values - initial.values * phase)))
     return report, omega, error
 
 

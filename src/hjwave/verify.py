@@ -103,10 +103,10 @@ def check_dual_solutions(seed: int) -> CheckResult:
     massless = PhysicalConstants(1.0, 1.0, 0.0)
     p = 2.0
     particle = ParticleState.from_momentum((p, 0.0, 0.0), massless)
-    r1 = hje_residual(particle, massless, massless=True, grid=grid).max_abs()
+    r1 = hje_residual(particle, massless, grid=grid).max_abs()
     k = 3.0
     wave = PlaneWave.on_shell(1.0, (k, 0.0, 0.0), massless)
-    r2 = hje_residual(wave, massless, massless=True, grid=grid).max_abs()
+    r2 = hje_residual(wave, massless, grid=grid).max_abs()
     off = hje_residual(
         ParticleState(E=1.0, p=(1.0, 0.0, 0.0)), NATURAL, grid=grid
     )

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -161,13 +160,25 @@ class TestTransformCommand:
         spec_path = tmp_path / "spec.json"
         # massless builtin writes a spec we can feed back through a file
         spec_path.write_text(
-            pde_spec_dumps(hje_pde_spec(PhysicalConstants(), massless=True)))
+            pde_spec_dumps(hje_pde_spec(PhysicalConstants(m0=0.0))))
         out2 = tmp_path / "file"
         assert run_cli("transform", "--spec", str(spec_path),
                        "--out", str(out2)).returncode == 0
         a = (out1 / "transformed_spec.json").read_bytes()
         b = (out2 / "transformed_spec.json").read_bytes()
         assert a == b
+
+    def test_zero_mass_is_the_massless_builtin(self, tmp_path):
+        outs = [tmp_path / "m0", tmp_path / "builtin"]
+        assert run_cli("transform", "--m0", "0", "--emit-linear",
+                       "--out", str(outs[0])).returncode == 0
+        assert run_cli("transform", "--spec", "hje-massless", "--emit-linear",
+                       "--out", str(outs[1])).returncode == 0
+        for name in ("transformed_spec.json", "linear_spec.json"):
+            a, b = ((out / name).read_bytes() for out in outs)
+            assert a == b
+        spec = json.loads((outs[0] / "transformed_spec.json").read_text())
+        assert spec["b"] == [0.0, 0.0] and math.copysign(1.0, spec["b"][0]) > 0
 
     def test_bad_constant_string(self, tmp_path):
         res = run_cli("transform", "--A", "i/hbar", "--out", str(tmp_path / "x"))
@@ -204,10 +215,14 @@ class TestTransformCommand:
         assert error["type"] == "FormatError"
 
     def test_overflowing_transform_constant(self, tmp_path):
+        # A = hbar/i, whose square overflows: refused by name, not raised
+        # as a raw OverflowError from the complex power
         res = run_cli("transform", "--hbar", "1.7e308",
                       "--out", str(tmp_path / "x"))
-        assert res.returncode == 3
-        assert json.loads(res.stderr)["error"]["type"] == "OverflowError"
+        assert res.returncode == 2
+        error = json.loads(res.stderr)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith("transform constant A = ")
 
     def test_ill_typed_spec_value(self, tmp_path):
         obj = json.loads(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
@@ -373,21 +388,6 @@ class TestNewtonCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["energy_drift_rel"] <= 1e-12
 
-    def test_harmonic_trajectory_bytes_pinned(self, tmp_path):
-        # 2049 steps: two full CSV blocks and one row.  The RK4 rows are
-        # Python float arithmetic, and the energies' one matrix product is
-        # with a zero force, exact under any BLAS; z stays 0.0, so rz and
-        # pz are integral cells in every row.
-        out = tmp_path / "n"
-        res = run_cli("newton", "--potential", "harmonic", "--steps", "2049",
-                      "--r0", "1", "--r0", "0", "--r0", "0",
-                      "--p0", "0", "--p0", "0.5", "--p0", "0",
-                      "--out", str(out))
-        assert res.returncode == 0, res.stderr
-        digest = hashlib.sha256((out / "trajectory.csv").read_bytes())
-        assert digest.hexdigest() == (
-            "a37b5e778fd3ca76e26f2c9e907181e11456dc0760145d103a5dcb7985163f64")
-
     def test_huge_momentum_stays_finite(self, tmp_path):
         out = tmp_path / "n"
         res = run_cli("newton", "--potential", "harmonic", "--p0", "1e300",
@@ -530,7 +530,7 @@ class TestScenarios:
 
 
 @pytest.mark.parametrize("argv, code, error_type", [
-    (["transform", "--hbar", "1.7e308"], 3, "OverflowError"),
+    (["transform", "--hbar", "1.7e308"], 2, "DomainError"),
     (["solve", "--cfl", "1.5"], 3, "StabilityError"),
     (["residual", "--kx", "1"], 2, "CliValidationError"),
     (["limit-study", "--c-values", "4", "--c-values", "2"], 2,
@@ -613,6 +613,16 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
      "c = 1e+200 is out of range: its square overflows"),
     (["residual", "--c", "1e200", "--on-shell"], 2,
      "c = 1e+200 is out of range: its square overflows"),
+    # A^2 scales every coefficient: past the range it is no transform
+    (["transform", "--A", "1e200"], 2,
+     "transform constant A = (1e+200+0j) is out of range: "
+     "its square overflows"),
+    (["transform", "--A", "1e-200"], 2,
+     "transform constant A = (1e-200+0j) is out of range: "
+     "its square underflows"),
+    (["residual", "--A", "1e-200", "--on-shell"], 2,
+     "transform constant A = (1e-200+0j) is out of range: "
+     "its square underflows"),
     (["solve", "--hbar", "1e-320"], 2,
      "rest frequency m0 c^2/hbar = inf is out of range: its square overflows"),
     # omega = hbar k^2 / (2 m0) is formed only after the solver refused m0
@@ -880,7 +890,7 @@ def _check_outputs(out):
 @pytest.fixture(scope="module")
 def spec_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("spec") / "spec.json"
-    path.write_text(pde_spec_dumps(hje_pde_spec(PhysicalConstants(), massless=True)))
+    path.write_text(pde_spec_dumps(hje_pde_spec(PhysicalConstants(m0=0.0))))
     return str(path)
 
 

@@ -45,6 +45,7 @@ from hjwave.pde_algebra import pde_spec_from_obj
 from hjwave.verify import random_mode_field
 
 NAT = PhysicalConstants()
+MASSLESS = PhysicalConstants(m0=0.0)
 A_QM = NAT.hbar / 1j  # the physical transform constant
 
 
@@ -100,7 +101,7 @@ class TestLogTransform:
     def test_physical_constant_flips_signs(self):
         # (hbar/i)^2 = -hbar^2, so the time term picks up -hbar^2 and the
         # space term +c^2 hbar^2
-        spec = hje_pde_spec_1d(NAT, massless=True)
+        spec = hje_pde_spec_1d(MASSLESS)
         out = log_transform(spec, A_QM)
         coeffs = {t.indices: t.coeff for t in out.terms}
         assert coeffs[(2, 2)] == pytest.approx(-1.0, abs=1e-15)
@@ -168,7 +169,7 @@ class TestLinearize:
         assert -lin.zeroth_coeff == 1.0 + 0.0j
 
     def test_massless_1d_gives_wave_equation(self):
-        lin = linearize(log_transform(hje_pde_spec_1d(NAT, massless=True), A_QM))
+        lin = linearize(log_transform(hje_pde_spec_1d(MASSLESS), A_QM))
         assert np.array_equal(
             -lin.second_order_coeffs, np.diag([-1.0, 1.0]).astype(complex)
         )
@@ -237,7 +238,7 @@ class TestDispersionQuadratic:
 
     def test_massless_roots(self):
         disp = dispersion_quadratic(
-            hje_pde_spec(NAT, massless=True), A_QM, (2.0, 0, 0)
+            hje_pde_spec(MASSLESS), A_QM, (2.0, 0, 0)
         )
         roots = sorted(r.real for r in disp.roots)
         assert roots == pytest.approx([-2.0, 2.0], rel=1e-14)
@@ -329,7 +330,7 @@ class TestPlaneWaveResiduals:
             assert abs(lin_res - expected_lin) <= 1e-10 * abs(expected_lin)
 
     def test_constant_field_with_zero_free_term(self):
-        spec = log_transform(hje_pde_spec(NAT, massless=True), A_QM)
+        spec = log_transform(hje_pde_spec(MASSLESS), A_QM)
         const = AnalyticField([1.0], np.zeros((1, 4)))
         assert residual_nonlinear(spec, const, np.zeros(4)) == 0.0
         assert residual_linear(linearize(spec), const, np.zeros(4)) == 0.0
@@ -967,8 +968,8 @@ class TestWholeGridMemo:
         for seed in (3, 4):
             field = random_mode_field(grid, seed)
             for point in np.ndindex(grid.shape):
-                for massless in (False, True):
-                    spec = log_transform(hje_pde_spec_1d(NAT, massless), A_QM)
+                for consts in (NAT, MASSLESS):
+                    spec = log_transform(hje_pde_spec_1d(consts), A_QM)
                     residual_decomposition_check(spec, A_QM, field, point)
                     decomposition_defect(spec, A_QM, field)
         assert calls == [grid.shape] * 4  # two fields times two equations

@@ -248,6 +248,7 @@ class TestRelativisticSolver:
         a = solve_wave(initial, rate, MASSLESS, cfg)
         b = solve_relativistic(initial, rate, MASSLESS, cfg)
         assert np.array_equal(a.final.values, b.final.values)
+        assert np.array_equal(a.diagnostics.norm, b.diagnostics.norm)
         assert np.array_equal(a.diagnostics.energy, b.diagnostics.energy)
 
     def test_rest_mode_rotates_at_rest_frequency(self):
@@ -822,6 +823,28 @@ class TestSolvePlaneWave:
         assert omega == consts.hbar * k**2 / (2 * consts.m0)
         assert np.array_equal(report.final.values, expected.final.values)
         assert report.final.time_stamp == expected.final.time_stamp
+
+    @pytest.mark.parametrize("equation", ["wave", "relativistic",
+                                          "schrodinger"])
+    @pytest.mark.parametrize("grid", [Grid.line(32, 2 * math.pi),
+                                      Grid.cube(8, 2 * math.pi)],
+                             ids=["1d", "3d"])
+    def test_error_is_the_distance_from_the_continuum_wave(self, grid,
+                                                           equation):
+        # error is measured against the initial sample rotated by
+        # exp(-i omega T); a fresh sample rounds its phase k x - omega T at
+        # the size of omega T (2 to 27 here), so the two references part
+        # by a few omega T 2^-53 (6e-15 at omega T = 100)
+        consts = PhysicalConstants(0.7, 2.0, 1.3)
+        k, steps = 2.0, 37
+        mu = consts.rest_frequency if equation == "relativistic" else 0.0
+        dt = 0.5 * leapfrog_stability_limit(grid, consts.c, mu)
+        report, omega, error = solve_plane_wave(equation, grid, k, consts,
+                                                dt, steps)
+        fresh = plane_wave_field(grid, (k, 0.0, 0.0), omega,
+                                 t=report.final.time_stamp)
+        distance = float(np.max(np.abs(report.final.values - fresh.values)))
+        assert abs(error - distance) <= 1e-15
 
     def test_unknown_equation(self):
         with pytest.raises(DomainError, match="unknown equation 'heat'"):
