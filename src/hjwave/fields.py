@@ -94,6 +94,10 @@ class ScalarField:
     ``values`` is a read-only view of the samples.  A complex128 input is
     viewed, not copied, so the caller's own array stays writable; changing
     it afterwards changes the field and leaves ``max_abs`` and ``_memo`` stale.
+    ``_memo`` holds what ``pde_algebra`` derives from the samples, each on
+    first use: difference arrays, zero-field codes and each equation's
+    whole-grid residuals, so that a residual at a point is one item of one
+    entry.
     """
 
     grid: Grid

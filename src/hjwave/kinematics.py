@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_normal_power
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,18 @@ class PhysicalConstants:
     def rest_energy(self) -> float:
         """m0 c^2; DomainError naming c once c^2 overflows."""
         return self.m0 * self.c_squared
+
+    @property
+    def rest_energy_squared(self) -> float:
+        """(m0 c^2)^2, +0.0 when m0 = 0.
+
+        DomainError naming m0 c^2 when a nonzero rest energy's square
+        overflows or underflows.
+        """
+        energy = self.rest_energy
+        if energy:
+            require_normal_power("rest energy m0 c^2", energy)
+        return energy**2
 
     @property
     def rest_frequency(self) -> float:

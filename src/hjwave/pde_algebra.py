@@ -124,6 +124,9 @@ class LinearPdeSpec:
         mat.flags.writeable = False
         object.__setattr__(self, "second_order_coeffs", mat)
         object.__setattr__(self, "zeroth_coeff", complex(self.zeroth_coeff))
+        # exact, NaN-safe memo key of the equation's value
+        object.__setattr__(self, "_key", ("linear", mat.tobytes(),
+                                          repr(self.zeroth_coeff)))
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ def _hje_spec(consts: PhysicalConstants, dims: int) -> PdeSpec:
     c2 = consts.c_squared
     terms = [PdeTerm(2, (j, j), -c2) for j in range(1, dims + 1)]
     terms.append(PdeTerm(2, (dims + 1, dims + 1), 1.0))
-    b = 0.0 - consts.rest_energy**2
+    b = 0.0 - consts.rest_energy_squared
     return PdeSpec(n=dims + 1, m=2, terms=tuple(terms), b=b)
 
 
@@ -376,33 +379,24 @@ class _Exact:
 
 
 class _Sampled:
-    """Whole-grid central differences of a ScalarField, and a checked point.
+    """Whole-grid central differences of a ScalarField; it knows no point.
 
     Each array, and each equation evaluated from them, is computed once
-    per field, on first use, into the field's ``_memo``.
+    per field, on first use, into the field's ``_memo``.  A call at a
+    point checks the point (``_check_point``), gets one memo entry
+    (``_entry``, which makes a reader only on a miss) and reads one item.
     """
 
-    def __init__(self, field: ScalarField, point, n: int):
-        shape = field.grid.shape
-        if len(shape) != n:
-            raise DomainError(
-                f"field has {len(shape)} axes but the equation has {n} arguments"
-            )
+    def __init__(self, field: ScalarField):
         self._field, self.value, self.hs = field, field.values, field.grid.spacings
-        if point is not None:
-            point = tuple(map(int, point))
-            if len(point) != n:
-                raise DomainError("point must carry one index per grid axis")
-            if min(point) < 0 or not all(map(int.__lt__, point, shape)):
-                raise DomainError("point lies outside the grid")
-        self.point = point
 
     def read(self, key, make):
         memo = self._field._memo
-        if key not in memo:
+        entry = memo.get(key)
+        if entry is None:
             with np.errstate(all="ignore"):
-                memo.setdefault(key, make(self))  # a concurrent first use wins
-        return memo[key]
+                entry = memo.setdefault(key, make(self))  # a concurrent first use wins
+        return entry
 
     def d1(self, axis: int) -> np.ndarray:
         return self.read(("d1", axis), lambda f: central_difference(
@@ -431,23 +425,54 @@ class _Sampled:
             return central_difference(across / (2 * hs[ax2]), ax1, hs[ax1])
         return self.read(("log_d2", ax1, ax2), make)
 
-    def require_nonzero(self) -> None:
-        """Refuse a sample, or an axis neighbour of one, below the cutoff."""
-        def make(f):  # 2 at a small sample, else 1 next to one, else 0
+    def zeros(self) -> np.ndarray:
+        """2 at a sample below the cutoff, else 1 next to one, else 0."""
+        def make(f):
             small = np.abs(f.value) < _ZERO_FIELD_CUTOFF * f._field.max_abs()
             near = sum(np.roll(small, shift, axis=ax)
                        for ax in range(small.ndim) for shift in (1, -1))
             return np.where(small, 2, near > 0)
-        code = self.read("zeros", make)
-        code = code.max() if self.point is None else code.item(self.point)
-        if code == 2:
-            raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
-        if code == 1:
-            raise ZeroFieldError("stencil touches a near-zero of the field")
+        return self.read("zeros", make)
+
+
+def _require_nonzero(code) -> None:
+    """Refuse a zero-field code of ``_Sampled.zeros`` other than 0."""
+    if code == 2:
+        raise ZeroFieldError("field magnitude below 1e-12 of its maximum")
+    if code == 1:
+        raise ZeroFieldError("stencil touches a near-zero of the field")
+
+
+def _check_point(field: ScalarField, point, n: int):
+    """``point`` as n in-range indices into the field, which must have n axes.
+
+    A point of None (the whole grid) passes the axis check only.
+    """
+    shape = field.grid.shape
+    if len(shape) != n:
+        raise DomainError(
+            f"field has {len(shape)} axes but the equation has {n} arguments"
+        )
+    if point is None:
+        return None
+    point = tuple(map(int, point))
+    if len(point) != n:
+        raise DomainError("point must carry one index per grid axis")
+    for i, size in zip(point, shape):
+        if not 0 <= i < size:  # a negative index is refused, not wrapped
+            raise DomainError("point lies outside the grid")
+    return point
+
+
+def _entry(field: ScalarField, key, make):
+    """The field's memo entry under ``key``, made on first use."""
+    entry = field._memo.get(key)
+    return _Sampled(field).read(key, make) if entry is None else entry
 
 
 # ---------------------------------------------------------------------------
-# Residual evaluators; on a ScalarField one whole-grid evaluation per equation
+# Residual evaluators; on a ScalarField one whole-grid evaluation per
+# equation, and a call at a point is one checked index into it
 # ---------------------------------------------------------------------------
 
 def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
@@ -470,8 +495,8 @@ def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
             total += prod
         return total + (spec.b * v**spec.m if spec.homogeneous else spec.b)
     if isinstance(field, ScalarField):
-        f = _Sampled(field, point, spec.n)
-        return f.read(("nonlinear", spec._key), nonlinear).item(f.point)
+        point = _check_point(field, point, spec.n)
+        return _entry(field, ("nonlinear", spec._key), nonlinear).item(point)
     return complex(nonlinear(_Exact(field, point, spec.n)))
 
 
@@ -483,10 +508,8 @@ def residual_linear(lspec: LinearPdeSpec, field, point) -> complex:
             total += m * f.d2(j, k)
         return total
     if isinstance(field, ScalarField):
-        f = _Sampled(field, point, lspec.n)
-        key = ("linear", lspec.second_order_coeffs.tobytes(),
-               repr(lspec.zeroth_coeff))
-        return f.read(key, linear).item(f.point)
+        point = _check_point(field, point, lspec.n)
+        return _entry(field, lspec._key, linear).item(point)
     return complex(linear(_Exact(field, point, lspec.n)))
 
 
@@ -509,18 +532,29 @@ class ResidualDecomposition:
 def _decomposition(spec: PdeSpec, A: complex | None, field, point):
     """lhs, rhs, scale and correction at ``point``, or everywhere if None.
 
-    Memoised on a sampled field: linearize runs on a miss only, and an A
-    it rejects raises before the field is read, on every call.
+    On a sampled field one memo entry holds the field's zero-field codes
+    and the four arrays.  linearize runs on a miss only, so an A it
+    rejects, never stored, raises before the field is read, on every call.
     """
-    key = ("decomposition", spec._key, repr(A))
-    sampled = isinstance(field, ScalarField)
-    lspec = None if sampled and key in field._memo else linearize(spec, A)
-    f = (_Sampled if sampled else _Exact)(field, point, spec.n)
-    f.require_nonzero()
-    if not sampled:
+    if not isinstance(field, ScalarField):
+        lspec = linearize(spec, A)
+        f = _Exact(field, point, spec.n)
+        f.require_nonzero()
         return _decomposition_terms(lspec, f)
-    terms = f.read(key, lambda f: _decomposition_terms(lspec, f))
-    return terms if point is None else [a.item(f.point) for a in terms]
+    key = ("decomposition", spec._key, repr(A))
+    entry = field._memo.get(key)
+    lspec = linearize(spec, A) if entry is None else None
+    point = _check_point(field, point, spec.n)
+    if entry is None:
+        entry = _Sampled(field).read(
+            key, lambda f: (f.zeros(), *_decomposition_terms(lspec, f)))
+    zeros, lhs, rhs, scale, correction = entry
+    if point is None:
+        _require_nonzero(zeros.max())
+        return lhs, rhs, scale, correction
+    _require_nonzero(zeros.item(point))
+    return (lhs.item(point), rhs.item(point), scale.item(point),
+            correction.item(point))
 
 
 def _decomposition_terms(lspec: LinearPdeSpec, f):
@@ -558,9 +592,8 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
     lhs, rhs, scale, correction = _decomposition(spec, A, field, point)
     diff = abs(lhs - rhs)
     mismatch = 0.0 if diff == 0.0 else diff / max(scale, 1e-300)
-    return ResidualDecomposition(
-        lhs=lhs, rhs=rhs, mismatch=mismatch, log_curvature_term=correction
-    )
+    # positional: the generated __init__ binds keywords at twice the cost
+    return ResidualDecomposition(lhs, rhs, mismatch, correction)
 
 
 def decomposition_defect(spec: PdeSpec, A: complex | None,

@@ -451,7 +451,7 @@ def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
     gradients) or a dual closed form evaluated exactly on ``grid`` at
     t = 0: the particle-like ParticleState or the wave-like PlaneWave.
     """
-    mass_term = 0.0 if massless else consts.rest_energy**2
+    mass_term = 0.0 if massless else consts.rest_energy_squared
     c2 = consts.c**2
 
     if isinstance(S, (ParticleState, PlaneWave)) and grid is None:

@@ -613,6 +613,15 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
      "c = 1e+200 is out of range: its square overflows"),
     (["residual", "--c", "1e200", "--on-shell"], 2,
      "c = 1e+200 is out of range: its square overflows"),
+    # the free term of the HJE spec is -(m0 c^2)^2
+    (["transform", "--m0", "1e200"], 2,
+     "rest energy m0 c^2 = 1e+200 is out of range: its square overflows"),
+    (["residual", "--m0", "1e200", "--on-shell"], 2,
+     "rest energy m0 c^2 = 1e+200 is out of range: its square overflows"),
+    (["transform", "--c", "1e100"], 2,
+     "rest energy m0 c^2 = 1e+200 is out of range: its square overflows"),
+    (["transform", "--m0", "1e-200"], 2,
+     "rest energy m0 c^2 = 1e-200 is out of range: its square underflows"),
     # A^2 scales every coefficient: past the range it is no transform
     (["transform", "--A", "1e200"], 2,
      "transform constant A = (1e+200+0j) is out of range: "
@@ -658,6 +667,13 @@ def test_out_of_range_inputs_are_named(tmp_path, argv, code, message):
     (line,) = res.stderr.splitlines()
     assert json.loads(line)["error"]["message"] == message
     assert not out.exists()
+
+
+def test_dispersion_takes_a_huge_rest_energy_through_hypot(tmp_path):
+    # the spec's free term would overflow; omega = hypot(c k, m0 c^2/hbar)
+    res = run_cli("dispersion", "--m0", "1e200", "--k", "1",
+                  "--out", str(tmp_path / "d"))
+    assert res.returncode == 0, res.stderr
 
 
 def test_limit_study_with_a_gap_rounding_to_zero_evolves_nothing(tmp_path):

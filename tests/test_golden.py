@@ -3,8 +3,10 @@
 golden.json maps a command line (``hjwave`` arguments, shell-quoted, with
 no ``--out``) to its exit code and to the sha256 of its stdout, of its
 stderr and of every file it writes.  The output directory is masked as
-``OUT`` in stdout and stderr.  The hashes hold for the numpy version the
-manifest records; under another version the test skips and names both.
+``OUT`` in stdout and stderr.  Exit codes do not depend on the numpy
+build and are checked under any numpy; the hashes hold for the numpy
+version the manifest records, and under another version their test skips
+and names both.
 
 A change that alters an output on purpose rewrites the manifest, and
 names each line it changed:
@@ -66,12 +68,26 @@ def _changes(old: dict, new: dict) -> list[str]:
     return changed
 
 
-def test_command_lines_match_the_manifest(tmp_path):
+@pytest.fixture(scope="module")
+def rerun(tmp_path_factory):
+    """The manifest and what each of its lines gives now, run once."""
     manifest = json.loads(MANIFEST.read_text())
+    return manifest, outcomes(manifest["lines"], tmp_path_factory.mktemp("golden"))
+
+
+def test_exit_codes_match_the_manifest(rerun):
+    manifest, got = rerun
+    differ = {line: (want["exit"], got[line]["exit"])
+              for line, want in manifest["lines"].items()
+              if got[line]["exit"] != want["exit"]}
+    assert not differ, f"(manifest, now) exit codes by command line: {differ}"
+
+
+def test_command_lines_match_the_manifest(rerun):
+    manifest, got = rerun
     if manifest["numpy"] != np.__version__:
         pytest.skip(f"golden.json holds hashes made with numpy "
                     f"{manifest['numpy']}; this is numpy {np.__version__}")
-    got = outcomes(manifest["lines"], tmp_path)
     differ = {line: _changes(want, got[line])
               for line, want in manifest["lines"].items()
               if got[line] != want}

@@ -79,6 +79,16 @@ class TestDispersion:
         assert edge.rest_energy == 0.5 * 1.34e154**2
         assert edge.rest_frequency == 0.5 * 1.34e154**2 / 0.5
 
+    def test_rest_energy_square_out_of_range_is_named(self):
+        for m0, which in ((1e200, "overflows"), (1e-200, "underflows")):
+            with pytest.raises(DomainError) as exc:
+                PhysicalConstants(m0=m0).rest_energy_squared
+            assert str(exc.value) == (f"rest energy m0 c^2 = {m0!r} is out "
+                                      f"of range: its square {which}")
+        assert PhysicalConstants(c=3.0, m0=0.5).rest_energy_squared == 4.5**2
+        zero = MASSLESS.rest_energy_squared
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
     def test_massless(self):
         assert dispersion_omega(3.0, MASSLESS) == 3.0
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import sys
@@ -60,6 +61,14 @@ class TestSpecValidation:
         assert np.array_equal(np.diag(lin.second_order_coeffs),
                               [-4.0, -4.0, -4.0, 1.0])
         assert lin.zeroth_coeff == -(3.0 * 4.0) ** 2  # -(m0 c^2)^2
+
+    def test_free_term_out_of_range_is_named(self):
+        for consts in (PhysicalConstants(m0=1e200), PhysicalConstants(c=1e100),
+                       PhysicalConstants(m0=1e-200)):
+            with pytest.raises(DomainError, match=r"^rest energy m0 c\^2 = "):
+                hje_pde_spec(consts)
+        b = hje_pde_spec(PhysicalConstants(c=1e100, m0=0.0)).b
+        assert b == 0 and math.copysign(1.0, b.real) == 1.0  # +0.0
 
     def test_term_validation(self):
         with pytest.raises(ValueError):
@@ -883,6 +892,15 @@ def memo_calls(equations, field, point):
             residual_linear(lspec, field, point))
 
 
+def sweep_bits(results):
+    """The bytes of every number in a sweep's results, record fields included."""
+    numbers = []
+    for record, nonlinear, linear in results:
+        numbers += [getattr(record, f.name) for f in dataclasses.fields(record)]
+        numbers += [nonlinear, linear]
+    return np.array(numbers, dtype=np.complex128).tobytes()
+
+
 def equation_keys(field):
     return sorted(k[0] for k in field._memo
                   if k[0] in ("decomposition", "nonlinear", "linear"))
@@ -974,6 +992,71 @@ class TestWholeGridMemo:
                     decomposition_defect(spec, A_QM, field)
         assert calls == [grid.shape] * 4  # two fields times two equations
 
+    def test_a_warm_sweep_computes_and_stores_nothing(self, monkeypatch):
+        spec = log_transform(hje_pde_spec_1d(NAT), A_QM)
+        equations = (spec, linearize(spec), A_QM)
+        field = random_mode_field(Grid((64, 64), (2 * math.pi,) * 2), 1)
+
+        def sweep():
+            return [memo_calls(equations, field, point)
+                    for point in np.ndindex(field.grid.shape)]
+
+        first = sweep()
+        stored = dict(field._memo)
+        assert equations[1]._key in stored  # the linear spec's own key
+        calls = []
+        for module, name in ((pde_algebra, "central_difference"),
+                             (pde_algebra, "second_difference"),
+                             (pde_algebra, "_decomposition_terms"),
+                             (pde_algebra, "linearize"),
+                             (np, "roll")):
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name, **kw: calls.append(name))
+        second = sweep()
+        assert calls == []
+        assert field._memo.keys() == stored.keys()
+        assert all(field._memo[key] is entry for key, entry in stored.items())
+        assert sweep_bits(second) == sweep_bits(first)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_points_are_checked_as_the_reference_checks_them(self, warm):
+        grid = ORACLE_GRIDS[2]
+        spec = oracle_specs(2, seed=12)[-1]
+        equations = (spec, linearize(spec, A_ORACLE), A_ORACLE)
+        field = oracle_field(grid, seed=2)
+        three_axes = oracle_field(ORACLE_GRIDS[3], seed=3)
+        if warm:
+            memo_calls(equations, field, (0, 0))
+            decomposition_defect(oracle_specs(3, seed=13)[-1], A_ORACLE,
+                                 three_axes)
+        rows, cols = grid.shape
+        cases = [
+            (field, (np.int64(rows - 1), np.int64(cols - 1))),
+            (field, (np.int64(2), 3)),
+            (field, (-1, 0)),
+            (field, (0, -1)),
+            (field, (np.int64(-1), np.int64(-1))),
+            (field, (rows, 0)),
+            (field, (0, cols)),
+            (field, (np.int64(rows), np.int64(0))),
+            (field, (0,)),
+            (field, (0, 0, 0)),
+            (three_axes, (0, 0)),
+            (three_axes, (0, 0, 0)),
+        ]
+        spec, lspec, A = equations
+        calls = (lambda f, p: residual_decomposition_check(spec, A, f, p),
+                 lambda f, p: residual_nonlinear(spec, f, p),
+                 lambda f, p: residual_linear(lspec, f, p))
+        for f, point in cases:
+            want = _outcome(_ref_check_point, f, point, 2)
+            for call in calls:
+                got = _outcome(call, f, point)
+                if want[0] == "ok":
+                    assert got == ("ok", call(f, want[1]))
+                else:
+                    assert got == want
+
     def test_racing_first_uses_all_read_the_one_stored_array(self):
         # more threads than cores, switching often, all missing one key
         field = oracle_field(MEMO_GRID, seed=7)
@@ -990,7 +1073,7 @@ class TestWholeGridMemo:
 
         def use():
             start.wait(timeout=5)
-            got.append(pde_algebra._Sampled(field, None, 2).read("race", make))
+            got.append(pde_algebra._Sampled(field).read("race", make))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -412,6 +412,16 @@ class TestHjeResidual:
         with pytest.raises(InsufficientDataError):
             hje_residual(f, NAT)
 
+    def test_mass_term_out_of_range_is_named(self):
+        grid = Grid.line(16, 2 * math.pi)
+        heavy = PhysicalConstants(m0=1e200)
+        action = ParticleState(E=1.0, p=(1.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="rest energy m0 c\\^2 = 1e\\+200"):
+            hje_residual(action, heavy, grid=grid)
+        # the massless equation has no mass term to form
+        res = hje_residual(action, heavy, massless=True, grid=grid)
+        assert np.all(res.values == 0.0)
+
     def test_misordered_levels_rejected(self):
         grid = Grid.line(16, 2 * math.pi)
         s0 = plane_wave_field(grid, 1.0, 1.0, t=0.1)
