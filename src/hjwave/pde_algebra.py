@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,18 +374,13 @@ class _Exact:
         v, g = self.value, self._grad
         return (v * self._hess[ax1][ax2] - g[ax1] * g[ax2]) / v / v
 
-    def require_nonzero(self) -> None:
-        if self.value == 0:
-            raise ZeroFieldError("identity divides by psi^2")
-
 
 class _Sampled:
     """Whole-grid central differences of a ScalarField; it knows no point.
 
     Each array, and each equation evaluated from them, is computed once
-    per field, on first use, into the field's ``_memo``.  A call at a
-    point checks the point (``_check_point``), gets one memo entry
-    (``_entry``, which makes a reader only on a miss) and reads one item.
+    per field, on first use, into the field's ``_memo``; ``_at_point``
+    makes a reader only on a miss.
     """
 
     def __init__(self, field: ScalarField):
@@ -446,7 +442,8 @@ def _require_nonzero(code) -> None:
 def _check_point(field: ScalarField, point, n: int):
     """``point`` as n in-range indices into the field, which must have n axes.
 
-    A point of None (the whole grid) passes the axis check only.
+    None (the whole grid) passes the axis check only.  A float index is
+    refused, not truncated; a bool is an index (True is 1).
     """
     shape = field.grid.shape
     if len(shape) != n:
@@ -455,7 +452,10 @@ def _check_point(field: ScalarField, point, n: int):
         )
     if point is None:
         return None
-    point = tuple(map(int, point))
+    try:
+        point = tuple(map(operator.index, point))
+    except TypeError:
+        raise DomainError("point indices must be integers") from None
     if len(point) != n:
         raise DomainError("point must carry one index per grid axis")
     for i, size in zip(point, shape):
@@ -464,16 +464,44 @@ def _check_point(field: ScalarField, point, n: int):
     return point
 
 
-def _entry(field: ScalarField, key, make):
-    """The field's memo entry under ``key``, made on first use."""
+def _at_point(field, point, n: int, key, make) -> complex:
+    """make(reader) at point; on a ScalarField, one index into its memo."""
+    if not isinstance(field, ScalarField):
+        return complex(make(_Exact(field, point, n)))
+    point = _check_point(field, point, n)
     entry = field._memo.get(key)
-    return _Sampled(field).read(key, make) if entry is None else entry
+    if entry is None:
+        entry = _Sampled(field).read(key, make)
+    return entry.item(point)
 
 
 # ---------------------------------------------------------------------------
 # Residual evaluators; on a ScalarField one whole-grid evaluation per
 # equation, and a call at a point is one checked index into it
 # ---------------------------------------------------------------------------
+
+def _nonlinear(spec: PdeSpec, d1, value):
+    """sum_T coeff prod_{l in T} d1(i_l - 1) + b, d1 by 0-based axis; a
+    homogeneous spec's terms carry value^(m - degree), and b value^m."""
+    total = 0.0 + 0.0j
+    for t in spec.terms:
+        prod = t.coeff
+        for i in t.indices:
+            prod *= d1(i - 1)
+        if spec.homogeneous and spec.m != t.degree:
+            prod *= value ** (spec.m - t.degree)
+        total += prod
+    total += spec.b * value**spec.m if spec.homogeneous else spec.b
+    return total
+
+
+def _linear(lspec: LinearPdeSpec, d2, value):
+    """b value + sum_jk M_jk d2(j, k) over the nonzero M_jk, row-major."""
+    total = lspec.zeroth_coeff * value
+    for j, k, m in _entries(lspec):
+        total += m * d2(j, k)
+    return total
+
 
 def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
     """Left-hand side of the nonlinear equation at one point.
@@ -483,34 +511,14 @@ def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
     Analytic fields use exact derivatives, sampled fields second-order
     central differences with periodic wrap.
     """
-    def nonlinear(f):
-        v = f.value
-        total = 0.0 + 0.0j
-        for t in spec.terms:
-            prod = t.coeff
-            for i in t.indices:
-                prod *= f.d1(i - 1)
-            if spec.homogeneous and spec.m != t.degree:
-                prod *= v ** (spec.m - t.degree)
-            total += prod
-        return total + (spec.b * v**spec.m if spec.homogeneous else spec.b)
-    if isinstance(field, ScalarField):
-        point = _check_point(field, point, spec.n)
-        return _entry(field, ("nonlinear", spec._key), nonlinear).item(point)
-    return complex(nonlinear(_Exact(field, point, spec.n)))
+    return _at_point(field, point, spec.n, ("nonlinear", spec._key),
+                     lambda f: _nonlinear(spec, f.d1, f.value))
 
 
 def residual_linear(lspec: LinearPdeSpec, field, point) -> complex:
     """Left-hand side sum_jk M_jk d2 psi/dx_j dx_k + b psi at one point."""
-    def linear(f):
-        total = lspec.zeroth_coeff * f.value
-        for j, k, m in _entries(lspec):
-            total += m * f.d2(j, k)
-        return total
-    if isinstance(field, ScalarField):
-        point = _check_point(field, point, lspec.n)
-        return _entry(field, lspec._key, linear).item(point)
-    return complex(linear(_Exact(field, point, lspec.n)))
+    return _at_point(field, point, lspec.n, lspec._key,
+                     lambda f: _linear(lspec, f.d2, f.value))
 
 
 @dataclass(frozen=True)
@@ -532,22 +540,23 @@ class ResidualDecomposition:
 def _decomposition(spec: PdeSpec, A: complex | None, field, point):
     """lhs, rhs, scale and correction at ``point``, or everywhere if None.
 
-    On a sampled field one memo entry holds the field's zero-field codes
-    and the four arrays.  linearize runs on a miss only, so an A it
-    rejects, never stored, raises before the field is read, on every call.
+    On a sampled field one memo entry, under A's complex value, holds the
+    zero-field codes and the four arrays.  linearize runs on a miss only,
+    so an A it rejects, never stored, raises first, on every call.
     """
     if not isinstance(field, ScalarField):
         lspec = linearize(spec, A)
         f = _Exact(field, point, spec.n)
-        f.require_nonzero()
-        return _decomposition_terms(lspec, f)
-    key = ("decomposition", spec._key, repr(A))
+        if f.value == 0:
+            raise ZeroFieldError("identity divides by psi^2")
+        return _decomposition_terms(spec, A, lspec, f)
+    key = ("decomposition", spec._key, None if A is None else repr(complex(A)))
     entry = field._memo.get(key)
     lspec = linearize(spec, A) if entry is None else None
     point = _check_point(field, point, spec.n)
     if entry is None:
-        entry = _Sampled(field).read(
-            key, lambda f: (f.zeros(), *_decomposition_terms(lspec, f)))
+        entry = _Sampled(field).read(key, lambda f: (
+            f.zeros(), *_decomposition_terms(spec, A, lspec, f)))
     zeros, lhs, rhs, scale, correction = entry
     if point is None:
         _require_nonzero(zeros.max())
@@ -557,24 +566,21 @@ def _decomposition(spec: PdeSpec, A: complex | None, field, point):
             correction.item(point))
 
 
-def _decomposition_terms(lspec: LinearPdeSpec, f):
+def _decomposition_terms(spec: PdeSpec, A, lspec: LinearPdeSpec, f):
     """lhs, rhs, scale and correction from the reader f, at its point or grid.
 
-    The sums run over the nonzero M_jk in row-major order, then add b terms.
+    lhs is the psi-form spec's nonlinear residual, rhs psi times lspec's
+    linear residual plus the correction; curvature and scale sum over M.
     """
     v, b = f.value, lspec.zeroth_coeff
-    lhs = linear = curvature = 0j
-    scale = 0.0
+    image = spec if spec.homogeneous else log_transform(spec, A)
+    lhs = _nonlinear(image, f.d1, v)
+    curvature, scale = 0j, 0.0
     for j, k, m in _entries(lspec):
-        gg = f.d1(j) * f.d1(k)
-        lhs += m * gg
-        linear += m * f.d2(j, k)
         curvature += m * f.log_d2(j, k)
-        scale += abs(m) * abs(gg)
-    lhs += b * v * v
-    linear += b * v
+        scale += abs(m) * abs(f.d1(j) * f.d1(k))
     correction = -(v * v) * curvature
-    rhs = v * linear + correction
+    rhs = v * _linear(lspec, f.d2, v) + correction
     scale += abs(b) * abs(v) ** 2 + abs(correction)
     return lhs, rhs, scale, correction
 

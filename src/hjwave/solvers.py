@@ -43,10 +43,10 @@ non-finite row, or the rows of a run past MAX_STEPS, raise when the
 rows are read.  A grid holds at most MAX_POINTS points, checked by
 require_solver_grid before any field exists.
 
-The module also evaluates pointwise residuals of the nonlinear
-Hamilton-Jacobi equations on action fields (two time levels, or closed
-forms), and the eigenvalue / log-curvature identities that single out
-plane waves.
+The module also evaluates the HJE spec that pde_algebra transforms, by
+its nonlinear residual formula, on action fields (two time levels, or
+closed forms), and the eigenvalue / log-curvature identities that single
+out plane waves.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .kinematics import (
     PlaneWave,
     dispersion_omega,
 )
+from . import pde_algebra
 from .reporting import write_csv
 
 LEAPFROG = "leapfrog"
@@ -444,40 +445,36 @@ def _time_levels(levels, count: int) -> tuple[list[ScalarField], float]:
 
 def hje_residual(S, consts: PhysicalConstants, massless: bool = False, *,
                  grid: Grid | None = None) -> ScalarField:
-    """Pointwise residual of (dS/dt)^2 - c^2 (grad S)^2 - m0^2 c^4 (= 0 if massless).
+    """Pointwise residual of the chain's HJE spec (m0 = 0 if ``massless``),
+    (dS/dt)^2 - c^2 (grad S)^2 - m0^2 c^4, by ``residual_nonlinear``'s formula.
 
     ``S`` is either a pair of ScalarFields at two adjacent time levels
     (residual evaluated at the midpoint time: centered dS/dt, averaged
     gradients) or a dual closed form evaluated exactly on ``grid`` at
     t = 0: the particle-like ParticleState or the wave-like PlaneWave.
     """
-    mass_term = 0.0 if massless else consts.rest_energy_squared
-    c2 = consts.c**2
-
     if isinstance(S, (ParticleState, PlaneWave)) and grid is None:
         raise InsufficientDataError("closed-form actions need a target grid")
+    if isinstance(S, (ParticleState, PlaneWave)) and grid.ndim > 3:
+        raise DomainError("closed-form actions have at most 3 space axes")
     out_t = 0.0
-    if isinstance(S, ParticleState):
-        dsdt = np.full(grid.shape, -S.E, dtype=np.complex128)
-        grads = [np.full(grid.shape, p, dtype=np.complex128)
-                 for p in S.p[: grid.ndim]]
+    if isinstance(S, ParticleState):  # [grad S..., dS/dt]
+        d1 = [np.full(grid.shape, q, dtype=np.complex128)
+              for q in (*S.p[: grid.ndim], -S.E)]
     elif isinstance(S, PlaneWave):
         values = plane_wave_field(grid, S.k, S.omega, 0.0, S.amplitude).values
-        dsdt = -1j * S.omega * values
-        grads = [1j * S.k[ax] * values for ax in range(grid.ndim)]
+        d1 = [1j * q * values for q in (*S.k[: grid.ndim], -S.omega)]
     else:
         (s0, s1), dt = _time_levels(S, 2)
         grid = s0.grid
-        dsdt = (s1.values - s0.values) / dt
-        g0 = central_gradient(s0.values, grid)
-        g1 = central_gradient(s1.values, grid)
-        grads = [0.5 * (a + b) for a, b in zip(g0, g1)]
+        d1 = [0.5 * (a + b) for a, b in zip(central_gradient(s0.values, grid),
+                                            central_gradient(s1.values, grid))]
+        d1.append((s1.values - s0.values) / dt)
         out_t = 0.5 * (s0.time_stamp + s1.time_stamp)
 
-    residual = dsdt**2
-    for g in grads:
-        residual = residual - c2 * g**2
-    residual = residual - mass_term
+    spec = pde_algebra._hje_spec(replace(consts, m0=0.0) if massless
+                                 else consts, grid.ndim)
+    residual = pde_algebra._nonlinear(spec, d1.__getitem__, None)
     return ScalarField(grid, residual, out_t)
 
 

@@ -30,10 +30,12 @@ from .kinematics import (
     ParticleState,
     PhysicalConstants,
     PlaneWave,
+    de_broglie_momentum,
     dispersion_omega,
     group_velocity,
     particle_velocity,
     phase_velocity,
+    planck_energy,
 )
 from .limits import LimitStudyConfig, run_limit_study
 from .mechanics import (
@@ -127,10 +129,9 @@ def check_eigen_log_curvature(seed: int) -> CheckResult:
         grid = Grid.line(n, 2 * math.pi)
         dt = 0.5 * grid.spacing
         levels = [plane_wave_field(grid, k, omega, t=i * dt) for i in range(3)]
-        mom, en = eigen_checks(
-            (levels[0], levels[1]), (NATURAL.hbar * k, 0.0, 0.0),
-            NATURAL.hbar * omega, NATURAL,
-        )
+        mom, en = eigen_checks((levels[0], levels[1]),
+                               de_broglie_momentum((k, 0.0, 0.0), NATURAL),
+                               planck_energy(omega, NATURAL), NATURAL)
         spc, tim = log_curvature_check(levels)
         hs.append(grid.spacing)
         for name, value in zip(defects, (mom, en, spc, tim)):

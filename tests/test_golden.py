@@ -30,6 +30,8 @@ import pytest
 from test_cli import run_cli
 
 MANIFEST = pathlib.Path(__file__).with_name("golden.json")
+# lines run here, so that ``--spec golden_spec.json`` names this directory's file
+WORKDIR = MANIFEST.parent
 
 
 def _sha256(data: bytes) -> str:
@@ -37,9 +39,10 @@ def _sha256(data: bytes) -> str:
 
 
 def outcome(line: str, workdir: pathlib.Path) -> dict:
-    """Run ``hjwave <line> --out <workdir>/out`` in process; hash what it gives."""
+    """Run ``hjwave <line> --out <workdir>/out`` in process from this
+    directory; hash what it gives."""
     out = workdir / "out"
-    res = run_cli(*shlex.split(line), "--out", str(out))
+    res = run_cli(*shlex.split(line), "--out", str(out), cwd=WORKDIR)
     files = {}
     if out.exists():
         files = {p.relative_to(out).as_posix(): _sha256(p.read_bytes())

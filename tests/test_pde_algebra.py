@@ -1090,6 +1090,83 @@ class TestWholeGridMemo:
         assert all(a is field._memo["race"] for a in got)
 
 
+class TestPointIndices:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_float_indices_are_refused_and_bools_are_indices(self, warm):
+        grid = ORACLE_GRIDS[2]
+        spec = oracle_specs(2, seed=12)[-1]
+        equations = (spec, linearize(spec, A_ORACLE), A_ORACLE)
+        field = oracle_field(grid, seed=2)
+        if warm:
+            memo_calls(equations, field, (0, 0))
+        spec, lspec, A = equations
+        calls = (lambda p: residual_decomposition_check(spec, A, field, p),
+                 lambda p: residual_nonlinear(spec, field, p),
+                 lambda p: residual_linear(lspec, field, p))
+        # _ref_check_point truncates with int(), so these cases carry
+        # their own expectation
+        for point in ((2.7, 0.9), (-0.5, 0), (np.float64(2.0), 1), (2, 1.0)):
+            for call in calls:
+                with pytest.raises(DomainError,
+                                   match="point indices must be integers"):
+                    call(point)
+        assert memo_calls(equations, field, (True, False)) == memo_calls(
+            equations, field, (1, 0))
+
+
+class TestOneFormulaEach:
+    """The decomposition composes the nonlinear and the linear residual."""
+
+    @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
+    def test_sides_are_the_residual_evaluators_on_a_sampled_field(self, n):
+        grid = ORACLE_GRIDS[n]
+        field = oracle_field(grid, seed=n)
+        for spec in oracle_specs(n, seed=10 + n):
+            for form in (spec, log_transform(spec, A_ORACLE)):
+                image = log_transform(spec, A_ORACLE)
+                lspec = linearize(form, A_ORACLE)
+                lhs, rhs, _, correction = pde_algebra._decomposition(
+                    form, A_ORACLE, field, None)
+                nonlinear = np.array([residual_nonlinear(image, field, p)
+                                      for p in np.ndindex(grid.shape)])
+                linear = np.array([residual_linear(lspec, field, p)
+                                   for p in np.ndindex(grid.shape)])
+                assert lhs.ravel().tobytes() == nonlinear.tobytes()
+                want = field.values.ravel() * linear + correction.ravel()
+                assert rhs.ravel().tobytes() == want.tobytes()
+
+    def test_sides_are_the_residual_evaluators_on_an_analytic_field(self):
+        spec = oracle_specs(4, seed=14)[-1]
+        image = log_transform(spec, A_ORACLE)
+        wave = AnalyticField([1.0, 0.3 - 0.1j],
+                             [[0.2j, -0.5j, 0.1j, 1.1j], [-1j, 0.4j, 0, 0.3j]])
+        point = (0.3, -0.7, 1.1, 0.4)
+        got = residual_decomposition_check(spec, A_ORACLE, wave, point)
+        assert got.lhs == residual_nonlinear(image, wave, point)
+        linear = residual_linear(linearize(image), wave, point)
+        assert got.rhs == wave.value(point) * linear + got.log_curvature_term
+
+    def test_equal_constants_share_one_decomposition_entry(self):
+        spec = oracle_specs(2, seed=12)[-1]
+        field = oracle_field(ORACLE_GRIDS[2], seed=2)
+        results = [(residual_decomposition_check(spec, A, field, (1, 2)),
+                    decomposition_defect(spec, A, field))
+                   for A in (1, 1.0, 1 + 0j)]
+        assert equation_keys(field) == ["decomposition"]
+        bits = [(np.array(dataclasses.astuple(record), dtype=complex).tobytes(),
+                 defect.tobytes()) for record, defect in results]
+        assert bits[1] == bits[0] and bits[2] == bits[0]
+
+    def test_signed_zero_constants_keep_their_own_entries(self):
+        # a homogeneous spec without a recorded constant takes any A
+        image = log_transform(oracle_specs(2, seed=12)[-1], A_ORACLE)
+        bare = PdeSpec(image.n, image.m, image.terms, image.b, homogeneous=True)
+        field = oracle_field(ORACLE_GRIDS[2], seed=2)
+        for A in (0.0, -0.0, None, 0j):
+            residual_decomposition_check(bare, A, field, (1, 2))
+        assert equation_keys(field) == ["decomposition"] * 3
+
+
 # ---------------------------------------------------------------------------
 # Action <-> wave function
 # ---------------------------------------------------------------------------

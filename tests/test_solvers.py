@@ -30,7 +30,7 @@ from hjwave import (
     solve_wave,
 )
 from hjwave import solvers
-from hjwave.fields import second_difference
+from hjwave.fields import central_gradient, second_difference
 from hjwave.solvers import MAX_POINTS, MAX_STEPS, _stencil_eigenvalues
 
 NAT = PhysicalConstants()
@@ -373,6 +373,36 @@ class TestSchrodingerSolver:
             )
 
 
+def oracle_hje_residual(S, consts, massless=False, grid=None):
+    """Hand-coded (dS/dt)^2 - c^2 (grad S)^2 - m0^2 c^4, and its terms' size."""
+    if isinstance(S, ParticleState):
+        dsdt = np.full(grid.shape, -S.E, dtype=np.complex128)
+        grads = [np.full(grid.shape, p, dtype=np.complex128)
+                 for p in S.p[: grid.ndim]]
+    elif isinstance(S, PlaneWave):
+        values = plane_wave_field(grid, S.k, S.omega, 0.0, S.amplitude).values
+        dsdt = -1j * S.omega * values
+        grads = [1j * S.k[ax] * values for ax in range(grid.ndim)]
+    else:
+        s0, s1 = S
+        dt = s1.time_stamp - s0.time_stamp
+        dsdt = (s1.values - s0.values) / dt
+        grads = [0.5 * (a + b)
+                 for a, b in zip(central_gradient(s0.values, s0.grid),
+                                 central_gradient(s1.values, s1.grid))]
+    mass_term = 0.0 if massless else consts.rest_energy**2
+    residual, size = dsdt**2, np.abs(dsdt)**2 + mass_term
+    for g in grads:
+        residual = residual - consts.c**2 * g**2
+        size = size + consts.c**2 * np.abs(g)**2
+    return residual - mass_term, size
+
+
+HJE_GRIDS = [Grid.line(12, 2 * math.pi),
+             Grid((8, 6), (2 * math.pi, 1.7)),
+             Grid((6, 5, 4), (2 * math.pi, 1.3, 2.1))]
+
+
 class TestHjeResidual:
     def test_particle_action_on_shell_massless(self):
         grid = Grid.line(16, 2 * math.pi)
@@ -421,6 +451,38 @@ class TestHjeResidual:
         # the massless equation has no mass term to form
         res = hje_residual(action, heavy, massless=True, grid=grid)
         assert np.all(res.values == 0.0)
+
+    @pytest.mark.parametrize("grid", HJE_GRIDS, ids=lambda g: f"{g.ndim}d")
+    @pytest.mark.parametrize("massless", [False, True])
+    def test_matches_the_hand_coded_equation(self, grid, massless):
+        consts = PhysicalConstants(0.7, 2.0, 1.3)
+        k = (1.0, -2.0, 1.0)
+        omega = dispersion_omega(math.hypot(*k), consts)
+        levels = [plane_wave_field(grid, k, omega, t=t, amplitude=0.8)
+                  for t in (0.0, 0.05)]
+        actions = [ParticleState.from_momentum((0.4, -1.1, 0.3), consts),
+                   PlaneWave.on_shell(0.6, k, consts), tuple(levels)]
+        for action in actions:
+            got = hje_residual(action, consts, massless, grid=grid).values
+            want, size = oracle_hje_residual(action, consts, massless, grid)
+            # the same terms, rounded in another order: 1.9e-16 of their
+            # summed size at most, on these grids
+            assert np.all(np.abs(got - want) <= 1e-15 * size)
+
+    def test_light_speed_out_of_range_is_named(self):
+        grid = Grid.line(16, 2 * math.pi)
+        action = ParticleState(E=1.0, p=(1.0, 0.0, 0.0))
+        for massless in (False, True):
+            with pytest.raises(DomainError, match="c = 1e\\+200 is out of range"):
+                hje_residual(action, PhysicalConstants(c=1e200), massless,
+                             grid=grid)
+
+    def test_closed_forms_refuse_a_fourth_space_axis(self):
+        grid = Grid((4, 4, 4, 4), (1.0,) * 4)
+        for action in (ParticleState(E=1.0, p=(1.0, 0.0, 0.0)),
+                       PlaneWave.on_shell(1.0, (1.0, 0.0, 0.0), NAT)):
+            with pytest.raises(DomainError, match="at most 3 space axes"):
+                hje_residual(action, NAT, grid=grid)
 
     def test_misordered_levels_rejected(self):
         grid = Grid.line(16, 2 * math.pi)
