@@ -97,7 +97,7 @@ class ScalarField:
     ``_memo`` holds what ``pde_algebra`` derives from the samples, each on
     first use: difference arrays, zero-field codes and each equation's
     whole-grid residuals, so that a residual at a point is one item of one
-    entry.
+    entry, read behind numpy's own index check.
     """
 
     grid: Grid

@@ -380,7 +380,7 @@ class _Sampled:
 
     Each array, and each equation evaluated from them, is computed once
     per field, on first use, into the field's ``_memo``; ``_at_point``
-    makes a reader only on a miss.
+    and ``_decomposition`` make a reader only on a miss.
     """
 
     def __init__(self, field: ScalarField):
@@ -442,8 +442,9 @@ def _require_nonzero(code) -> None:
 def _check_point(field: ScalarField, point, n: int):
     """``point`` as n in-range indices into the field, which must have n axes.
 
-    None (the whole grid) passes the axis check only.  A float index is
-    refused, not truncated; a bool is an index (True is 1).
+    The reference check; once an entry exists, ``_item`` runs it only to
+    name a refusal.  None (the whole grid) passes the axis check only.  A
+    float index is refused, not truncated; a bool is an index (True is 1).
     """
     shape = field.grid.shape
     if len(shape) != n:
@@ -464,15 +465,35 @@ def _check_point(field: ScalarField, point, n: int):
     return point
 
 
-def _at_point(field, point, n: int, key, make) -> complex:
-    """make(reader) at point; on a ScalarField, one index into its memo."""
-    if not isinstance(field, ScalarField):
-        return complex(make(_Exact(field, point, n)))
+def _item(array: np.ndarray, field: ScalarField, point, n: int):
+    """array's item at point, and the index that read it.
+
+    numpy's C index check goes first, behind a guard that keeps it from
+    reading a short point as a flat index or wrapping a negative one.
+    Where either refuses, ``_check_point`` raises or returns the tuple to
+    index with (numpy refuses a bool and a list, the reference does not).
+    """
+    try:
+        if array.ndim == n and len(point) == n and min(point) >= 0:
+            return array.item(point), point
+    except (TypeError, ValueError, IndexError, OverflowError):
+        pass
     point = _check_point(field, point, n)
+    return array.item(point), point
+
+
+def _at_point(spec, key, formula, field, point) -> complex:
+    """formula(spec, reader) at point; on a ScalarField, one item of the
+    memo entry under key, evaluated over the grid once the point passes."""
+    if point is None:  # _check_point reads None as the whole grid; refuse it
+        point = ()
+    if not isinstance(field, ScalarField):
+        return complex(formula(spec, _Exact(field, point, spec.n)))
     entry = field._memo.get(key)
     if entry is None:
-        entry = _Sampled(field).read(key, make)
-    return entry.item(point)
+        point = _check_point(field, point, spec.n)
+        entry = _Sampled(field).read(key, lambda f: formula(spec, f))
+    return _item(entry, field, point, spec.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +524,14 @@ def _linear(lspec: LinearPdeSpec, d2, value):
     return total
 
 
+def _nonlinear_of(spec: PdeSpec, f):
+    return _nonlinear(spec, f.d1, f.value)
+
+
+def _linear_of(lspec: LinearPdeSpec, f):
+    return _linear(lspec, f.d2, f.value)
+
+
 def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
     """Left-hand side of the nonlinear equation at one point.
 
@@ -511,14 +540,13 @@ def residual_nonlinear(spec: PdeSpec, field, point) -> complex:
     Analytic fields use exact derivatives, sampled fields second-order
     central differences with periodic wrap.
     """
-    return _at_point(field, point, spec.n, ("nonlinear", spec._key),
-                     lambda f: _nonlinear(spec, f.d1, f.value))
+    return _at_point(spec, ("nonlinear", spec._key), _nonlinear_of, field,
+                     point)
 
 
 def residual_linear(lspec: LinearPdeSpec, field, point) -> complex:
     """Left-hand side sum_jk M_jk d2 psi/dx_j dx_k + b psi at one point."""
-    return _at_point(field, point, lspec.n, lspec._key,
-                     lambda f: _linear(lspec, f.d2, f.value))
+    return _at_point(lspec, lspec._key, _linear_of, field, point)
 
 
 @dataclass(frozen=True)
@@ -552,16 +580,17 @@ def _decomposition(spec: PdeSpec, A: complex | None, field, point):
         return _decomposition_terms(spec, A, lspec, f)
     key = ("decomposition", spec._key, None if A is None else repr(complex(A)))
     entry = field._memo.get(key)
-    lspec = linearize(spec, A) if entry is None else None
-    point = _check_point(field, point, spec.n)
     if entry is None:
+        lspec = linearize(spec, A)
+        point = _check_point(field, point, spec.n)
         entry = _Sampled(field).read(key, lambda f: (
             f.zeros(), *_decomposition_terms(spec, A, lspec, f)))
     zeros, lhs, rhs, scale, correction = entry
     if point is None:
         _require_nonzero(zeros.max())
         return lhs, rhs, scale, correction
-    _require_nonzero(zeros.item(point))
+    code, point = _item(zeros, field, point, spec.n)
+    _require_nonzero(code)
     return (lhs.item(point), rhs.item(point), scale.item(point),
             correction.item(point))
 
@@ -595,6 +624,8 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
     stencils as the residuals - so the mismatch measures genuine O(h^2)
     discretization error instead of cancelling algebraically.
     """
+    if point is None:  # _decomposition reads None as the whole grid; refuse it
+        point = ()
     lhs, rhs, scale, correction = _decomposition(spec, A, field, point)
     diff = abs(lhs - rhs)
     mismatch = 0.0 if diff == 0.0 else diff / max(scale, 1e-300)

@@ -1009,6 +1009,8 @@ class TestWholeGridMemo:
                              (pde_algebra, "second_difference"),
                              (pde_algebra, "_decomposition_terms"),
                              (pde_algebra, "linearize"),
+                             (pde_algebra, "_check_point"),
+                             (pde_algebra, "_Sampled"),
                              (np, "roll")):
             monkeypatch.setattr(module, name,
                                 lambda *args, name=name, **kw: calls.append(name))
@@ -1029,20 +1031,42 @@ class TestWholeGridMemo:
             memo_calls(equations, field, (0, 0))
             decomposition_defect(oracle_specs(3, seed=13)[-1], A_ORACLE,
                                  three_axes)
+
+        def fresh(f):  # cold: every call meets an empty memo
+            return f if warm else f.with_values(f.values)
+
         rows, cols = grid.shape
         cases = [
             (field, (np.int64(rows - 1), np.int64(cols - 1))),
             (field, (np.int64(2), 3)),
+            # numpy refuses bools and lists, which the reference takes
+            (field, (True, 0)),
+            (field, [1, 2]),
+            (field, (np.array(1), 2)),
+            (field, (1, np.uint8(3))),
             (field, (-1, 0)),
+            (field, (-1, 2)),
             (field, (0, -1)),
             (field, (np.int64(-1), np.int64(-1))),
             (field, (rows, 0)),
             (field, (0, cols)),
             (field, (np.int64(rows), np.int64(0))),
+            (field, (2**70, 0)),  # numpy overflows a C long
             (field, (0,)),
             (field, (0, 0, 0)),
             (three_axes, (0, 0)),
             (three_axes, (0, 0, 0)),
+        ]
+        # the reference takes these through int(); numpy's bool has no
+        # __index__, and None, the whole grid elsewhere, carries no index
+        not_integers = ("DomainError", "point indices must be integers")
+        own = [
+            ((np.True_, 0), not_integers),
+            ((None, 1), not_integers),
+            (("1", 2), not_integers),
+            ((np.array([1]), 2), not_integers),
+            (None, ("DomainError",
+                    "point must carry one index per grid axis")),
         ]
         spec, lspec, A = equations
         calls = (lambda f, p: residual_decomposition_check(spec, A, f, p),
@@ -1051,11 +1075,14 @@ class TestWholeGridMemo:
         for f, point in cases:
             want = _outcome(_ref_check_point, f, point, 2)
             for call in calls:
-                got = _outcome(call, f, point)
+                got = _outcome(call, fresh(f), point)
                 if want[0] == "ok":
-                    assert got == ("ok", call(f, want[1]))
+                    assert got == ("ok", call(fresh(f), want[1]))
                 else:
                     assert got == want
+        for point, want in own:
+            for call in calls:
+                assert _outcome(call, fresh(field), point) == want
 
     def test_racing_first_uses_all_read_the_one_stored_array(self):
         # more threads than cores, switching often, all missing one key
