@@ -410,14 +410,16 @@ class _Sampled:
     def log_d2(self, ax1: int, ax2: int) -> np.ndarray:
         """Second derivative of ln(psi) from principal logs of neighbour ratios.
 
-        Independent of d1/d2, and winding-safe.
+        Independent of d1/d2, and winding-safe.  Each ratio's log is taken
+        in place by ``_log_in_place``, from real log1p and arctan2.
         """
         def make(f):
             v, hs = f.value, f.hs
             if ax1 == ax2:
-                up = np.log(np.roll(v, -1, axis=ax1) / v)  # ln(psi+ / psi)
+                up = _log_in_place(np.roll(v, -1, axis=ax1) / v)  # ln(psi+/psi)
                 return (up - np.roll(up, 1, axis=ax1)) / hs[ax1] ** 2
-            across = np.log(np.roll(v, -1, axis=ax2) / np.roll(v, 1, axis=ax2))
+            across = _log_in_place(
+                np.roll(v, -1, axis=ax2) / np.roll(v, 1, axis=ax2))
             return central_difference(across / (2 * hs[ax2]), ax1, hs[ax1])
         return self.read(("log_d2", ax1, ax2), make)
 
@@ -429,6 +431,33 @@ class _Sampled:
                        for ax in range(small.ndim) for shift in (1, -1))
             return np.where(small, 2, near > 0)
         return self.read("zeros", make)
+
+
+def _log_in_place(r: np.ndarray) -> np.ndarray:
+    """Overwrite the complex array r with its principal log; return r.
+
+    The imaginary part is arctan2(Im r, Re r), as in np.log.  The real part
+    is ln|r| = log1p(x) / 2 with x = |r|^2 - 1 = (Re r - 1)(Re r + 1) +
+    (Im r)^2, which keeps its digits for the ratios near 1 that neighbouring
+    samples give; where |x| < 0.5 fails (nan included) it is log(hypot(r)).
+    Both are within an ulp or so of np.log at a fraction of the cost of a
+    complex log.  At most two real full-size temporaries are live at once
+    (x and one more), as large together as np.log's complex output; the
+    angle is not written straight into Im r, since numpy copies an input
+    its output overlaps.
+    """
+    re, im = r.real, r.imag
+    x = re - 1.0
+    x *= re + 1.0
+    x += im * im
+    far = ~(np.abs(x) < 0.5)
+    far_log = np.log(np.hypot(re[far], im[far]))
+    angle = np.arctan2(im, re)
+    x[far] = 0.0  # log1p sees no -1, inf or nan there
+    np.multiply(np.log1p(x, out=x), 0.5, out=re)
+    re[far] = far_log
+    im[...] = angle
+    return r
 
 
 def _require_nonzero(code) -> None:
@@ -444,7 +473,9 @@ def _check_point(field: ScalarField, point, n: int):
 
     The reference check; once an entry exists, ``_item`` runs it only to
     name a refusal.  None (the whole grid) passes the axis check only.  A
-    float index is refused, not truncated; a bool is an index (True is 1).
+    float index is refused, not truncated.  Python's bool is an index
+    (True is 1); numpy's bool is refused, as numpy 2 gives it no
+    ``__index__``.
     """
     shape = field.grid.shape
     if len(shape) != n:

@@ -37,10 +37,12 @@ modes' weights, rates and drift sums: until then a leapfrog report holds
 final field, such as the limit study, pays for two FFTs and the last step.
 The conserved quantities are evaluated once, so they are identical in
 every row; the leapfrog norm carries the rounding of its own row's
-evaluation, not rounding accumulated over steps.  A non-finite final
-field raises at the solver call, before any row is computed; a
-non-finite row, or the rows of a run past MAX_STEPS, raise when the
-rows are read.  A grid holds at most MAX_POINTS points, checked by
+evaluation, not rounding accumulated over steps.  Its rows are one
+exponential sum per distinct mode rate: modes of equal rate, such as the
++k and -k modes and a cube's permuted ones, pool their weights first.  A
+non-finite final field raises at the solver call, before any row is
+computed; a non-finite row, or the rows of a run past MAX_STEPS, raise
+when the rows are read.  A grid holds at most MAX_POINTS points, checked by
 require_solver_grid before any field exists.
 
 The module also evaluates the HJE spec that pde_algebra transforms, by
@@ -220,26 +222,35 @@ _BLOCK_ENTRIES = 1 << 14
 _ANCHOR_BLOCKS = 64
 
 
-def _exponential_sums(rates: np.ndarray, weights: np.ndarray,
+def _exponential_sums(phases: np.ndarray, weights: np.ndarray,
                       steps: int) -> np.ndarray:
-    """Re sum_k weights_k exp(n rates_k) for n = 1..steps.
+    """Re sum_k weights_k exp(i n phases_k) for n = 1..steps.
 
-    Rows go in blocks of at most _BLOCK_ENTRIES steps x modes entries.
-    The per-row factors exp(j rates), j < rows, are tabulated once, and a
-    block is one complex matrix-vector product of that table with
-    head = weights * exp(n0 rates).  head is evaluated directly every
-    _ANCHOR_BLOCKS blocks and otherwise advanced by exp(rows * rates), so
-    rounding accumulates over at most that many multiplications.
+    Modes whose phases are exactly equal share one exponential: their
+    weights are summed first, so the sums run over the distinct phases
+    (a grid's symmetric modes repeat each one up to 48 times).  Rows go
+    in blocks of _BLOCK_ENTRIES // (number of modes before grouping) steps,
+    so grouping shrinks the table and not the phase span j phases of a
+    block.  The per-row factors exp(i j phases), j < rows, are tabulated
+    once, and a block is one complex matrix-vector product of that table
+    with head = weights * exp(i n0 phases).  head is evaluated directly
+    every _ANCHOR_BLOCKS blocks and otherwise advanced by
+    exp(i rows phases), so rounding accumulates over at most that many
+    multiplications.
     """
     out = np.zeros(steps)
-    if rates.size == 0:
+    if phases.size == 0:
         return out
-    rows = max(1, min(steps, _BLOCK_ENTRIES // rates.size))
-    table = np.exp(np.multiply.outer(np.arange(rows), rates))
-    advance = np.exp(rows * rates)
+    rows = max(1, min(steps, _BLOCK_ENTRIES // phases.size))
+    phases, group = np.unique(phases, return_inverse=True)
+    summed = np.empty(phases.size, dtype=complex)
+    summed.real = np.bincount(group, weights.real, phases.size)
+    summed.imag = np.bincount(group, weights.imag, phases.size)
+    table = np.exp(1j * np.multiply.outer(np.arange(rows), phases))
+    advance = np.exp(1j * (rows * phases))
     for block, start in enumerate(range(0, steps, rows)):
         if block % _ANCHOR_BLOCKS == 0:
-            head = weights * np.exp((start + 1) * rates)
+            head = summed * np.exp(1j * ((start + 1) * phases))
         else:
             head *= advance
         stop = min(start + rows, steps)
@@ -323,7 +334,7 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
             # array is live at a time.
             ao, bo = aa[osc], bb[osc] / s2[osc]
             weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root)
-            norms = _exponential_sums(2j * theta, weights, n_last)
+            norms = _exponential_sums(2.0 * theta, weights, n_last)
             norms += float(np.sum(0.5 * (ao + bo))) + float(np.sum(aa[flat]))
             if flat.any():  # |U^n|^2 = |a|^2 + 2 e n Re(a conj(b)) + n^2 |b|^2
                 n = np.arange(1.0, n_last + 1)

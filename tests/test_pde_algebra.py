@@ -816,6 +816,57 @@ def per_point_mismatch(spec, A, field):
                      for p in np.ndindex(shape)]).reshape(shape)
 
 
+def log_samples():
+    """Named complex sample sets for the in-place log against np.log."""
+    rng = np.random.default_rng(5)
+    size = 20_000
+    near = 1.0 + 1e-3 * (rng.standard_normal(size)
+                         + 1j * rng.standard_normal(size))
+    angles = rng.uniform(-math.pi, math.pi, size)
+    circle = np.cos(angles) + 1j * np.sin(angles)
+    mags = np.exp(np.linspace(-40.0, 40.0, size))
+    spread = mags * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    negative = np.empty(2 * 500, dtype=complex)
+    negative.real = -np.tile(np.exp(np.linspace(-40.0, 40.0, 500)), 2)
+    negative.imag = np.repeat([0.0, -0.0], 500)
+    return {"near 1": near, "unit circle": circle, "e^-40..e^40": spread,
+            "negative axis": negative}
+
+
+class TestLogInPlace:
+    @pytest.mark.parametrize("name", list(log_samples()))
+    def test_within_two_ulps_of_np_log(self, name):
+        r = log_samples()[name]
+        want = np.log(r)
+        got = pde_algebra._log_in_place(r.copy())
+        tol = 2 * np.spacing(np.maximum(np.abs(want), 1.0))
+        assert np.all(np.abs(got.real - want.real) <= tol)
+        assert np.all(np.abs(got.imag - want.imag) <= tol)
+        if name == "near 1":  # the angles of neighbour ratios: same bits
+            assert got.imag.tobytes() == want.imag.tobytes()
+
+    def test_writes_into_its_argument(self):
+        r = log_samples()["near 1"]
+        assert pde_algebra._log_in_place(r) is r
+
+    def test_special_values_match_np_log(self):
+        # every pair of these parts but the four finite nonzero ones
+        parts = np.array([0.0, -0.0, 2.0, -2.0, math.inf, -math.inf, math.nan])
+        re, im = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        keep = ~((np.abs(re) == 2.0) & (np.abs(im) == 2.0))
+        r = np.empty(int(keep.sum()), dtype=complex)
+        r.real, r.imag = re[keep], im[keep]
+        with np.errstate(all="ignore"):
+            want = np.log(r)
+            got = pde_algebra._log_in_place(r.copy())
+        for part in ("real", "imag"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+            same = ~np.isnan(w)
+            assert np.array_equal(g[same], w[same])
+            assert np.array_equal(np.signbit(g[same]), np.signbit(w[same]))
+
+
 class TestDecompositionDefect:
     @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
     def test_matches_per_point_mismatch_on_oracle_grids(self, n):
