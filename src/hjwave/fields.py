@@ -161,18 +161,41 @@ def nonzero_peak(values: np.ndarray,
     return peak
 
 
+def periodic_op(op: np.ufunc, a, b, axis: int, da: int, db: int) -> np.ndarray:
+    """op(a[i + da], b[i + db]) at every index i, periodic along ``axis``.
+
+    Bit for bit op(np.roll(a, -da, axis), np.roll(b, -db, axis)), with no
+    rolled copy; a and b share one shape, and |da|, |db| < the axis length.
+    Flattened, a shift by d along ``axis`` is a shift by d times the axis'
+    stride, so one op over contiguous memory is right at every index whose
+    shifts do not wrap, and the planes whose shifts do are redone one by one.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    out = np.empty(a.shape, op.resolve_dtypes((a.dtype, b.dtype, None))[-1])
+    n, step = a.shape[axis], math.prod(a.shape[axis + 1:])
+    lo, hi = max(0, -da, -db) * step, a.size - max(0, da, db) * step
+    op(a.reshape(-1)[lo + da * step:hi + da * step],
+       b.reshape(-1)[lo + db * step:hi + db * step], out=out.reshape(-1)[lo:hi])
+
+    def plane(i: int) -> tuple:
+        return (slice(None),) * axis + (slice(i % n, i % n + 1),)
+
+    # the planes where i + d leaves [0, n) for d = da or db
+    wrapped = {i for d in (da, db) for i in (range(n - d, n) if d > 0 else range(-d))}
+    for i in wrapped:
+        op(a[plane(i + da)], b[plane(i + db)], out=out[plane(i)])
+    return out
+
+
 def central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Periodic second-order central first difference along one axis."""
-    return (
-        np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
-    ) / (2 * h)
+    return periodic_op(np.subtract, values, values, axis, 1, -1) / (2 * h)
 
 
 def second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Periodic second-order central second difference along one axis."""
-    return (
-        np.roll(values, -1, axis=axis) - 2 * values + np.roll(values, 1, axis=axis)
-    ) / h**2
+    ahead = periodic_op(np.subtract, values, 2 * np.asarray(values), axis, 1, 0)
+    return periodic_op(np.add, ahead, values, axis, 0, -1) / h**2
 
 
 def central_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:

@@ -39,7 +39,7 @@ from .errors import (
     require_normal_power,
 )
 from .fields import (_ZERO_FIELD_CUTOFF, ScalarField, central_difference,
-                     nonzero_peak, second_difference)
+                     nonzero_peak, periodic_op, second_difference)
 from .kinematics import PhysicalConstants
 from .reporting import json_dumps
 
@@ -415,11 +415,10 @@ class _Sampled:
         """
         def make(f):
             v, hs = f.value, f.hs
-            if ax1 == ax2:
-                up = _log_in_place(np.roll(v, -1, axis=ax1) / v)  # ln(psi+/psi)
-                return (up - np.roll(up, 1, axis=ax1)) / hs[ax1] ** 2
-            across = _log_in_place(
-                np.roll(v, -1, axis=ax2) / np.roll(v, 1, axis=ax2))
+            if ax1 == ax2:  # ln(psi+/psi), then its backward difference
+                up = _log_in_place(periodic_op(np.divide, v, v, ax1, 1, 0))
+                return periodic_op(np.subtract, up, up, ax1, 0, -1) / hs[ax1] ** 2
+            across = _log_in_place(periodic_op(np.divide, v, v, ax2, 1, -1))
             return central_difference(across / (2 * hs[ax2]), ax1, hs[ax1])
         return self.read(("log_d2", ax1, ax2), make)
 
@@ -427,9 +426,10 @@ class _Sampled:
         """2 at a sample below the cutoff, else 1 next to one, else 0."""
         def make(f):
             small = np.abs(f.value) < _ZERO_FIELD_CUTOFF * f._field.max_abs()
-            near = sum(np.roll(small, shift, axis=ax)
-                       for ax in range(small.ndim) for shift in (1, -1))
-            return np.where(small, 2, near > 0)
+            near = np.zeros_like(small)
+            for ax in range(small.ndim):
+                near |= periodic_op(np.logical_or, small, small, ax, -1, 1)
+            return np.where(small, 2, near)
         return self.read("zeros", make)
 
 

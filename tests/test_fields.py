@@ -16,7 +16,8 @@ from hjwave import (
     plane_wave_field,
     save_field,
 )
-from hjwave.fields import second_difference
+from hjwave.fields import (central_difference, periodic_op,
+                           second_difference)
 
 
 def test_grid_validation():
@@ -163,6 +164,34 @@ def test_with_values_and_field_from_bytes_give_read_only_fields():
     assert np.array_equal(back.values, doubled.values)
     assert back.max_abs() == 2.0
     assert not back.values.flags.writeable
+
+
+@pytest.mark.parametrize("shape, axis", [
+    ((7,), 0), ((5, 6), 0), ((5, 6), 1), ((4, 5, 6), 1), ((4, 5, 6), 2)])
+@pytest.mark.parametrize("op", [np.subtract, np.divide, np.logical_or])
+def test_periodic_op_is_the_rolled_op_bitwise(shape, axis, op):
+    rng = np.random.default_rng(len(shape) + axis)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    if op is np.logical_or:
+        a, b = a.real > 0.5, b.real > 0.5
+    for da in (-1, 0, 1):
+        for db in (-1, 0, 1):
+            rolled = op(np.roll(a, -da, axis), np.roll(b, -db, axis))
+            got = periodic_op(op, a, b, axis, da, db)
+            assert got.dtype == rolled.dtype
+            assert got.tobytes() == rolled.tobytes()
+
+
+def test_differences_are_the_rolled_stencils_bitwise():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((6, 7, 8)) + 1j * rng.standard_normal((6, 7, 8))
+    for axis in range(3):
+        ahead, behind = np.roll(v, -1, axis), np.roll(v, 1, axis)
+        assert central_difference(v, axis, 0.3).tobytes() \
+            == ((ahead - behind) / (2 * 0.3)).tobytes()
+        assert second_difference(v, axis, 0.3).tobytes() \
+            == ((ahead - 2 * v + behind) / 0.3**2).tobytes()
 
 
 def test_second_difference_matches_the_stencil_symbol():

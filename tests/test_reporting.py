@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +18,10 @@ from hjwave.limits import LimitStudyConfig, run_limit_study
 from hjwave.mechanics import Potential, integrate_newton
 from hjwave.reporting import (
     BLOCK_ROWS,
+    _MIN_POW,
+    _float_text,
+    _scaled,
+    _significands,
     fmt_cell,
     fmt_float,
     json_dumps,
@@ -45,6 +53,117 @@ def test_fmt_float_decimal_marker_matches_character_scan(x):
     assert fmt_float(x) == _old_fmt_float(x)
 
 
+def _neighbours(x, n):
+    """x and the n doubles on each side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+# Under the first exponent guess e = floor(log10(x)), these scale to a
+# double-double just below 1e16, so e must be lowered by one.
+LOW_WORD_TRAPS = [math.nextafter(1e-19, 0), math.nextafter(0.1, 0)]
+TIES = [1e15 + 0.25, 1e15 + 0.75]  # 17 digits round exactly half way
+_EDGES = [
+    *(y for k in range(-300, 301) for y in _neighbours(float(f"1e{k}"), 4)),
+    *(y for top in (1e16, 1e17) for y in _neighbours(top, 40)[1:41]),
+    *TIES, 2.0**52 + 0.5,
+    *_neighbours(1e-280, 1), *_neighbours(1e280, 1),
+    5e-324, 0.0, math.nan, math.inf, *LOW_WORD_TRAPS,
+]
+EDGE_FLOATS = _EDGES + [-x for x in _EDGES]
+
+
+def _is_tie(x):
+    """Whether x's exact decimal value lies half way between two 17-digit
+    decimals."""
+    digits = Decimal(x).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def _kernel_lines(x):
+    return _float_text([np.asarray(x, dtype=float)], slice(None)).splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example([0x3BFD83C94FB6D2AB])  # nextafter(1e-19, 0)
+def test_float_kernel_matches_fmt_float_on_bit_patterns(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _kernel_lines(x) == [fmt_float(v) for v in x]
+
+
+def test_float_kernel_matches_fmt_float_on_edge_table():
+    assert _kernel_lines(EDGE_FLOATS) == [fmt_float(v) for v in EDGE_FLOATS]
+
+
+def test_significands_are_the_correctly_rounded_digits():
+    # D and the exponent against format(.16e) where the kernel proves
+    # them, which is every finite nonzero cell in range but the ties
+    x = np.array([v for v in EDGE_FLOATS if math.isfinite(v) and v != 0])
+    a = np.abs(x)
+    digits, exp, proven = _significands(a)
+    tie = np.array([_is_tie(v) for v in a.tolist()])
+    assert tie[np.isin(a, TIES)].all() and tie.sum() > 2 * len(TIES)
+    assert (proven == ((a >= 1e-280) & (a <= 1e280) & ~tie)).all()
+    for v, d, e in zip(x[proven].tolist(), digits[proven].tolist(),
+                       exp[proven].tolist()):
+        mantissa, power = format(abs(v), ".16e").split("e")
+        assert (d, e) == (int(mantissa.replace(".", "")), int(power))
+
+
+def test_exponent_range_reads_both_words():
+    # under the first guess e = -1, nextafter(0.1, 0) scales to hi = 1e16
+    # with lo < 0: 17 digits need e = -2, and a check of hi alone keeps -1
+    x = math.nextafter(0.1, 0)
+    hi, lo = _scaled(np.array([x]), np.array([17 - _MIN_POW]))
+    assert hi[0] == 1e16 and lo[0] < 0
+    cells = LOW_WORD_TRAPS + [-x for x in LOW_WORD_TRAPS]
+    assert _kernel_lines(cells) == [fmt_float(x) for x in cells]
+
+
+def test_float_tables_are_built_on_first_use(tmp_path):
+    # a fresh interpreter: no kernel table at import or for a table of
+    # tuples and integers (limit-study's), all of them for a float column
+    code = """if True:
+        import numpy as np
+        from hjwave import reporting as r
+        tables = (r._powers, r._digit_tables, r._layout)
+        built = lambda: [f.cache_info().currsize for f in tables]
+        assert built() == [0, 0, 0], built()
+        r.write_csv(r"{0}", ["c", "gap"], [(4.0, 8.0), (0.5, 0.125)])
+        r.write_csv(r"{0}", ["step"], [np.arange(3)])
+        assert built() == [0, 0, 0], built()
+        r.write_csv(r"{0}", ["t"], [np.array([0.5, 1e-7, 3.0])])
+        assert built()[:2] == [1, 1] and built()[2] > 0, built()
+    """
+    res = subprocess.run([sys.executable, "-c", code.format(tmp_path / "t.csv")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_write_csv_memory_is_one_block(tmp_path):
+    # 100k rows of four float columns: a kernel over the whole table would
+    # hold tens of MB; block by block it holds one block's temporaries
+    rows = 100_000
+    t = np.linspace(0.0, 1.0, rows)
+    columns = [t, np.sin(7 * t), -1e-7 * np.cos(3 * t), np.exp(50 * t)]
+    write_csv(tmp_path / "warm.csv", ["t"], [t[:10]])  # tables built here
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["t", "a", "b", "c"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    with open(tmp_path / "big.csv") as fh:
+        assert sum(1 for _ in fh) == rows + 1
+
+
 def _row_oracle(header, columns) -> bytes:
     """The row-by-row writer write_csv replaced, kept as its oracle."""
     lines = [",".join(header)]
@@ -57,6 +176,7 @@ FLOAT_CELLS = st.one_of(
     st.integers(-10**20, 10**20).map(float),  # integral, |x| >= 1e17 too
     st.floats(-2.3e-308, 2.3e-308),  # subnormals and signed zeros
     st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e17, -1e17]),
+    st.sampled_from(EDGE_FLOATS),
 )
 # column kind -> (cell strategy, array dtype, or None for a list column)
 COLUMN_KINDS = {
