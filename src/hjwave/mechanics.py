@@ -68,6 +68,13 @@ class Potential:
         return phi
 
 
+def _norms(p: np.ndarray) -> np.ndarray:
+    """|p| per row of an (n, 3) array, column by column: bit for bit
+    ``np.hypot.reduce(p, axis=1)``, and about twice as fast on a strided
+    view such as Trajectory.p."""
+    return np.hypot(np.hypot(p[:, 0], p[:, 1]), p[:, 2])
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled phase-space history (t_i, r_i, p_i), i = 0..steps.
@@ -84,14 +91,14 @@ class Trajectory:
     def energies(self, potential: Potential, consts: PhysicalConstants
                  ) -> np.ndarray:
         """m0 c^2 sqrt(1 + p^2/m0^2 c^2) + Phi(r) per sample, conserved."""
-        ratios = np.hypot.reduce(self.p, axis=1) / (consts.m0 * consts.c)
+        ratios = _norms(self.p) / (consts.m0 * consts.c)
         return consts.rest_energy * np.hypot(1.0, ratios) + potential.value(self.r)
 
     def speeds(self, consts: PhysicalConstants) -> np.ndarray:
         """|v| per sample: |p| / (m0 sqrt(1 + |p|^2 / (m0 c)^2)); needs m0 > 0."""
         if consts.m0 <= 0:
             raise DomainError("particle speeds need m0 > 0")
-        mags = np.hypot.reduce(self.p, axis=1)
+        mags = _norms(self.p)
         return mags / (consts.m0 * np.hypot(1.0, mags / (consts.m0 * consts.c)))
 
     def table(self, energies: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
@@ -103,7 +110,13 @@ class Trajectory:
 def integrate_newton(potential: Potential, r0, p0,
                      consts: PhysicalConstants, dt: float, steps: int
                      ) -> Trajectory:
-    """Fixed-step RK4 for dr/dt = v(p), dp/dt = -grad Phi(r)."""
+    """Fixed-step RK4 for dr/dt = v(p), dp/dt = -grad Phi(r).
+
+    Steps over six Python floats in blocks of 256, checking finiteness
+    after each block.  The force form is chosen once per call from the
+    potential: F at kappa = 0, (-kappa) s when every F_i is +0.0, and
+    -(kappa s - F) otherwise; each row equals the array form bit for bit.
+    """
     if not (dt > 0):
         raise DomainError("dt must be positive")
     if steps < 1:
@@ -125,62 +138,82 @@ def integrate_newton(potential: Potential, r0, p0,
 
     # One RK4 step over Python floats.  The velocity repeats
     # particle_velocity's operations, p_i / (m0 hypot(1, |p| / (m0 c))),
-    # and the force is -grad Phi: -(kappa r_i - F_i), or F_i itself for
-    # kappa = 0, so every row is bit-identical to the array form.
+    # and the force is -grad Phi = -(kappa s_i - F_i) at the stage
+    # position s, so every row is bit-identical to the array form.  When
+    # every F_i is +0.0 that force is (-kappa) s_i, since y - (+0.0) is y
+    # for every y; with F_i = -0.0 and s_i = -0.0 the two forms differ in
+    # the sign of zero.  At kappa = 0 the force is F and no s is built.
     m0, mc = consts.m0, consts.m0 * consts.c
-    kappa = potential.kappa
+    kappa, nkappa = potential.kappa, -potential.kappa
     fx, fy, fz = potential.force
+    harmonic = bool(kappa) and all(
+        math.copysign(1.0, f) == 1.0 and f == 0.0 for f in potential.force)
     half, sixth = 0.5 * dt, dt / 6.0
     x, y, z = r.tolist()
     px, py, pz = p.tolist()
     buf = array("d", (x, y, z, px, py, pz))  # one row per sample
+    extend, hyp = buf.extend, hypot
     ax1 = ax2 = ax3 = ax4 = fx
     ay1 = ay2 = ay3 = ay4 = fy
     az1 = az2 = az3 = az4 = fz
-    # A non-finite state never turns finite again, so the loop checks only
-    # every 256 steps and a scan of the rows finds the first diverged step,
-    # which DivergenceError names.
-    for i in range(1, steps + 1):
-        d = m0 * hypot(1.0, hypot(px, py, pz) / mc)
-        vx1, vy1, vz1 = px / d, py / d, pz / d
-        if kappa:
-            ax1, ay1, az1 = (-(kappa * x - fx), -(kappa * y - fy),
-                             -(kappa * z - fz))
+    # A non-finite state never turns finite again, so the loop runs blocks
+    # of 256 steps and checks only after each block; a scan of the rows
+    # finds the first diverged step, which DivergenceError names.
+    for start in range(0, steps, 256):
+        for _ in range(min(256, steps - start)):
+            d = m0 * hyp(1.0, hyp(px, py, pz) / mc)
+            vx1, vy1, vz1 = px / d, py / d, pz / d
+            if harmonic:
+                ax1, ay1, az1 = nkappa * x, nkappa * y, nkappa * z
+            elif kappa:
+                ax1, ay1, az1 = (-(kappa * x - fx), -(kappa * y - fy),
+                                 -(kappa * z - fz))
 
-        sx, sy, sz = x + half * vx1, y + half * vy1, z + half * vz1
-        qx, qy, qz = px + half * ax1, py + half * ay1, pz + half * az1
-        d = m0 * hypot(1.0, hypot(qx, qy, qz) / mc)
-        vx2, vy2, vz2 = qx / d, qy / d, qz / d
-        if kappa:
-            ax2, ay2, az2 = (-(kappa * sx - fx), -(kappa * sy - fy),
-                             -(kappa * sz - fz))
+            qx, qy, qz = px + half * ax1, py + half * ay1, pz + half * az1
+            d = m0 * hyp(1.0, hyp(qx, qy, qz) / mc)
+            vx2, vy2, vz2 = qx / d, qy / d, qz / d
+            if harmonic:
+                ax2, ay2, az2 = (nkappa * (x + half * vx1),
+                                 nkappa * (y + half * vy1),
+                                 nkappa * (z + half * vz1))
+            elif kappa:
+                ax2, ay2, az2 = (-(kappa * (x + half * vx1) - fx),
+                                 -(kappa * (y + half * vy1) - fy),
+                                 -(kappa * (z + half * vz1) - fz))
 
-        sx, sy, sz = x + half * vx2, y + half * vy2, z + half * vz2
-        qx, qy, qz = px + half * ax2, py + half * ay2, pz + half * az2
-        d = m0 * hypot(1.0, hypot(qx, qy, qz) / mc)
-        vx3, vy3, vz3 = qx / d, qy / d, qz / d
-        if kappa:
-            ax3, ay3, az3 = (-(kappa * sx - fx), -(kappa * sy - fy),
-                             -(kappa * sz - fz))
+            qx, qy, qz = px + half * ax2, py + half * ay2, pz + half * az2
+            d = m0 * hyp(1.0, hyp(qx, qy, qz) / mc)
+            vx3, vy3, vz3 = qx / d, qy / d, qz / d
+            if harmonic:
+                ax3, ay3, az3 = (nkappa * (x + half * vx2),
+                                 nkappa * (y + half * vy2),
+                                 nkappa * (z + half * vz2))
+            elif kappa:
+                ax3, ay3, az3 = (-(kappa * (x + half * vx2) - fx),
+                                 -(kappa * (y + half * vy2) - fy),
+                                 -(kappa * (z + half * vz2) - fz))
 
-        sx, sy, sz = x + dt * vx3, y + dt * vy3, z + dt * vz3
-        qx, qy, qz = px + dt * ax3, py + dt * ay3, pz + dt * az3
-        d = m0 * hypot(1.0, hypot(qx, qy, qz) / mc)
-        vx4, vy4, vz4 = qx / d, qy / d, qz / d
-        if kappa:
-            ax4, ay4, az4 = (-(kappa * sx - fx), -(kappa * sy - fy),
-                             -(kappa * sz - fz))
+            qx, qy, qz = px + dt * ax3, py + dt * ay3, pz + dt * az3
+            d = m0 * hyp(1.0, hyp(qx, qy, qz) / mc)
+            vx4, vy4, vz4 = qx / d, qy / d, qz / d
+            if harmonic:
+                ax4, ay4, az4 = (nkappa * (x + dt * vx3),
+                                 nkappa * (y + dt * vy3),
+                                 nkappa * (z + dt * vz3))
+            elif kappa:
+                ax4, ay4, az4 = (-(kappa * (x + dt * vx3) - fx),
+                                 -(kappa * (y + dt * vy3) - fy),
+                                 -(kappa * (z + dt * vz3) - fz))
 
-        x = x + sixth * (vx1 + 2 * vx2 + 2 * vx3 + vx4)
-        y = y + sixth * (vy1 + 2 * vy2 + 2 * vy3 + vy4)
-        z = z + sixth * (vz1 + 2 * vz2 + 2 * vz3 + vz4)
-        px = px + sixth * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
-        py = py + sixth * (ay1 + 2 * ay2 + 2 * ay3 + ay4)
-        pz = pz + sixth * (az1 + 2 * az2 + 2 * az3 + az4)
-        buf.extend((x, y, z, px, py, pz))
-        if i % 256 == 0 and not (isfinite(x) and isfinite(y) and isfinite(z)
-                                 and isfinite(px) and isfinite(py)
-                                 and isfinite(pz)):
+            x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
+            y = y + sixth * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4)
+            z = z + sixth * (vz1 + 2.0 * vz2 + 2.0 * vz3 + vz4)
+            px = px + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+            py = py + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+            pz = pz + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4)
+            extend((x, y, z, px, py, pz))
+        if not (isfinite(x) and isfinite(y) and isfinite(z)
+                and isfinite(px) and isfinite(py) and isfinite(pz)):
             break
 
     rows = np.frombuffer(buf).reshape(-1, 6)

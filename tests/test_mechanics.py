@@ -14,6 +14,7 @@ from hjwave import (
     fit_order,
     gradient_field,
     integrate_newton,
+    mechanics,
     momentum_from_velocity,
     particle_velocity,
 )
@@ -208,7 +209,27 @@ POTENTIALS = {
     "free": lambda rng: Potential.free(),
     "linear": lambda rng: Potential.linear(seeded_vector(rng)),
     "harmonic": lambda rng: Potential.harmonic(rng.uniform(0.1, 4.0)),
+    # harmonic with kappa < 0: still the (-kappa) s force form
+    "inverted": lambda rng: Potential.harmonic(-rng.uniform(0.1, 4.0)),
+    # kappa != 0 and F != 0: the -(kappa s - F) force form
+    "affine": lambda rng: Potential(
+        rng.uniform(0.1, 4.0), tuple((seeded_vector(rng) + 0.5).tolist())),
 }
+
+
+def test_momentum_norms_by_columns_match_the_row_reduction():
+    # Trajectory's |p| by columns rounds exactly like np.hypot.reduce over
+    # each row, on a strided view like Trajectory.p and at +-0, inf and nan
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(4000, 6)) * 10.0 ** rng.integers(-300, 300,
+                                                             size=(4000, 6))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324])
+    mask = rng.random(rows.shape) < 0.2
+    rows[mask] = rng.choice(specials, size=int(mask.sum()))
+    p = rows[:, 3:]
+    with np.errstate(all="ignore"):
+        want = np.hypot.reduce(p, axis=1)
+        assert mechanics._norms(p).tobytes() == want.tobytes()
 
 
 class TestSteppedOracle:
@@ -230,10 +251,13 @@ class TestSteppedOracle:
 
     @pytest.mark.parametrize("potential", [
         Potential.free(), Potential.linear([1.5, -0.0, 0.0]),
-        Potential.harmonic(2.0)], ids=["free", "linear", "harmonic"])
+        Potential.harmonic(2.0), Potential(2.0, (0.0, 0.0, -0.0))],
+        ids=["free", "linear", "harmonic", "affine-negative-zero"])
     def test_signed_zeros_kept(self, potential):
         # p_y = -0.0 stays -0.0 only if every force on it is -0.0:
-        # -(kappa * 0.0) is -0.0, where 0.0 - kappa * 0.0 would be +0.0
+        # -(kappa * 0.0) is -0.0, where 0.0 - kappa * 0.0 would be +0.0.
+        # With F_z = -0.0 at r_z = -0.0, -(kappa r_z - F_z) is -0.0 where
+        # (-kappa) r_z would be +0.0, so that potential keeps the affine form
         r0, p0 = np.array([1.0, 0.0, -0.0]), np.array([0.3, -0.0, -0.0])
         traj = integrate_newton(potential, r0, p0, NAT, 0.01, 300)
         rs, ps = stepped_rk4(potential, r0, p0, NAT, 0.01, 300)
@@ -253,8 +277,9 @@ class TestSteppedOracle:
         assert traj.r.tobytes() == rs.tobytes()
         assert traj.p.tobytes() == ps.tobytes()
 
-    # one step, and one step past the first finiteness check at step 256
-    @pytest.mark.parametrize("steps", [1, 257])
+    # one step, runs ending on the 256-step block boundaries where the
+    # finiteness check runs, and one step past the first of them
+    @pytest.mark.parametrize("steps", [1, 256, 257, 512])
     @pytest.mark.parametrize("kind", sorted(POTENTIALS))
     def test_rows_bit_identical_at_edge_step_counts(self, kind, steps):
         rng = np.random.default_rng(steps)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hjwave import Grid, pde_algebra, verify
+from hjwave import Grid, mechanics, pde_algebra, verify
 from hjwave.verify import random_mode_field
 
 
@@ -138,3 +138,14 @@ def test_dual_solutions_fail_on_a_wrong_hje_spec(monkeypatch):
     result = verify.check_dual_solutions(0)
     assert not result.passed, result.detail
     assert "particle 8.00e+00, wave 1.80e+01" in result.detail
+
+
+def test_newton_rk4_fails_on_a_wrong_velocity(monkeypatch):
+    # a 0.1% error in every |p| the RK4 loop takes (read at call time)
+    # breaks energy conservation: the harmonic energy order reads -0.00,
+    # against 4.02 unpatched, while the free and constant-force rows,
+    # whose momenta ignore the velocity, still pass
+    monkeypatch.setattr(mechanics, "hypot", lambda *a: 1.001 * math.hypot(*a))
+    result = verify.check_newton_rk4(0)
+    assert not result.passed, result.detail
+    assert result.detail.endswith("energy order -0.00")
