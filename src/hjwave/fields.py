@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, InsufficientResolutionError, ZeroFieldError
+from .errors import (DomainError, FormatError, InsufficientResolutionError,
+                     ZeroFieldError)
 
 _HEADER = struct.Struct("<qqdd")  # dims, points per axis, spacing, time stamp
 _ZERO_FIELD_CUTOFF = 1e-12  # fraction of max|psi| below which logs are refused
@@ -93,11 +94,11 @@ class ScalarField:
 
     ``values`` is a read-only view of the samples.  A complex128 input is
     viewed, not copied, so the caller's own array stays writable; changing
-    it afterwards changes the field and leaves ``max_abs`` and ``_memo`` stale.
-    ``_memo`` holds what ``pde_algebra`` derives from the samples, each on
-    first use: difference arrays, zero-field codes and each equation's
-    whole-grid residuals, so that a residual at a point is one item of one
-    entry, read behind numpy's own index check.
+    it afterwards changes the field; ``max_abs()`` is computed on each call.
+    ``_memo`` holds one entry per equation that ``pde_algebra``'s per-point
+    evaluators have read, its whole-grid residuals: a residual at a point
+    is one item, read behind numpy's own index check.  Changing the
+    caller's array leaves these entries stale; whole-grid calls store none.
     """
 
     grid: Grid
@@ -120,14 +121,10 @@ class ScalarField:
         return ScalarField(self.grid, values, t)
 
     def max_abs(self) -> float:
-        return self._peak
-
-    @cached_property
-    def _peak(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     @cached_property
-    def _memo(self) -> dict:  # whole-grid arrays that readers derive, by key
+    def _memo(self) -> dict:  # per-point evaluators' whole-grid residuals
         return {}
 
 
@@ -135,18 +132,21 @@ def plane_wave_field(grid: Grid, k, omega: float, t: float = 0.0,
                      amplitude: complex = 1.0) -> ScalarField:
     """Sample amplitude * exp(i (k . r - omega t)) on the grid.
 
-    ``k`` uses as many leading components as the grid has axes.  The
-    phase is summed on broadcast coordinates and exp and the amplitude
-    are applied in place, so the samples are the only full-size array.
+    ``k`` needs a component per axis; extra ones are ignored.  exp runs
+    on each axis' samples, the time phase and the amplitude go on the
+    first axis, and each further axis joins by an outer product.  In 1D,
+    or along the first axis, that is one exp of the summed phase bit for
+    bit; otherwise it differs from it by rounding.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    coords = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
-    phase = -omega * t
-    for i, x in enumerate(coords):
-        phase = phase + k[i] * x
-    wave = 1j * phase
+    if k.size < grid.ndim:
+        raise DomainError(f"k has {k.size} components for {grid.ndim} axes")
+    first, *rest = grid.axes()
+    wave = 1j * (-omega * t + k[0] * first)
     np.exp(wave, out=wave)
     np.multiply(amplitude, wave, out=wave)
+    for kx, x in zip(k[1:], rest):
+        wave = np.multiply.outer(wave, np.exp(1j * (kx * x)))
     return ScalarField(grid, wave, t)
 
 
@@ -229,6 +229,12 @@ def field_from_bytes(blob: bytes) -> ScalarField:
     dims, points, spacing, time_stamp = _HEADER.unpack_from(blob, 0)
     if not 1 <= dims <= 3:
         raise FormatError(f"field header has {dims} axes; expected 1 to 3")
+    if points < 4:
+        raise FormatError(f"field header has {points} points; need >= 4")
+    if not 0 < spacing * points < math.inf:
+        raise FormatError(f"field header spacing {spacing!r} is out of range")
+    if math.isnan(time_stamp):
+        raise FormatError("field header time stamp is nan")
     if len(blob) != _HEADER.size + 16 * points**dims:
         raise FormatError("field payload size does not match header")
     grid = Grid((points,) * dims, (spacing * points,) * dims)

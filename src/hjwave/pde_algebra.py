@@ -376,36 +376,27 @@ class _Exact:
 
 
 class _Sampled:
-    """Whole-grid central differences of a ScalarField; it knows no point.
+    """Whole-grid central differences of a ScalarField, for one evaluation.
 
-    Each array, and each equation evaluated from them, is computed once
-    per field, on first use, into the field's ``_memo``; ``_at_point``
-    and ``_decomposition`` make a reader only on a miss.
+    Each first difference is computed once per reader; d2, log_d2 and the
+    zero-field codes where they are read.  A reader stores nothing on the
+    field: only the per-point evaluators keep an entry, one per equation.
     """
 
     def __init__(self, field: ScalarField):
-        self._field, self.value, self.hs = field, field.values, field.grid.spacings
-
-    def read(self, key, make):
-        memo = self._field._memo
-        entry = memo.get(key)
-        if entry is None:
-            with np.errstate(all="ignore"):
-                entry = memo.setdefault(key, make(self))  # a concurrent first use wins
-        return entry
+        self.value, self.hs, self._d1 = field.values, field.grid.spacings, {}
 
     def d1(self, axis: int) -> np.ndarray:
-        return self.read(("d1", axis), lambda f: central_difference(
-            f.value, axis, f.hs[axis]))
+        if axis not in self._d1:
+            self._d1[axis] = central_difference(self.value, axis, self.hs[axis])
+        return self._d1[axis]
 
     def d2(self, ax1: int, ax2: int) -> np.ndarray:
         if ax1 == ax2:
-            make = lambda f: second_difference(f.value, ax1, f.hs[ax1])
-        else:
-            ax1, ax2 = sorted((ax1, ax2))
-            make = lambda f: central_difference(central_difference(
-                f.value, ax2, f.hs[ax2]), ax1, f.hs[ax1])
-        return self.read(("d2", ax1, ax2), make)
+            return second_difference(self.value, ax1, self.hs[ax1])
+        ax1, ax2 = sorted((ax1, ax2))
+        return central_difference(central_difference(
+            self.value, ax2, self.hs[ax2]), ax1, self.hs[ax1])
 
     def log_d2(self, ax1: int, ax2: int) -> np.ndarray:
         """Second derivative of ln(psi) from principal logs of neighbour ratios.
@@ -413,24 +404,25 @@ class _Sampled:
         Independent of d1/d2, and winding-safe.  Each ratio's log is taken
         in place by ``_log_in_place``, from real log1p and arctan2.
         """
-        def make(f):
-            v, hs = f.value, f.hs
-            if ax1 == ax2:  # ln(psi+/psi), then its backward difference
-                up = _log_in_place(periodic_op(np.divide, v, v, ax1, 1, 0))
-                return periodic_op(np.subtract, up, up, ax1, 0, -1) / hs[ax1] ** 2
-            across = _log_in_place(periodic_op(np.divide, v, v, ax2, 1, -1))
-            return central_difference(across / (2 * hs[ax2]), ax1, hs[ax1])
-        return self.read(("log_d2", ax1, ax2), make)
+        v, hs = self.value, self.hs
+        if ax1 == ax2:  # ln(psi+/psi), then its backward difference
+            up = _log_in_place(periodic_op(np.divide, v, v, ax1, 1, 0))
+            return periodic_op(np.subtract, up, up, ax1, 0, -1) / hs[ax1] ** 2
+        across = _log_in_place(periodic_op(np.divide, v, v, ax2, 1, -1))
+        return central_difference(across / (2 * hs[ax2]), ax1, hs[ax1])
 
     def zeros(self) -> np.ndarray:
         """2 at a sample below the cutoff, else 1 next to one, else 0."""
-        def make(f):
-            small = np.abs(f.value) < _ZERO_FIELD_CUTOFF * f._field.max_abs()
-            near = np.zeros_like(small)
-            for ax in range(small.ndim):
-                near |= periodic_op(np.logical_or, small, small, ax, -1, 1)
-            return np.where(small, 2, near)
-        return self.read("zeros", make)
+        mags = np.abs(self.value)
+        small = mags < _ZERO_FIELD_CUTOFF * mags.max()
+        near = np.zeros_like(small)
+        for ax in range(small.ndim):
+            near |= periodic_op(np.logical_or, small, small, ax, -1, 1)
+        return np.where(small, 2, near)
+
+    def decomposition(self, spec: PdeSpec, A, lspec: LinearPdeSpec):
+        """Zero-field codes, lhs, rhs, scale and correction over the grid."""
+        return (self.zeros(), *_decomposition_terms(spec, A, lspec, self))
 
 
 def _log_in_place(r: np.ndarray) -> np.ndarray:
@@ -468,24 +460,24 @@ def _require_nonzero(code) -> None:
         raise ZeroFieldError("stencil touches a near-zero of the field")
 
 
+def _check_axes(field: ScalarField, n: int) -> None:
+    if field.grid.ndim != n:
+        raise DomainError(f"field has {field.grid.ndim} axes but the "
+                          f"equation has {n} arguments")
+
+
 def _check_point(field: ScalarField, point, n: int):
     """``point`` as n in-range indices into the field, which must have n axes.
 
     The reference check; once an entry exists, ``_item`` runs it only to
-    name a refusal.  None (the whole grid) passes the axis check only.  A
-    float index is refused, not truncated.  Python's bool is an index
-    (True is 1); numpy's bool is refused, as numpy 2 gives it no
-    ``__index__``.
+    name a refusal.  None carries no index.  A float index is refused, not
+    truncated.  Python's bool is an index (True is 1); numpy's bool is
+    refused, as numpy 2 gives it no ``__index__``.
     """
+    _check_axes(field, n)
     shape = field.grid.shape
-    if len(shape) != n:
-        raise DomainError(
-            f"field has {len(shape)} axes but the equation has {n} arguments"
-        )
-    if point is None:
-        return None
     try:
-        point = tuple(map(operator.index, point))
+        point = tuple(map(operator.index, () if point is None else point))
     except TypeError:
         raise DomainError("point indices must be integers") from None
     if len(point) != n:
@@ -513,17 +505,21 @@ def _item(array: np.ndarray, field: ScalarField, point, n: int):
     return array.item(point), point
 
 
+def _store(field: ScalarField, key, make):
+    """Store make() under key; of racing first uses, all get the first stored."""
+    with np.errstate(all="ignore"):
+        return field._memo.setdefault(key, make())
+
+
 def _at_point(spec, key, formula, field, point) -> complex:
     """formula(spec, reader) at point; on a ScalarField, one item of the
     memo entry under key, evaluated over the grid once the point passes."""
-    if point is None:  # _check_point reads None as the whole grid; refuse it
-        point = ()
     if not isinstance(field, ScalarField):
         return complex(formula(spec, _Exact(field, point, spec.n)))
     entry = field._memo.get(key)
     if entry is None:
         point = _check_point(field, point, spec.n)
-        entry = _Sampled(field).read(key, lambda f: formula(spec, f))
+        entry = _store(field, key, lambda: formula(spec, _Sampled(field)))
     return _item(entry, field, point, spec.n)[0]
 
 
@@ -597,10 +593,10 @@ class ResidualDecomposition:
 
 
 def _decomposition(spec: PdeSpec, A: complex | None, field, point):
-    """lhs, rhs, scale and correction at ``point``, or everywhere if None.
+    """lhs, rhs, scale and correction at ``point``.
 
-    On a sampled field one memo entry, under A's complex value, holds the
-    zero-field codes and the four arrays.  linearize runs on a miss only,
+    On a sampled field one memo entry, under A's complex value, holds
+    ``_Sampled.decomposition``'s five arrays.  linearize runs on a miss only,
     so an A it rejects, never stored, raises first, on every call.
     """
     if not isinstance(field, ScalarField):
@@ -614,12 +610,9 @@ def _decomposition(spec: PdeSpec, A: complex | None, field, point):
     if entry is None:
         lspec = linearize(spec, A)
         point = _check_point(field, point, spec.n)
-        entry = _Sampled(field).read(key, lambda f: (
-            f.zeros(), *_decomposition_terms(spec, A, lspec, f)))
+        entry = _store(field, key,
+                       lambda: _Sampled(field).decomposition(spec, A, lspec))
     zeros, lhs, rhs, scale, correction = entry
-    if point is None:
-        _require_nonzero(zeros.max())
-        return lhs, rhs, scale, correction
     code, point = _item(zeros, field, point, spec.n)
     _require_nonzero(code)
     return (lhs.item(point), rhs.item(point), scale.item(point),
@@ -655,8 +648,6 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
     stencils as the residuals - so the mismatch measures genuine O(h^2)
     discretization error instead of cancelling algebraically.
     """
-    if point is None:  # _decomposition reads None as the whole grid; refuse it
-        point = ()
     lhs, rhs, scale, correction = _decomposition(spec, A, field, point)
     diff = abs(lhs - rhs)
     mismatch = 0.0 if diff == 0.0 else diff / max(scale, 1e-300)
@@ -666,8 +657,17 @@ def residual_decomposition_check(spec: PdeSpec, A: complex | None, field,
 
 def decomposition_defect(spec: PdeSpec, A: complex | None,
                          field: ScalarField) -> np.ndarray:
-    """(lhs - rhs) / scale at every grid point: the mismatch with its phase."""
-    lhs, rhs, scale, _ = _decomposition(spec, A, field, None)
+    """(lhs - rhs) / scale at every grid point: the mismatch with its phase.
+
+    Computed afresh on each call; nothing is stored on the field."""
+    lspec = linearize(spec, A)
+    if not isinstance(field, ScalarField):
+        raise DomainError("decomposition_defect needs a sampled field")
+    _check_axes(field, spec.n)
+    f = _Sampled(field)
+    with np.errstate(all="ignore"):
+        zeros, lhs, rhs, scale, _ = f.decomposition(spec, A, lspec)
+    _require_nonzero(zeros.max())
     return (lhs - rhs) / np.maximum(scale, 1e-300)
 
 

@@ -153,25 +153,18 @@ _RANDOM_AMPLITUDE = 1e-3
 def random_mode_field(grid: Grid, seed: int) -> ScalarField:
     """1 + a small seeded superposition of integer-mode plane waves.
 
-    A mode exp(i alpha . x) is sampled per axis: amp times the outer
-    product of the 1D waves exp(i alpha_i x_i), so exp runs on the axis
-    samples only and the grid costs one complex multiply per point.  In
-    1D that is plane_wave_field's sample bit for bit; with more axes it
-    differs from one exp of the summed phase by rounding (<= 4.4e-16).
+    Each mode is plane_wave_field's sample at t = 0, which with more than
+    one axis differs from one exp of the summed phase by rounding.
     """
     rng = np.random.default_rng(seed)
     values = np.ones(grid.shape, dtype=np.complex128)
-    axes = grid.axes()
     for _ in range(_RANDOM_MODES):
         alpha = rng.integers(-2, 3, size=grid.ndim)
         while not np.any(alpha):
             alpha = rng.integers(-2, 3, size=grid.ndim)
         amp = (_RANDOM_AMPLITUDE * (0.5 + rng.random())
                * np.exp(2j * np.pi * rng.random()))
-        mode = amp
-        for a, x in zip(alpha, axes):
-            mode = np.multiply.outer(mode, np.exp(1j * (a * x)))
-        values += mode
+        values += plane_wave_field(grid, alpha, 0.0, amplitude=amp).values
     return ScalarField(grid, values)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjwave import (
+    DomainError,
     FormatError,
     Grid,
     InsufficientResolutionError,
@@ -63,6 +64,57 @@ def test_plane_wave_field_is_periodic():
     shifted = plane_wave_field(g, 3.0, 1.0, 0.7).values
     assert np.allclose(np.roll(f.values, 16), shifted)
     assert np.allclose(np.abs(f.values), 1.0)
+
+
+def summed_phase_wave(grid, k, omega, t=0.0, amplitude=1.0):
+    """Reference: one exp of the phase summed on the full meshgrid."""
+    phase = -omega * t
+    for kx, x in zip(k, grid.meshgrid()):
+        phase = phase + kx * x
+    return amplitude * np.exp(1j * phase)
+
+
+WAVES = [  # (k, omega, t, amplitude)
+    ((3.0,), 1.0, 0.7, 1.0),
+    ((-2.5,), 0.0, 0.0, 0.8),
+    ((1.0,), 2.0, 1.3, 0.3 - 0.4j),
+]
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 8, 8)])
+@pytest.mark.parametrize("k, omega, t, amplitude", WAVES)
+def test_a_wave_along_one_axis_is_one_exp_of_the_phase_bitwise(
+        shape, k, omega, t, amplitude):
+    # every other axis joins by exp(0j) = 1 exactly; the time phase sits
+    # on the first axis, so a wave along another axis is exact at t = 0
+    g = Grid(shape, (2 * math.pi,) * len(shape))
+    for axis in range(len(shape)):
+        kvec = [0.0] * len(shape)
+        kvec[axis] = k[0]
+        tt = t if axis == 0 else 0.0
+        got = plane_wave_field(g, kvec, omega, tt, amplitude).values
+        assert got.tobytes() == summed_phase_wave(g, kvec, omega, tt,
+                                                  amplitude).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64, 48), (16, 16, 16), (4, 5, 4, 6)])
+def test_a_multi_axis_plane_wave_is_one_exp_of_the_phase_up_to_rounding(shape):
+    # the summed phase itself rounds to an ulp of its largest value
+    g = Grid(shape, (2 * math.pi,) * len(shape))
+    k = [3.0, -2.0, 1.0, 2.0][: len(shape)]
+    got = plane_wave_field(g, k, 1.7, 0.45, 0.6 + 0.2j).values
+    want = summed_phase_wave(g, k, 1.7, 0.45, 0.6 + 0.2j)
+    largest = 2 * math.pi * sum(map(abs, k)) + 1.7 * 0.45
+    assert np.max(np.abs(got - want)) <= 2 * np.spacing(largest)
+
+
+def test_plane_wave_field_needs_a_wavenumber_per_axis():
+    with pytest.raises(DomainError, match="k has 1 components for 3 axes"):
+        plane_wave_field(Grid.cube(8, 1.0), 2.0, 0.0)
+    # extra components are ignored
+    line = plane_wave_field(Grid.line(8, 1.0), (2.0, 5.0, 7.0), 0.0)
+    assert line.values.tobytes() == plane_wave_field(
+        Grid.line(8, 1.0), 2.0, 0.0).values.tobytes()
 
 
 def test_binary_round_trip_bytes_and_values(tmp_path):
@@ -125,6 +177,28 @@ def test_binary_header_layout():
 def test_malformed_blob_raises_format_error(blob):
     with pytest.raises(FormatError):
         field_from_bytes(blob)
+
+
+def header_blob(dims=1, points=8, spacing=0.5, stamp=0.0):
+    """A header and a payload of the size it declares, all zeros."""
+    size = max(16 * points**dims, 0)
+    return struct.pack("<qqdd", dims, points, spacing, stamp) + bytes(size)
+
+
+@pytest.mark.parametrize("header, named", [
+    ({"spacing": math.nan}, "spacing"),
+    ({"spacing": -0.5}, "spacing"),
+    ({"spacing": 0.0}, "spacing"),
+    ({"spacing": math.inf}, "spacing"),
+    ({"spacing": 1e308}, "spacing"),  # the axis length overflows
+    ({"points": 3}, "points"),
+    ({"points": 0}, "points"),
+    ({"points": -2, "dims": 2}, "points"),  # 16 (-2)^2 bytes of payload
+    ({"stamp": math.nan}, "time stamp"),
+])
+def test_malformed_header_raises_format_error_naming_its_field(header, named):
+    with pytest.raises(FormatError, match=named):
+        field_from_bytes(header_blob(**header))
 
 
 def test_non_cubic_serialization_rejected():
@@ -222,14 +296,14 @@ def test_any_bytes_give_a_field_or_a_value_error(blob):
     stamp=st.floats(),
     extra=st.integers(-16, 16),
 )
-def test_headers_give_a_field_or_a_value_error(dims, points, spacing, stamp,
-                                               extra):
+def test_headers_give_a_field_or_a_format_error(dims, points, spacing, stamp,
+                                                extra):
     # payloads sized from the header (give or take), so size checks pass
     size = 16 * max(points, 0) ** max(dims, 0) + extra
     blob = struct.pack("<qqdd", dims, points, spacing, stamp) + bytes(max(size, 0))
     try:
         f = field_from_bytes(blob)
-    except ValueError:
+    except FormatError:
         return
     assert isinstance(f, ScalarField)
     assert f.grid.shape == (points,) * dims

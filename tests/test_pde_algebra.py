@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -887,7 +888,10 @@ class TestDecompositionDefect:
         assert np.max(np.abs(np.abs(defect) - want)) <= DEFECT_TOL
         assert 1e-9 <= np.max(want) <= 1e-7  # the O(h^2) defect, not 0
 
-    def test_each_difference_is_computed_once_per_field(self, monkeypatch):
+    def test_each_difference_is_computed_once_per_evaluation(self,
+                                                             monkeypatch):
+        # a reader lives for one evaluation: every whole-grid call, and each
+        # equation's first per-point call, takes each first difference once
         calls = []
 
         def counted(values, axis, h):
@@ -898,11 +902,14 @@ class TestDecompositionDefect:
         monkeypatch.setattr(pde_algebra, "central_difference", counted)
         spec = log_transform(hje_pde_spec_1d(NAT), A_QM)
         field = random_mode_field(Grid((16, 16), (2 * math.pi,) * 2), 3)
-        decomposition_defect(spec, A_QM, field)
+        for _ in range(2):
+            decomposition_defect(spec, A_QM, field)
+            assert sorted(calls) == [0, 1]
+            calls.clear()
         for point in np.ndindex(field.grid.shape):
             residual_decomposition_check(spec, A_QM, field, point)
             residual_nonlinear(spec, field, point)
-        assert sorted(calls) == [0, 1]
+        assert sorted(calls) == [0, 0, 1, 1]  # one entry per equation
 
     def test_near_zero_anywhere_is_refused(self):
         spec = oracle_specs(2, seed=12)[-1]
@@ -915,6 +922,12 @@ class TestDecompositionDefect:
         spec = oracle_specs(2, seed=12)[-1]
         with pytest.raises(DomainError, match="3 axes but the equation has 2"):
             decomposition_defect(spec, A_ORACLE, oracle_field(ORACLE_GRIDS[3], 3))
+
+    def test_an_analytic_field_is_refused(self):
+        spec = oracle_specs(2, seed=12)[-1]
+        wave = AnalyticField.plane_wave(1.0, (0.3, -0.2))
+        with pytest.raises(DomainError):
+            decomposition_defect(spec, A_ORACLE, wave)
 
 
 # ---------------------------------------------------------------------------
@@ -953,8 +966,10 @@ def sweep_bits(results):
 
 
 def equation_keys(field):
-    return sorted(k[0] for k in field._memo
-                  if k[0] in ("decomposition", "nonlinear", "linear"))
+    """The kind of each memo entry; every entry is one equation's."""
+    kinds = sorted(k[0] for k in field._memo)
+    assert set(kinds) <= {"decomposition", "nonlinear", "linear"}
+    return kinds
 
 
 class TestWholeGridMemo:
@@ -1023,8 +1038,8 @@ class TestWholeGridMemo:
         with pytest.raises(ZeroFieldError, match="below 1e-12"):
             decomposition_defect(spec, A_ORACLE, field)
 
-    def test_decomposition_terms_run_once_per_field_and_equation(self,
-                                                                 monkeypatch):
+    def test_decomposition_terms_run_once_per_entry_and_per_grid_call(
+            self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -1034,14 +1049,19 @@ class TestWholeGridMemo:
         decomposition_terms = pde_algebra._decomposition_terms
         monkeypatch.setattr(pde_algebra, "_decomposition_terms", counted)
         grid = Grid((16, 16), (2 * math.pi,) * 2)
-        for seed in (3, 4):
-            field = random_mode_field(grid, seed)
+        fields = [random_mode_field(grid, seed) for seed in (3, 4)]
+        for field in fields:
             for point in np.ndindex(grid.shape):
                 for consts in (NAT, MASSLESS):
                     spec = log_transform(hje_pde_spec_1d(consts), A_QM)
                     residual_decomposition_check(spec, A_QM, field, point)
-                    decomposition_defect(spec, A_QM, field)
         assert calls == [grid.shape] * 4  # two fields times two equations
+        calls.clear()
+        for field in fields:  # the whole grid is evaluated on every call
+            for _ in range(3):
+                decomposition_defect(spec, A_QM, field)
+            assert equation_keys(field) == ["decomposition"] * 2
+        assert calls == [grid.shape] * 6
 
     def test_a_warm_sweep_computes_and_stores_nothing(self, monkeypatch):
         spec = log_transform(hje_pde_spec_1d(NAT), A_QM)
@@ -1070,6 +1090,38 @@ class TestWholeGridMemo:
         assert field._memo.keys() == stored.keys()
         assert all(field._memo[key] is entry for key, entry in stored.items())
         assert sweep_bits(second) == sweep_bits(first)
+
+    def test_only_per_point_calls_store_and_one_entry_per_equation(self):
+        equations = memo_equations()
+        spec, lspec, A = equations
+        field = oracle_field(MEMO_GRID, seed=8)
+        decomposition_defect(spec, A, field)
+        assert field._memo == {}
+        for point in ((0, 0), (39, 24), (7, 3)):
+            memo_calls(equations, field, point)
+            decomposition_defect(spec, A, field)
+            decomposition_defect(log_transform(spec, A), A, field)
+            assert equation_keys(field) == ["decomposition", "linear",
+                                            "nonlinear"]
+
+    def test_a_changed_callers_array_leaves_only_per_point_entries_stale(self):
+        # the field views the caller's array: whole-grid calls and max_abs
+        # read the samples as they are now, per-point entries as they were
+        equations = memo_equations()
+        spec, _, A = equations
+        values = np.array(oracle_field(MEMO_GRID, seed=8).values)
+        field = ScalarField(MEMO_GRID, values)
+        point = memo_calls(equations, field, (1, 2))
+        defect, peak = decomposition_defect(spec, A, field), field.max_abs()
+        values[...] = 2 * oracle_field(MEMO_GRID, seed=9).values
+        fresh = ScalarField(MEMO_GRID, values.copy())
+        assert sweep_bits([memo_calls(equations, field, (1, 2))]) == (
+            sweep_bits([point]))
+        now = decomposition_defect(spec, A, field)
+        assert now.tobytes() == decomposition_defect(spec, A, fresh).tobytes()
+        assert now.tobytes() != defect.tobytes()
+        assert field.max_abs() == fresh.max_abs() != peak
+        assert equation_keys(field) == ["decomposition", "linear", "nonlinear"]
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_points_are_checked_as_the_reference_checks_them(self, warm):
@@ -1135,23 +1187,28 @@ class TestWholeGridMemo:
             for call in calls:
                 assert _outcome(call, fresh(field), point) == want
 
-    def test_racing_first_uses_all_read_the_one_stored_array(self):
-        # more threads than cores, switching often, all missing one key
+    def test_racing_first_uses_all_read_the_one_stored_entry(self,
+                                                             monkeypatch):
+        # more threads than cores, switching often, all missing one entry;
+        # each miss makes an entry of its own number
         field = oracle_field(MEMO_GRID, seed=7)
-        made, got = [], []
+        _, lspec, _ = memo_equations()
+        made, got, numbers = [], [], itertools.count()
         start, second_miss = threading.Barrier(8), threading.Event()
 
-        def make(f):
-            array = np.zeros(1)
-            made.append(array)
+        def linear_of(lspec, f):
+            entry = np.full(MEMO_GRID.shape, next(numbers), dtype=complex)
+            made.append(entry)
             if len(made) >= 2:
                 second_miss.set()
             second_miss.wait(timeout=5)  # nothing is stored before two misses
-            return array
+            return entry
 
         def use():
             start.wait(timeout=5)
-            got.append(pde_algebra._Sampled(field).read("race", make))
+            got.append(residual_linear(lspec, field, (1, 2)))
+
+        monkeypatch.setattr(pde_algebra, "_linear_of", linear_of)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1165,7 +1222,10 @@ class TestWholeGridMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 8 and len(made) >= 2
-        assert all(a is field._memo["race"] for a in got)
+        stored = field._memo[lspec._key]
+        assert any(entry is stored for entry in made)
+        assert got == [stored[1, 2]] * 8
+        assert equation_keys(field) == ["linear"]
 
 
 class TestPointIndices:
@@ -1203,8 +1263,8 @@ class TestOneFormulaEach:
             for form in (spec, log_transform(spec, A_ORACLE)):
                 image = log_transform(spec, A_ORACLE)
                 lspec = linearize(form, A_ORACLE)
-                lhs, rhs, _, correction = pde_algebra._decomposition(
-                    form, A_ORACLE, field, None)
+                _, lhs, rhs, _, correction = pde_algebra._Sampled(
+                    field).decomposition(form, A_ORACLE, lspec)
                 nonlinear = np.array([residual_nonlinear(image, field, p)
                                       for p in np.ndindex(grid.shape)])
                 linear = np.array([residual_linear(lspec, field, p)
