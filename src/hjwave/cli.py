@@ -522,6 +522,8 @@ def cmd_limit_study(params: dict) -> CommandResult:
 
 
 def cmd_verify_all(params: dict) -> CommandResult:
+    if params["seed"] < 0:  # first, so a check's own error is its failure
+        raise CliValidationError(f"seed must be >= 0, got {params['seed']}")
     results = verify.run_all(seed=params["seed"])
     width = max(len(r.name) for r in results)
     lines = [
@@ -535,7 +537,10 @@ def cmd_verify_all(params: dict) -> CommandResult:
         "command": "verify-all",
         "passed": passed,
         "total": len(results),
-        "checks": results,
+        # JSON has no nan or inf: a non-finite measured value is written null
+        "checks": [replace(r, measures=[
+            replace(m, value=m.value if math.isfinite(m.value) else None)
+            for m in r.measures]) for r in results],
     }
     return CommandResult(
         {

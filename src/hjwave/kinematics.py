@@ -98,6 +98,11 @@ def dispersion_omega(k: float, consts: PhysicalConstants) -> float:
     return math.hypot(consts.c * k, consts.rest_frequency)
 
 
+def schrodinger_omega(k: float, consts: PhysicalConstants) -> float:
+    """hbar k^2 / (2 m0), the c -> inf limit of omega(k) - m0 c^2 / hbar."""
+    return consts.hbar * k**2 / (2 * consts.m0)
+
+
 def phase_velocity(k: float, consts: PhysicalConstants) -> float:
     """omega(k)/k; equals c for m0 = 0 and exceeds c for m0 > 0."""
     if k == 0:

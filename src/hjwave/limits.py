@@ -53,7 +53,7 @@ import numpy as np
 from .convergence import OrderFit, fit_order
 from .errors import DomainError, InsufficientDataError, require_normal_power
 from .fields import Grid, ScalarField
-from .kinematics import PhysicalConstants, dispersion_omega
+from .kinematics import PhysicalConstants, dispersion_omega, schrodinger_omega
 from .solvers import (
     leapfrog_stability_limit,
     solve_plane_wave,
@@ -154,7 +154,8 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
             "are more trustworthy"
         )
 
-    schrodinger_rate = cfg.hbar * cfg.k**2 / (2.0 * cfg.m0)
+    consts_nr = PhysicalConstants(hbar=cfg.hbar, c=1.0, m0=cfg.m0)
+    schrodinger_rate = schrodinger_omega(cfg.k, consts_nr)
     consts_per_c = [
         PhysicalConstants(hbar=cfg.hbar, c=c, m0=cfg.m0) for c in cfg.c_values
     ]
@@ -188,7 +189,6 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     theta = min(theta, 0.5)
 
     # The Schrodinger endpoint does not depend on c: evolve it once.
-    consts_nr = PhysicalConstants(hbar=cfg.hbar, c=1.0, m0=cfg.m0)
     psi_schr = solve_plane_wave("schrodinger", grid, cfg.k, consts_nr,
                                 tee / SCHRODINGER_STEPS,
                                 SCHRODINGER_STEPS)[0].final

@@ -82,6 +82,7 @@ from .kinematics import (
     PhysicalConstants,
     PlaneWave,
     dispersion_omega,
+    schrodinger_omega,
 )
 from . import pde_algebra
 from .reporting import write_csv
@@ -412,7 +413,7 @@ def solve_plane_wave(equation: str, grid: Grid, k: float,
     if equation == "schrodinger":
         cfg = SolverConfig(dt=dt, steps=steps, scheme=CRANK_NICOLSON)
         report = solve_schrodinger(initial, consts, cfg)
-        omega = consts.hbar * k**2 / (2 * consts.m0)  # the solver refused m0 = 0
+        omega = schrodinger_omega(k, consts)  # the solver refused m0 = 0
     elif equation in ("wave", "relativistic"):
         cfg = SolverConfig(dt=dt, steps=steps)
         if equation == "wave":

@@ -659,6 +659,10 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
     (["limit-study", "--c-values", "1e154", "--c-values", "2e154",
       "--c-values", "4e154", "--c-values", "8e154", "--time", "1e-300"], 2,
      "c = 2e+154 is out of range: its square overflows"),
+    # refused before any check runs, not by numpy's seeding inside one
+    (["verify-all", "--seed=-1"], 2, "seed must be >= 0, got -1"),
+    (["verify-all", "--seed", "-100000000000000000000"], 2,
+     "seed must be >= 0, got -100000000000000000000"),
 ])
 def test_out_of_range_inputs_are_named(tmp_path, argv, code, message):
     out = tmp_path / "x"
@@ -774,7 +778,29 @@ def test_verify_report_csv_has_three_cells_per_row(tmp_path, monkeypatch):
         rows = list(csv.reader(fh))
     assert rows[0] == ["check", "passed", "detail"]
     assert len(rows) == 13 and all(len(row) == 3 for row in rows)
-    assert sum("," in row[2] for row in rows) >= 12
+    # each detail, commas and all, reads back as one cell
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [row[2] for row in rows[1:]] == [c["detail"]
+                                            for c in report["checks"]]
+    assert any("," in row[2] for row in rows[1:])
+
+
+def test_verify_report_writes_a_nan_measure_as_null(tmp_path, monkeypatch):
+    # a limit study without a field fit: its order is nan, which JSON cannot
+    # hold, so the report writes null and the check fails
+    study = cli.verify.run_limit_study
+    monkeypatch.setattr(cli.verify, "run_limit_study", lambda cfg: (
+        dataclasses.replace(study(cfg), field_fit=None)))
+    res = run_cli("verify-all", "--out", str(tmp_path))
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert json.loads(res.stderr)["error"]["message"] == (
+        "failed checks: limit-frequency-order")
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    check = {c["name"]: c for c in report["checks"]}["limit-frequency-order"]
+    assert not check["passed"]
+    assert check["measures"][2] == {"label": "field-gap order", "value": None,
+                                    "lo": 1.8, "hi": 2.2}
+    assert "field-gap order nan <= 2.2" in check["detail"]
 
 
 def test_verify_all_passes_and_is_deterministic(tmp_path):

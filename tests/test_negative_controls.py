@@ -4,12 +4,15 @@
 mutation is a monkeypatch of a ``src/`` function or property, made where
 the check reads the name (``verify.planck_energy``, which ``verify``
 imports by value, not ``kinematics.planck_energy``); under it the check
-must return passed=False.  A mutation that no check catches yet carries
-the ROADMAP item that will catch it, and runs as xfail(strict=True), so
-its mark has to go once that item lands.
+must return passed=False with the measure the mutation names outside its
+band.  A mutation that no check catches yet carries the ROADMAP item that
+will catch it, and runs as xfail(strict=True), so its mark has to go once
+that item lands.
 """
 
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 from hjwave import fields, limits, mechanics, pde_algebra, solvers, verify
 from hjwave.fields import Grid, ScalarField
 from hjwave.kinematics import PhysicalConstants
+from test_cli import run_cli
 
 # the originals that the mutations below wrap
 _hje_spec = pde_algebra._hje_spec
@@ -44,6 +48,12 @@ def hje_spec_plus_c2_on_x(consts, dims):
     return pde_algebra.PdeSpec(spec.n, spec.m, terms, spec.b)
 
 
+def hje_spec_free_term_flipped(consts, dims):
+    """The HJE spec with the sign of its free term flipped."""
+    spec = _hje_spec(consts, dims)
+    return pde_algebra.PdeSpec(spec.n, spec.m, spec.terms, -spec.b)
+
+
 def linearize_mxx_off(spec, A=None):
     """linearize with M_xx 1% off."""
     lspec = _linearize(spec, A)
@@ -66,7 +76,7 @@ WITHOUT_PARSEVAL = (Grid, "cell_volume", property(lambda grid: grid.npoints))
 class Mutation:
     name: str
     patches: tuple  # (owner, attribute, replacement) triples
-    detail: str = ""  # a fragment of the failing check's detail
+    measure: str  # the label of the measure that must leave its band
     seeds: tuple = (0,)
     survives: str = ""  # why every check passes under it today
 
@@ -74,32 +84,37 @@ class Mutation:
 CONTROLS = {
     "dispersion-chain": [
         Mutation("tt-coefficient-1pct-off",
-                 ((pde_algebra, "_hje_spec", hje_spec_tt_off),)),
+                 ((pde_algebra, "_hje_spec", hje_spec_tt_off),),
+                 "max relative root error"),
         Mutation("rest-frequency-without-hbar",
                  ((PhysicalConstants, "rest_frequency",
                    property(lambda consts: consts.rest_energy)),),
+                 "max relative root error",
                  survives="ROADMAP item 6: the chain checks run only at "
                           "hbar = 1"),
     ],
     "transform-linearize": [
-        Mutation("mxx-1pct-off", ((verify, "linearize", linearize_mxx_off),)),
+        Mutation("mxx-1pct-off", ((verify, "linearize", linearize_mxx_off),),
+                 "wave-operator matrix defect"),
     ],
     "dual-solutions": [
         # both dual actions are evaluated through the spec the chain
         # transforms
         Mutation("plus-c2-on-x",
                  ((pde_algebra, "_hje_spec", hje_spec_plus_c2_on_x),),
-                 detail="particle 8.00e+00, wave 1.80e+01"),
+                 "particle residual"),
     ],
     "eigen-log-curvature": [
         Mutation("planck-energy-doubled",
                  ((verify, "planck_energy",
                    lambda omega, consts: 2 * _planck_energy(omega,
-                                                            consts)),)),
+                                                            consts)),),
+                 "energy defect order"),
         Mutation("de-broglie-momentum-with-hbar-squared",
                  ((verify, "de_broglie_momentum",
                    lambda k, consts: consts.hbar * _de_broglie_momentum(
                        k, consts)),),
+                 "momentum defect order",
                  survives="ROADMAP item 7: A = hbar/i is assumed, not "
                           "derived, and hbar^2 = hbar at hbar = 1"),
     ],
@@ -110,31 +125,37 @@ CONTROLS = {
         # both sides were built from M)
         Mutation("mxx-1pct-off",
                  ((pde_algebra, "linearize", linearize_mxx_off),),
-                 seeds=(0, 1, 2)),
+                 "extrapolated defect", seeds=(0, 1, 2)),
     ],
     "wave-solver-order": [
         Mutation("stencil-laplacian-1pct-strong",
                  ((solvers, "_stencil_eigenvalues",
-                   lambda grid: 1.01 * _eigenvalues(grid)),)),
+                   lambda grid: 1.01 * _eigenvalues(grid)),),
+                 "massless error order"),
         Mutation("leapfrog-energy-without-parseval-scale", (WITHOUT_PARSEVAL,),
+                 "energy oscillation over 1e4 steps",
                  survives="ROADMAP item 3: the energy rows are one constant, "
                           "so the oscillation reads 0 whatever the formula"),
     ],
     "schrodinger-cn": [
         Mutation("phase-sign-flipped",
                  ((solvers, "_stencil_eigenvalues",
-                   lambda grid: -_eigenvalues(grid)),)),
+                   lambda grid: -_eigenvalues(grid)),),
+                 "phase error order"),
         Mutation("norm-without-parseval-scale", (WITHOUT_PARSEVAL,),
+                 "per-step norm drift over 1e4 steps",
                  survives="ROADMAP item 3: the norm rows are one constant, "
                           "so the drift reads 0 whatever the formula"),
     ],
     "velocity-duality": [
         Mutation("particle-velocity-without-lorentz-factor",
                  ((verify, "particle_velocity",
-                   lambda p, consts: np.asarray(p, dtype=float) / consts.m0),)),
+                   lambda p, consts: np.asarray(p, dtype=float) / consts.m0),),
+                 "group-particle gap over 50 k"),
         Mutation("group-velocity-missing-one-c",
                  ((verify, "group_velocity",
                    lambda k, consts: _group_velocity(k, consts) / consts.c),),
+                 "vph*vgr-c^2 over 50 k",
                  survives="ROADMAP item 6: the chain checks run only at "
                           "c = 1"),
     ],
@@ -142,7 +163,8 @@ CONTROLS = {
         Mutation("rest-phase-factored-with-wrong-sign",
                  ((limits, "factor_rest_energy",
                    lambda psi, consts, t: _factor_rest_energy(psi, consts,
-                                                              -t)),)),
+                                                              -t)),),
+                 "field-gap order"),
     ],
     "newton-rk4": [
         # a 0.1% error in every |p| the RK4 loop takes (read at call time)
@@ -150,17 +172,17 @@ CONTROLS = {
         # rows, whose momenta ignore the velocity, still pass
         Mutation("momentum-magnitude-0.1pct-large",
                  ((mechanics, "hypot", lambda *a: 1.001 * math.hypot(*a)),),
-                 detail="energy order -0.00"),
+                 "energy order"),
     ],
     "curl-witnesses": [
         Mutation("second-difference-for-the-first",
                  ((mechanics, "central_difference", fields.second_difference),),
-                 detail="rotational defect 0.00"),
+                 "rotational defect"),
     ],
     "round-trips": [
         Mutation("binary-reader-drops-the-time-stamp",
                  ((verify, "field_from_bytes", field_from_bytes_without_time),),
-                 detail="binary byte-exact=False"),
+                 "binary differing bytes"),
     ],
 }
 
@@ -181,10 +203,31 @@ def test_mutation_fails_its_check(check, mutation, monkeypatch):
     for seed in mutation.seeds:
         result = verify.CHECKS[check](seed)
         assert not result.passed, result.detail
-        assert mutation.detail in result.detail
+        outside = [m.label for m in result.measures if not m.within()]
+        assert mutation.measure in outside, result.detail
 
 
 def test_every_check_has_a_mutation_it_catches_today():
     assert list(CONTROLS) == list(verify.CHECKS)
     for check, mutations in CONTROLS.items():
         assert any(not m.survives for m in mutations), check
+
+
+def test_a_check_that_raises_fails_alone(monkeypatch, tmp_path):
+    # with the free term flipped the dispersion quadratic has no positive
+    # real root, and dispersion-chain raises DomainError
+    monkeypatch.setattr(pde_algebra, "_hje_spec", hje_spec_free_term_flipped)
+    result = verify.check_dispersion_chain(0)
+    assert (result.name, result.passed, result.measures) == (
+        "dispersion-chain", False, ())
+    assert result.detail == ("DomainError: no positive real root "
+                             "(evanescent branch only)")
+
+    res = run_cli("verify-all", "--out", str(tmp_path))
+    assert res.returncode == 3, res.stdout + res.stderr
+    with open(tmp_path / "verify_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == list(verify.CHECKS)
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["total"] == 12
+    assert report["checks"][0]["detail"] == result.detail

@@ -4,7 +4,69 @@ import numpy as np
 import pytest
 
 from hjwave import Grid, pde_algebra, verify
-from hjwave.verify import random_mode_field
+from hjwave.convergence import OrderFit
+from hjwave.limits import LimitStudyReport
+from hjwave.verify import Measure, random_mode_field
+
+# the registry's keys and order, which bench/tracer.py binds by name
+NAMES = ["dispersion-chain", "transform-linearize", "dual-solutions",
+         "eigen-log-curvature", "residual-decomposition", "wave-solver-order",
+         "schrodinger-cn", "velocity-duality", "limit-frequency-order",
+         "newton-rk4", "curl-witnesses", "round-trips"]
+
+
+def outside(result):
+    return [m.label for m in result.measures if not m.within()]
+
+
+def test_registry_names_each_check_by_its_function():
+    assert list(verify.CHECKS) == list(verify.BUDGET_S) == NAMES
+    for name in NAMES:
+        # one object, so a wrapper of the function also wraps the entry
+        check = getattr(verify, "check_" + name.replace("-", "_"))
+        assert verify.CHECKS[name] is check
+        assert check.__name__ == "check_" + name.replace("-", "_")
+
+
+def test_a_measure_passes_inside_its_closed_band_only():
+    assert Measure("x", 2.1, 1.9, 2.1).within()
+    assert Measure("x", 1.9, 1.9, None).within()
+    assert Measure("x", -1e300, None, 0.0).within()
+    assert not Measure("x", math.nextafter(2.1, 3.0), 1.9, 2.1).within()
+    assert not Measure("x", 1.0, math.nextafter(1.0, 2.0)).within()
+    for band in [(None, None), (0.0, None), (None, 0.0), (0.0, 1.0)]:
+        assert not Measure("x", math.nan, *band).within()
+
+
+def test_detail_is_every_measure_with_its_band():
+    assert str(Measure("order", 2.00049, 1.9, 2.1)) == "1.9 <= order 2 <= 2.1"
+    assert str(Measure("defect", 1.2345e-16, hi=0.0)) == "defect 1.234e-16 <= 0.0"
+    assert str(Measure("raw", 6.977e-9)) == "raw 6.977e-09"
+    result = verify.check_curl_witnesses(0)
+    assert result.detail == ", ".join(map(str, result.measures))
+    assert result.passed == all(m.within() for m in result.measures)
+
+
+@pytest.mark.parametrize("check, name, label", [
+    ("dispersion-chain", "dispersion_omega", "max relative root error"),
+    ("velocity-duality", "phase_velocity", "vph*vgr-c^2 over 50 k"),
+])
+def test_a_nan_per_wavenumber_fails_its_check(monkeypatch, check, name, label):
+    # max(worst, nan) would keep worst and pass; np.max keeps the nan
+    monkeypatch.setattr(verify, name, lambda *args: math.nan)
+    result = verify.CHECKS[check](0)
+    assert outside(result) == [label]
+    assert math.isnan({m.label: m for m in result.measures}[label].value)
+
+
+def test_strict_bounds_refuse_their_own_value(monkeypatch):
+    # rotational defect > 1.0 and fit residual < 0.05, both strict
+    monkeypatch.setattr(verify, "curl_check", lambda field, grid: 1.0)
+    assert "rotational defect" in outside(verify.check_curl_witnesses(0))
+    monkeypatch.setattr(verify, "run_limit_study", lambda cfg: (
+        LimitStudyReport([], OrderFit(2.0, 0.05), OrderFit(2.0, 0.0))))
+    assert outside(verify.check_limit_frequency_order(0)) == [
+        "frequency fit residual"]
 
 
 def random_mode_draws(grid, seed, modes=3, amplitude=1e-3):
