@@ -58,6 +58,19 @@ class Grid:
     def spacings(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.shape))
 
+    @cached_property
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the periodic central Laplacian, one per FFT mode.
+
+        Computed on first read and kept, read-only, for the grid's life:
+        -sum_i (4 / h_i^2) sin^2(pi j_i / n_i), in the grid's shape.
+        """
+        per_axis = [-(4.0 / h**2) * np.sin(np.pi * np.arange(n) / n) ** 2
+                    for n, h in zip(self.shape, self.spacings)]
+        table = sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
+        table.flags.writeable = False
+        return table
+
     @property
     def spacing(self) -> float:
         """Common spacing of a cubic grid."""

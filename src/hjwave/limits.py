@@ -46,7 +46,7 @@ orders within 0.011 of 2; it is 1.6e-2 at c = 2048 (a sweep of 4, 8, 16,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,20 +159,22 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
     consts_per_c = [
         PhysicalConstants(hbar=cfg.hbar, c=c, m0=cfg.m0) for c in cfg.c_values
     ]
-    rows: list[LimitRow] = []  # the field gaps are filled in below
-    for cc in consts_per_c:
-        rest = _omega_minus_rest(cc, cfg.k)
-        rows.append(LimitRow(cc.c, rest, schrodinger_rate,
-                             abs(rest - schrodinger_rate), 0.0,
-                             cfg.hbar * cfg.k / (cfg.m0 * cc.c)))
-    freq_gaps = [row.frequency_gap for row in rows]
+    rests = [_omega_minus_rest(cc, cfg.k) for cc in consts_per_c]
+    freq_gaps = [abs(rest - schrodinger_rate) for rest in rests]
+
+    def row(i: int, field_gap: float = 0.0, dt: float = 0.0,
+            steps: int = 0) -> LimitRow:
+        c = consts_per_c[i].c
+        return LimitRow(c, rests[i], schrodinger_rate, freq_gaps[i], field_gap,
+                        cfg.hbar * cfg.k / (cfg.m0 * c), dt, steps)
 
     if not all(freq_gaps):
         # The rest mode k = 0, or a k so small that a gap rounds to 0: the
         # step budget below would be 0, and there is no gap to evolve or fit.
         warnings.append(f"k = {cfg.k:g}: a frequency gap is zero, no field "
                         "evolved and no order fitted")
-        return LimitStudyReport(rows, None, None, warnings)
+        return LimitStudyReport([row(i) for i in range(len(rests))], None,
+                                None, warnings)
 
     grid = Grid.line(cfg.grid_points, 2.0 * math.pi / cfg.k)
     tee = cfg.evolution_time
@@ -193,6 +195,7 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
                                 tee / SCHRODINGER_STEPS,
                                 SCHRODINGER_STEPS)[0].final
 
+    rows: list[LimitRow] = []
     for i, cc in enumerate(consts_per_c):
         omega = dispersion_omega(cfg.k, cc)
         dt = min(theta / omega,
@@ -211,9 +214,9 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
             warnings.append(f"c = {cc.c:g}: phase rounding {rounding:.2e} "
                             f"exceeds {ROUNDING_SHARE:g} of the field gap "
                             f"{field_gap:.2e}")
-        rows[i] = replace(rows[i], field_gap=field_gap, dt=dt, steps=steps)
+        rows.append(row(i, field_gap, dt, steps))
 
-    field_gaps = [row.field_gap for row in rows]
+    field_gaps = [r.field_gap for r in rows]
     for name, gaps in (("frequency", freq_gaps), ("field", field_gaps)):
         if any(b >= a for a, b in zip(gaps, gaps[1:])):
             warnings.append(f"{name} gap is not strictly decreasing in c")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import hypot, isfinite
 
 import numpy as np
@@ -81,24 +82,32 @@ class Trajectory:
 
     From integrate_newton, ``r`` and ``p`` are read-only strided views of
     one (samples, 6) buffer of rows (x, y, z, px, py, pz): columns 0-2
-    and 3-5.  Copy them to get writable arrays.
+    and 3-5.  Copy them to get writable arrays.  ``energies()`` and
+    ``speeds()`` read one |p| column, computed on first use.
     """
 
     t: np.ndarray
     r: np.ndarray  # (samples, 3)
     p: np.ndarray  # (samples, 3)
 
+    @cached_property
+    def momentum_norms(self) -> np.ndarray:
+        """|p| per sample, ``_norms(p)``; read-only, computed once."""
+        mags = _norms(self.p)
+        mags.flags.writeable = False
+        return mags
+
     def energies(self, potential: Potential, consts: PhysicalConstants
                  ) -> np.ndarray:
         """m0 c^2 sqrt(1 + p^2/m0^2 c^2) + Phi(r) per sample, conserved."""
-        ratios = _norms(self.p) / (consts.m0 * consts.c)
+        ratios = self.momentum_norms / (consts.m0 * consts.c)
         return consts.rest_energy * np.hypot(1.0, ratios) + potential.value(self.r)
 
     def speeds(self, consts: PhysicalConstants) -> np.ndarray:
         """|v| per sample: |p| / (m0 sqrt(1 + |p|^2 / (m0 c)^2)); needs m0 > 0."""
         if consts.m0 <= 0:
             raise DomainError("particle speeds need m0 > 0")
-        mags = _norms(self.p)
+        mags = self.momentum_norms
         return mags / (consts.m0 * np.hypot(1.0, mags / (consts.m0 * consts.c)))
 
     def table(self, energies: np.ndarray) -> tuple[list[str], list[np.ndarray]]:

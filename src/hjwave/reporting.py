@@ -335,8 +335,12 @@ def _json_float(x) -> str:
     return fmt_float(x)
 
 
-def _json_text(obj, pad: str) -> str:
-    """``obj`` as JSON text; its inner lines are indented past ``pad``."""
+def _json_text(obj, pad: str, names: dict[type, tuple[str, ...]]) -> str:
+    """``obj`` as JSON text; its inner lines are indented past ``pad``.
+
+    ``names`` holds the field names of each dataclass met so far, so a
+    write reads them once per class, not once per record.
+    """
     if obj is None:
         return "null"
     if isinstance(obj, _BOOL + _INT):
@@ -350,15 +354,18 @@ def _json_text(obj, pad: str) -> str:
         return json.dumps(obj)
     inner = pad + "  "
     if is_dataclass(obj):  # the object of its fields, in field order
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        cls = type(obj)
+        if cls not in names:
+            names[cls] = tuple(f.name for f in fields(cls))
+        obj = {name: getattr(obj, name) for name in names[cls]}
     if isinstance(obj, (list, tuple)):
-        items = [inner + _json_text(item, inner) for item in obj]
+        items = [inner + _json_text(item, inner, names) for item in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
     if isinstance(obj, dict):
         items = []
         for key, value in obj.items():
             try:
-                text = _json_text(value, inner)
+                text = _json_text(value, inner, names)
             except NumericalError as exc:
                 raise NumericalError(f"{key}: {exc}") from None
             items.append(inner + json.dumps(str(key)) + ": " + text)
@@ -371,7 +378,7 @@ def json_dumps(obj) -> str:
 
     A nan or inf anywhere in ``obj`` raises NumericalError naming its keys.
     """
-    return _json_text(obj, "") + "\n"
+    return _json_text(obj, "", {}) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -32,9 +32,12 @@ Crank-Nicolson reports the L2 norm and the discrete kinetic energy, which
 its unit-modulus amplification factors conserve.  Every per-step row is
 computed from the spectra by Parseval's identity, when a SolveReport's
 ``diagnostics`` is first read, and so are the leapfrog energy and the
-modes' weights, rates and drift sums: until then a leapfrog report holds
-|a|^2, |b|^2 and Re(a conj(b)) per mode, so a caller that reads only the
-final field, such as the limit study, pays for two FFTs and the last step.
+modes' |a|^2, |b|^2, Re(a conj(b)), weights, rates and drift sums: until
+then a leapfrog report holds only the spectra a and b.  A caller that reads
+only the final field, such as the limit study, pays for two FFTs, one
+inverse FFT and the last step, evaluated over all modes at once; flat modes
+(theta = 0 or pi) are then overwritten, where there are any.  The stencil
+eigenvalues are computed once per Grid and kept on it, read-only.
 The conserved quantities are evaluated once, so they are identical in
 every row; the leapfrog norm carries the rounding of its own row's
 evaluation, not rounding accumulated over steps.  Its rows are one
@@ -300,33 +303,32 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
     q = 0.5 * dt * np.sqrt(-sigma).ravel()  # sin(theta / 2)
     s2 = 4.0 * q * q * (1.0 - q) * (1.0 + q)  # 1 - x^2 = sin(theta)^2
 
-    # Modes with s2 > 0 oscillate.  The others have theta = 0 or pi: s2 = 0,
-    # or one ulp below 0 from rounding at dt = limit.  There the mode is
-    # U^n = e^n (a + e n b), e = cos(theta).
-    osc = s2 > 0.0
-    flat = ~osc
-    theta = 2.0 * np.arcsin(q[osc])
-    root = np.sqrt(s2[osc])  # sin(theta)
-    sign = np.where(q[flat] < 0.5, 1.0, -1.0)
-
-    # non-finite input surfaces as NumericalError in SolveReport, not a warning
-    with np.errstate(invalid="ignore", over="ignore"):
+    # non-finite input surfaces as NumericalError in SolveReport, not a
+    # warning; so do the nan and inf of flat modes, overwritten below
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        theta = 2.0 * np.arcsin(q)
+        root = np.sqrt(s2)  # sin(theta)
         a = np.fft.fftn(initial.values).ravel()
         b = dt * np.fft.fftn(initial_rate.values).ravel()
         # The last step, mode by mode: U^n = cos_n a + sin_n b.
-        cos_n = np.empty(q.size)
-        sin_n = np.empty(q.size)
-        cos_n[osc] = np.cos(n_last * theta)
-        sin_n[osc] = np.sin(n_last * theta) / root
-        cos_n[flat] = sign**n_last
-        sin_n[flat] = n_last * sign ** (n_last - 1)
+        cos_n = np.cos(n_last * theta)
+        sin_n = np.sin(n_last * theta) / root
+        # Modes with s2 > 0 oscillate.  The others have theta = 0 or pi:
+        # s2 = 0, or one ulp below 0 (q one ulp above 1) from rounding at
+        # dt = limit.  There the mode is U^n = e^n (a + e n b), e = cos(theta).
+        osc = s2 > 0.0
+        flat = ~osc
+        if flat.any():
+            sign = np.where(q[flat] < 0.5, 1.0, -1.0)
+            cos_n[flat] = sign**n_last
+            sin_n[flat] = n_last * sign ** (n_last - 1)
         final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
-        aa = a.real**2 + a.imag**2
-        bb = b.real**2 + b.imag**2
-        ab = (a * b.conj()).real
 
     def series() -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(invalid="ignore", over="ignore"):
+            aa = a.real**2 + a.imag**2
+            bb = b.real**2 + b.imag**2
+            ab = (a * b.conj()).real
             # Each mode's discrete energy, (|b|^2 + s2 |a|^2) / (2 dt^2), is
             # the same at every step.
             energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
@@ -334,8 +336,8 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
             # with z = exp(2i theta), summed in place, so one steps-long
             # array is live at a time.
             ao, bo = aa[osc], bb[osc] / s2[osc]
-            weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root)
-            norms = _exponential_sums(2.0 * theta, weights, n_last)
+            weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root[osc])
+            norms = _exponential_sums(2.0 * theta[osc], weights, n_last)
             norms += float(np.sum(0.5 * (ao + bo))) + float(np.sum(aa[flat]))
             if flat.any():  # |U^n|^2 = |a|^2 + 2 e n Re(a conj(b)) + n^2 |b|^2
                 n = np.arange(1.0, n_last + 1)
@@ -350,10 +352,9 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
 
 
 def _stencil_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of the periodic central Laplacian, one per FFT mode."""
-    per_axis = [-(4.0 / h**2) * np.sin(np.pi * np.arange(n) / n) ** 2
-                for n, h in zip(grid.shape, grid.spacings)]
-    return sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
+    """Eigenvalues of the periodic central Laplacian, one per FFT mode: the
+    grid's read-only ``laplacian_eigenvalues``, computed once per grid."""
+    return grid.laplacian_eigenvalues
 
 
 def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,

@@ -232,6 +232,33 @@ def test_momentum_norms_by_columns_match_the_row_reduction():
         assert mechanics._norms(p).tobytes() == want.tobytes()
 
 
+def test_energies_and_speeds_read_one_momentum_column(monkeypatch):
+    traj = integrate_newton(Potential.harmonic(0.5), (1.0, 0.0, -1.0),
+                            (0.2, 0.3, 0.0), NAT, 0.01, 500)
+    want = np.hypot.reduce(traj.p, axis=1)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return want.copy()
+
+    monkeypatch.setattr(mechanics, "_norms", counting)
+    energies = traj.energies(Potential.harmonic(0.5), NAT)
+    speeds = traj.speeds(NAT)
+    assert len(calls) == 1
+    assert traj.momentum_norms.tobytes() == want.tobytes()
+    assert not traj.momentum_norms.flags.writeable
+    monkeypatch.undo()
+    fresh = Trajectory(traj.t, traj.r, traj.p)
+    assert energies.tobytes() == fresh.energies(Potential.harmonic(0.5),
+                                                NAT).tobytes()
+    assert speeds.tobytes() == fresh.speeds(NAT).tobytes()
+    ratios = want / (NAT.m0 * NAT.c)
+    assert energies.tobytes() == (
+        NAT.rest_energy * np.hypot(1.0, ratios)
+        + Potential.harmonic(0.5).value(traj.r)).tobytes()
+
+
 class TestSteppedOracle:
     """integrate_newton rows equal the array-form RK4 bit for bit."""
 

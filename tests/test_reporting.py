@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hjwave import NumericalError, cli
+from hjwave import NumericalError, cli, reporting
 from hjwave.fields import Grid, plane_wave_field
 from hjwave.kinematics import PhysicalConstants
 from hjwave.limits import LimitStudyConfig, run_limit_study
@@ -376,6 +376,24 @@ class TestReportingHelpers:
         assert json_dumps(report) == json_dumps(dataclasses.asdict(report))
         assert list(json.loads(json_dumps(report))) == [
             "rows", "frequency_fit", "field_fit", "warnings"]
+
+    def test_dataclass_fields_are_read_once_per_class(self, monkeypatch):
+        @dataclasses.dataclass
+        class Record:
+            b: float
+            a: int
+
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return dataclasses.fields(obj)
+
+        monkeypatch.setattr(reporting, "fields", counting)
+        records = [Record(0.5 * i, i) for i in range(7)]
+        assert json_dumps(records) == json_dumps(
+            [{"b": r.b, "a": r.a} for r in records])
+        assert calls == [Record]
 
     def test_negative_zero_survives_json_round_trip(self):
         assert fmt_float(-0.0) == "-0.0"

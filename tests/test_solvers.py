@@ -703,6 +703,125 @@ class TestClosedFormAgainstSteppedOracle:
         assert np.all(np.abs(d.energy - energies) <= 1e-12 * energies)
 
 
+def masked_leapfrog(initial, rate, c, mu, dt, steps):
+    """Leapfrog's closed form with the flat and oscillating modes gathered
+    apart and scattered back, the eigenvalues computed afresh: the
+    formulation solve_relativistic had before it evaluated every mode at
+    once.  Returns the final field, the norm rows and the energy."""
+    grid = initial.grid
+    per_axis = [-(4.0 / h**2) * np.sin(np.pi * np.arange(n) / n) ** 2
+                for n, h in zip(grid.shape, grid.spacings)]
+    lam = sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
+    scale = grid.cell_volume / grid.npoints
+    q = 0.5 * dt * np.sqrt(-(c * c * lam - mu * mu)).ravel()
+    s2 = 4.0 * q * q * (1.0 - q) * (1.0 + q)
+    osc = s2 > 0.0
+    flat = ~osc
+    theta = 2.0 * np.arcsin(q[osc])
+    root = np.sqrt(s2[osc])
+    sign = np.where(q[flat] < 0.5, 1.0, -1.0)
+    a = np.fft.fftn(initial.values).ravel()
+    b = dt * np.fft.fftn(rate.values).ravel()
+    cos_n = np.empty(q.size)
+    sin_n = np.empty(q.size)
+    cos_n[osc] = np.cos(steps * theta)
+    sin_n[osc] = np.sin(steps * theta) / root
+    cos_n[flat] = sign**steps
+    sin_n[flat] = steps * sign ** (steps - 1)
+    final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
+    aa = a.real**2 + a.imag**2
+    bb = b.real**2 + b.imag**2
+    ab = (a * b.conj()).real
+    energy = 0.5 * scale / dt**2 * float(np.sum(bb + s2 * aa))
+    ao, bo = aa[osc], bb[osc] / s2[osc]
+    weights = 0.5 * (ao - bo) - 1j * (ab[osc] / root)
+    norms = solvers._exponential_sums(2.0 * theta, weights, steps)
+    norms += float(np.sum(0.5 * (ao + bo))) + float(np.sum(aa[flat]))
+    if flat.any():
+        n = np.arange(1.0, steps + 1)
+        linear = 2.0 * float(np.sum(sign * ab[flat]))
+        norms += n * (linear + n * float(np.sum(bb[flat])))
+    np.maximum(norms, 0.0, out=norms)
+    norms *= scale
+    np.sqrt(norms, out=norms)
+    return final, norms, energy
+
+
+class TestClosedFormAgainstMaskedOracle:
+    """solve_relativistic equals the masked formulation bit for bit."""
+
+    STEPS = 201  # odd, so the sign (-1)^n of theta = pi modes shows
+    GRIDS = {"1d-64": Grid.line(64, 2 * math.pi),
+             "1d-4096": Grid.line(4096, 2 * math.pi),
+             "3d-16": Grid.cube(16, 2 * math.pi),
+             # at dt = limit the top mode's s2 rounds one ulp below 0
+             "1d-16-past-pi": Grid.line(16, 19.35831069229324)}
+    # (m0, dt as a fraction of the limit, flat modes expected)
+    CASES = {"half-limit": (1.0, 0.5, False),
+             "at-limit": (1.0, 1.0, True),  # theta = pi
+             "massless": (0.0, 0.5, True),  # theta = 0 at k = 0
+             "massless-at-limit": (0.0, 1.0, True)}  # both
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_bitwise(self, name, case):
+        grid = self.GRIDS[name]
+        m0, fraction, has_flat = self.CASES[case]
+        c = 0.5368411647403111 if name == "1d-16-past-pi" else 1.0
+        consts = PhysicalConstants(1.0, c, m0)
+        mu = consts.rest_frequency
+        dt = fraction * leapfrog_stability_limit(grid, c, mu)
+        q = 0.5 * dt * np.sqrt(-(c * c * _stencil_eigenvalues(grid) - mu * mu))
+        s2 = 4.0 * q * q * (1.0 - q) * (1.0 + q)
+        assert bool(np.any(s2 <= 0.0)) == has_flat
+        if name == "1d-16-past-pi" and case == "massless-at-limit":
+            assert np.any(s2 < 0.0)
+        initial, rate = random_field(grid, 1), random_field(grid, 2)
+        report = solve_relativistic(initial, rate, consts,
+                                    SolverConfig(dt=dt, steps=self.STEPS))
+        final, norms, energy = masked_leapfrog(initial, rate, c, mu, dt,
+                                               self.STEPS)
+        d = report.diagnostics
+        assert report.final.values.tobytes() == final.tobytes()
+        assert d.norm.tobytes() == norms.tobytes()
+        assert d.energy.tobytes() == np.full(self.STEPS, energy).tobytes()
+
+
+class TestStencilEigenvalueTable:
+    def test_read_only(self):
+        table = _stencil_eigenvalues(Grid.cube(8, 1.0))
+        assert table.shape == (8, 8, 8)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+
+    def test_one_table_per_grid(self, monkeypatch):
+        seen = []
+
+        def recording(grid):
+            seen.append(_stencil_eigenvalues(grid))
+            return seen[-1]
+
+        monkeypatch.setattr(solvers, "_stencil_eigenvalues", recording)
+        grid, initial, rate, dt = traveling_wave_setup(32, 1.0, NAT)
+        for _ in range(2):
+            solve_relativistic(initial, rate, NAT, SolverConfig(dt, 10))
+        solve_schrodinger(initial, NAT, SolverConfig(dt, 10, CRANK_NICOLSON))
+        assert len(seen) == 3
+        assert seen[0] is seen[1] is seen[2]
+
+    @pytest.mark.parametrize("build", [
+        lambda: Grid.line(64, 2 * math.pi),
+        lambda: Grid.cube(12, 3.0),
+        lambda: Grid((8, 8, 8), (1.0, 1.0, 1.0)),
+    ], ids=["line", "cube", "explicit"])
+    def test_equal_grids_give_equal_tables(self, build):
+        first, second = build(), build()
+        assert first == second and first is not second
+        a, b = _stencil_eigenvalues(first), _stencil_eigenvalues(second)
+        assert a is not b
+        assert a.tobytes() == b.tobytes()
+
+
 def test_leapfrog_overflow_raises_with_rows_so_far():
     # a stable run whose k = 0 mode (theta = 0) drifts as n dt V until the
     # squared norm overflows
