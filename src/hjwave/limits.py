@@ -19,9 +19,13 @@ across the sweep, with the constant chosen from the leapfrog phase-error
 budget so the scheme error stays a small fraction of the physical gap at
 every c (leapfrog advances phases at omega*(1 + (omega dt)^2/24 + ...),
 which would otherwise swamp the O(c^-2) signal at large c).  Both
-endpoints are solve_plane_wave's; its stencil-frequency leapfrog start
-keeps the backward leapfrog branch, which the analytic frequency would
-seed at the O(h^2/c^2) order of the signal, out of the field gap.
+endpoints are solve_plane_wave's, bit for bit: the Schrodinger one is
+its run, and each relativistic row runs solve_relativistic on one shared
+sample of the plane wave, started from leapfrog_start_rate.  That
+stencil-frequency start keeps the backward leapfrog branch, which the
+analytic frequency would seed at the O(h^2/c^2) order of the signal, out
+of the field gap.  The rows compute no solve_plane_wave error, which the
+study never reads.
 
 The solvers evaluate both schemes in closed form per Fourier mode, so
 the step count, which grows as c^2 because dt ~ 1/c^2, costs no per-step
@@ -52,12 +56,13 @@ import numpy as np
 
 from .convergence import OrderFit, fit_order
 from .errors import DomainError, InsufficientDataError, require_normal_power
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, plane_wave_field
 from .kinematics import PhysicalConstants, dispersion_omega, schrodinger_omega
 from .solvers import (
+    SolverConfig,
+    leapfrog_start_rate,
     leapfrog_stability_limit,
     solve_plane_wave,
-    # not called; bench/tests/test_harness.py reads it (ROADMAP item 1)
     solve_relativistic,
 )
 
@@ -195,6 +200,7 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
                                 tee / SCHRODINGER_STEPS,
                                 SCHRODINGER_STEPS)[0].final
 
+    initial = plane_wave_field(grid, (cfg.k, 0.0, 0.0), omega=0.0)
     rows: list[LimitRow] = []
     for i, cc in enumerate(consts_per_c):
         omega = dispersion_omega(cfg.k, cc)
@@ -205,8 +211,9 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
                               f"more than 2**53 = {MAX_ROW_STEPS} steps")
         steps = max(1, math.ceil(tee / dt))
         dt = tee / steps
-        rel = solve_plane_wave("relativistic", grid, cfg.k, cc, dt,
-                               steps)[0].final
+        rel = solve_relativistic(initial,
+                                 leapfrog_start_rate(initial, cfg.k, cc), cc,
+                                 SolverConfig(dt=dt, steps=steps)).final
         psi0 = factor_rest_energy(rel, cc, tee)
         field_gap = float(np.max(np.abs(psi0.values - psi_schr.values)))
         rounding = omega * tee * 2.0**-53

@@ -22,9 +22,11 @@ raises StabilityError.
 
 solve_plane_wave alone picks each equation's solver and plane-wave
 frequency, on the positive branch E = hbar omega >= 0.  Its leapfrog
-starts from the frequency of the stencil wavenumber (2/h) sin(kh/2): the
-analytic one would seed the backward leapfrog branch at O(h^2).  Its error
-reference is the initial sample rotated by exp(-i omega T).
+starts from leapfrog_start_rate, -i omega_h psi with omega_h the
+frequency of the stencil wavenumber (2/h) sin(kh/2): the analytic one
+would seed the backward leapfrog branch at O(h^2).  Its error reference is
+the initial sample rotated by exp(-i omega T).  Transforms on 1D grids
+use np.fft.fft/ifft, the same bytes as fftn/ifftn at less call overhead.
 
 Leapfrog starts from a Taylor step and reports the exactly conserved
 discrete energy E = 1/2 ||(u^{n+1}-u^n)/dt||^2 - 1/2 Re<u^{n+1}, L u^n>;
@@ -98,9 +100,9 @@ CRANK_NICOLSON = "crank_nicolson"
 # built: a solver's final field alone takes any number of steps.
 MAX_STEPS = 10_000_000
 # Grid points allowed in one run (128^3).  A leapfrog run holds about 250
-# bytes a point: at the bound `solve` peaks at 532 MB RSS, 1D or 3D, and
-# `limit-study --time 1e-6` at 692 MB (numpy 2.4, Python 3.11, x86-64
-# Linux).
+# bytes a point: at the bound `solve --equation relativistic` peaks at 508
+# MB RSS in 1D and 423 MB in 3D, and `limit-study --time 1e-6` at 528 MB
+# (numpy 2.4.6, Python 3.11, x86-64 Linux, one BLAS thread).
 MAX_POINTS = 1 << 21
 
 
@@ -308,8 +310,8 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         theta = 2.0 * np.arcsin(q)
         root = np.sqrt(s2)  # sin(theta)
-        a = np.fft.fftn(initial.values).ravel()
-        b = dt * np.fft.fftn(initial_rate.values).ravel()
+        a = _dft(initial.values, grid.ndim).ravel()
+        b = dt * _dft(initial_rate.values, grid.ndim).ravel()
         # The last step, mode by mode: U^n = cos_n a + sin_n b.
         cos_n = np.cos(n_last * theta)
         sin_n = np.sin(n_last * theta) / root
@@ -322,7 +324,8 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
             sign = np.where(q[flat] < 0.5, 1.0, -1.0)
             cos_n[flat] = sign**n_last
             sin_n[flat] = n_last * sign ** (n_last - 1)
-        final = np.fft.ifftn((cos_n * a + sin_n * b).reshape(grid.shape))
+        final = _dft((cos_n * a + sin_n * b).reshape(grid.shape), grid.ndim,
+                     inverse=True)
 
     def series() -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -349,6 +352,18 @@ def solve_relativistic(initial: ScalarField, initial_rate: ScalarField,
         return norms, np.full(n_last, energy)
 
     return SolveReport(initial, cfg, final, series, "leapfrog")
+
+
+def _dft(values: np.ndarray, ndim: int, inverse: bool = False) -> np.ndarray:
+    """DFT of a 1D or 3D grid's ``values``.
+
+    A 1D grid takes np.fft.fft/ifft: the same bytes as fftn/ifftn, without
+    their N-D argument handling, which costs as much as a 64-point
+    transform.
+    """
+    if ndim == 1:
+        return np.fft.ifft(values) if inverse else np.fft.fft(values)
+    return np.fft.ifftn(values) if inverse else np.fft.fftn(values)
 
 
 def _stencil_eigenvalues(grid: Grid) -> np.ndarray:
@@ -383,11 +398,12 @@ def solve_schrodinger(initial: ScalarField, consts: PhysicalConstants,
     kin_weight = -0.5 * consts.hbar**2 / consts.m0 * lam  # >= 0 per mode
     scale = grid.cell_volume / grid.npoints
 
-    spectrum = np.fft.fftn(initial.values)
+    spectrum = _dft(initial.values, grid.ndim)
     power = spectrum.real**2 + spectrum.imag**2
     norm = math.sqrt(scale * float(np.sum(power)))
     energy = scale * float(np.sum(kin_weight * power))
-    final = np.fft.ifftn(np.exp(1j * cfg.steps * phase) * spectrum)
+    final = _dft(np.exp(1j * cfg.steps * phase) * spectrum, grid.ndim,
+                 inverse=True)
     return SolveReport(initial, cfg, final,
                        lambda: (np.full(cfg.steps, norm),
                                 np.full(cfg.steps, energy)),
@@ -420,15 +436,27 @@ def solve_plane_wave(equation: str, grid: Grid, k: float,
         if equation == "wave":
             consts = replace(consts, m0=0.0)
         omega = dispersion_omega(abs(k), consts)
-        h = grid.spacings[0]
-        omega_h = dispersion_omega(abs(2.0 / h * math.sin(0.5 * k * h)), consts)
-        rate = initial.with_values(-1j * omega_h * initial.values)
-        report = solve_relativistic(initial, rate, consts, cfg)
+        report = solve_relativistic(
+            initial, leapfrog_start_rate(initial, k, consts), consts, cfg)
     else:
         raise DomainError(f"unknown equation {equation!r}")
     phase = cmath.rect(1.0, -omega * report.final.time_stamp)
     error = float(np.max(np.abs(report.final.values - initial.values * phase)))
     return report, omega, error
+
+
+def leapfrog_start_rate(initial: ScalarField, k: float,
+                        consts: PhysicalConstants) -> ScalarField:
+    """The rate -i omega_h psi that starts the plane wave ``initial`` =
+    exp(i k x_1) on leapfrog's forward branch.
+
+    omega_h is dispersion_omega of the stencil wavenumber |(2/h) sin(kh/2)|,
+    h the grid spacing; omega(k) itself would seed the backward branch at
+    O(h^2).
+    """
+    h = initial.grid.spacings[0]
+    omega_h = dispersion_omega(abs(2.0 / h * math.sin(0.5 * k * h)), consts)
+    return initial.with_values(-1j * omega_h * initial.values)
 
 
 # ---------------------------------------------------------------------------

@@ -650,6 +650,12 @@ SPEEDS = ["--c-values", "4", "--c-values", "8", "--c-values", "16",
     (["limit-study", "--time", "1e295"], 2,
      "evolution time 1e+295 at c = 4.0 needs more than 2**53 = "
      "9007199254740992 steps"),
+    # a later row's refusal names that row
+    (["limit-study", "--time", "100", *SPEEDS[:6], "--c-values", "8192"], 2,
+     "evolution time 100.0 at c = 8192.0 needs more than 2**53 = "
+     "9007199254740992 steps"),
+    (["limit-study", "--time", "1e-160"], 2,
+     "dt = 1e-160 is out of range: its square underflows"),
     (["solve", "--equation", "wave", "--c", "1e154"], 2,
      "c = 1e+154 is out of range on a grid of spacings (0.09817477042468103,)"
      ": 4 c^2 sum h^-2 + mu^2 overflows"),

@@ -14,9 +14,11 @@ from hjwave import (
     factor_rest_energy,
     plane_wave_field,
     run_limit_study,
+    solve_plane_wave,
     solve_relativistic,
 )
-from hjwave import solvers, verify
+from hjwave import limits, solvers, verify
+from hjwave.limits import SCHRODINGER_STEPS
 from hjwave.solvers import MAX_STEPS
 from hjwave.reporting import write_csv, write_json
 
@@ -195,6 +197,23 @@ class TestPhaseRounding:
 
 
 def test_study_computes_no_per_step_rows(monkeypatch):
+    # Each row's field gap is the one that a solve_plane_wave run gives, bit
+    # for bit, though the study samples the plane wave once for all rows
+    for cfg in (LimitStudyConfig(), LimitStudyConfig(hbar=0.3, m0=2.5),
+                LimitStudyConfig(c_values=(4.0, 8.0, 16.0, 1024.0))):
+        grid = Grid.line(cfg.grid_points, 2 * math.pi / cfg.k)
+        tee = cfg.evolution_time
+        schrodinger = solve_plane_wave(
+            "schrodinger", grid, cfg.k,
+            PhysicalConstants(cfg.hbar, 1.0, cfg.m0),
+            tee / SCHRODINGER_STEPS, SCHRODINGER_STEPS)[0].final.values
+        for row in run_limit_study(cfg).rows:
+            consts = PhysicalConstants(cfg.hbar, row.c, cfg.m0)
+            rel = solve_plane_wave("relativistic", grid, cfg.k, consts,
+                                   row.dt, row.steps)[0].final
+            psi0 = factor_rest_energy(rel, consts, tee).values
+            assert float(np.max(np.abs(psi0 - schrodinger))) == row.field_gap
+
     # Reading every row's diagnostics, or never computing them, gives the
     # same reports: the study and its verify check read final fields only.
     calls = []
@@ -204,8 +223,7 @@ def test_study_computes_no_per_step_rows(monkeypatch):
         calls.append(report.diagnostics)
         return report
 
-    # solve_plane_wave calls solvers' binding, not the one limits imports
-    monkeypatch.setattr(solvers, "solve_relativistic", eager)
+    monkeypatch.setattr(limits, "solve_relativistic", eager)
     expected = run_limit_study(LimitStudyConfig())
     expected_check = verify.check_limit_frequency_order(0)
     monkeypatch.undo()
@@ -218,3 +236,4 @@ def test_study_computes_no_per_step_rows(monkeypatch):
     assert run_limit_study(LimitStudyConfig()) == expected
     check = verify.check_limit_frequency_order(0)
     assert check.passed and check == expected_check
+

@@ -31,7 +31,7 @@ from hjwave import (
 )
 from hjwave import solvers
 from hjwave.fields import central_gradient, second_difference
-from hjwave.solvers import MAX_POINTS, MAX_STEPS, _stencil_eigenvalues
+from hjwave.solvers import MAX_POINTS, MAX_STEPS, _dft, _stencil_eigenvalues
 
 NAT = PhysicalConstants()
 MASSLESS = PhysicalConstants(1.0, 1.0, 0.0)
@@ -785,6 +785,18 @@ class TestClosedFormAgainstMaskedOracle:
         assert report.final.values.tobytes() == final.tobytes()
         assert d.norm.tobytes() == norms.tobytes()
         assert d.energy.tobytes() == np.full(self.STEPS, energy).tobytes()
+
+
+class TestOneDimensionalTransforms:
+    @pytest.mark.parametrize("shape", [(8,), (17,), (64,), (4096,), (8, 8, 8)])
+    def test_dft_gives_the_bytes_of_fftn(self, shape):
+        # 1D grids take np.fft.fft/ifft, which must match fftn/ifftn exactly
+        rng = np.random.default_rng(len(shape) * 10_000 + shape[0])
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ndim = len(shape)
+        assert _dft(values, ndim).tobytes() == np.fft.fftn(values).tobytes()
+        assert (_dft(values, ndim, inverse=True).tobytes()
+                == np.fft.ifftn(values).tobytes())
 
 
 class TestStencilEigenvalueTable:
