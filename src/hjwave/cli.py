@@ -58,7 +58,6 @@ from .pde_algebra import (
     linearize,
     load_pde_spec,
     log_transform,
-    pde_spec_to_obj,
     residual_linear,
     residual_nonlinear,
 )
@@ -354,14 +353,9 @@ def cmd_transform(params: dict) -> CommandResult:
     spec = _load_spec(params["spec"], consts)
     a_const = parse_transform_constant(params["A"], consts.hbar)
     transformed = log_transform(spec, a_const)
-    files = {"transformed_spec.json": pde_spec_to_obj(transformed)}
+    files = {"transformed_spec.json": transformed}
     if params["emit_linear"]:
-        lin = linearize(transformed)
-        files["linear_spec.json"] = {
-            "n": lin.n,
-            "second_order_coeffs": lin.second_order_coeffs.tolist(),
-            "zeroth_coeff": lin.zeroth_coeff,
-        }
+        files["linear_spec.json"] = linearize(transformed)
     files["summary.json"] = {
         "command": "transform",
         "spec": params["spec"],
@@ -408,7 +402,7 @@ def cmd_solve(params: dict) -> CommandResult:
         "dt": dt,
         "steps": steps,
         "final_time": tee,
-        "final_norm": float(norms[-1]),
+        "final_norm": norms[-1],
         "max_norm_drift": drift,
         "error_vs_analytic": error,
     }
@@ -447,8 +441,8 @@ def cmd_residual(params: dict) -> CommandResult:
 
     residual = {
         "command": "residual",
-        "alpha": alpha.tolist(),
-        "dispersion_roots": list(disp.roots),
+        "alpha": alpha,
+        "dispersion_roots": disp.roots,
         "nonlinear_residual": nonlinear,
         "linear_residual": linear,
         "decomposition": decomp,
@@ -485,8 +479,8 @@ def cmd_newton(params: dict) -> CommandResult:
         "dt": params["dt"],
         "energy_drift_rel": drift,
         "max_speed_over_c": float(np.max(speeds)) / consts.c,
-        "final_r": [float(v) for v in traj.r[-1]],
-        "final_p": [float(v) for v in traj.p[-1]],
+        "final_r": traj.r[-1],
+        "final_p": traj.p[-1],
     }
     return CommandResult(
         {

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class OrderFit:
@@ -24,19 +22,25 @@ def fit_order(scales, errors) -> OrderFit:
     """Fit errors against scales (h, dt, 1/c ...) in log-log space.
 
     The returned order is positive when errors shrink as scales shrink.
+    The least-squares line is the closed form about the mean point, over
+    Python floats; a nan or inf error gives a nan order and residual.
     """
-    s = np.asarray(scales, dtype=float)
-    e = np.asarray(errors, dtype=float)
-    if s.shape != e.shape or s.size < 2:
+    x = [float(v) for v in scales]
+    y = [float(v) for v in errors]
+    if len(x) != len(y) or len(x) < 2:
         raise ValueError("need at least two (scale, error) pairs of equal length")
-    if np.any(s <= 0) or np.any(e <= 0):
+    if any(v <= 0 for v in x + y):
         raise ValueError("scales and errors must be positive for a log-log fit")
-    x = np.log10(s)
-    y = np.log10(e)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    rms = math.sqrt(float(np.mean(resid**2)))
-    return OrderFit(order=float(slope), log10_residual=rms)
+    x = [math.log10(v) for v in x]
+    y = [math.log10(v) for v in y]
+    if all(v == x[0] for v in x):
+        raise ValueError("scales with equal logs leave no slope to fit")
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    dx = [v - mean_x for v in x]
+    dy = [v - mean_y for v in y]
+    slope = sum(a * b for a, b in zip(dx, dy)) / sum(a * a for a in dx)
+    rms = math.sqrt(sum((b - slope * a) ** 2 for a, b in zip(dx, dy)) / len(x))
+    return OrderFit(order=slope, log10_residual=rms)
 
 
 def halving_orders(errors) -> list[float]:

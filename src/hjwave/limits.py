@@ -11,8 +11,8 @@ limit two ways per speed value: a closed-form frequency gap, and a field
 gap between factored leapfrog evolution of the relativistic equation and
 Crank-Nicolson evolution of the Schrodinger equation from the same
 initial plane wave over the same physical time, on a periodic grid of
-one wavelength 2 pi / k.  Both gap sequences are fitted to
-gap ~ C * c^(-q).
+one wavelength 2 pi / k.  Both gap sequences are fitted against 1/c,
+gap ~ C * (1/c)^q, so the fitted order q is the decay order.
 
 Temporal discretization is controlled by holding omega * dt constant
 across the sweep, with the constant chosen from the leapfrog phase-error
@@ -232,9 +232,7 @@ def run_limit_study(cfg: LimitStudyConfig) -> LimitStudyReport:
         if any(g <= 0 for g in gaps):
             warnings.append("zero gap encountered; order not fitted")
             return None
-        fit = fit_order(cfg.c_values, gaps)
-        # gap ~ c^-q, so the decay order is minus the log-log slope
-        return OrderFit(order=-fit.order, log10_residual=fit.log10_residual)
+        return fit_order([1.0 / c for c in cfg.c_values], gaps)  # gap ~ (1/c)^q
 
     return LimitStudyReport(
         rows=rows,

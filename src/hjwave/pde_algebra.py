@@ -76,7 +76,8 @@ class PdeSpec:
 
     ``homogeneous`` marks the image of the logarithmic transform: term
     coefficients then already include A^degree, every monomial implicitly
-    carries psi^(m - degree), and b multiplies psi^m.
+    carries psi^(m - degree), and b multiplies psi^m.  Only such an image
+    may record its ``transform_constant`` A.
     """
 
     n: int
@@ -101,6 +102,9 @@ class PdeSpec:
         if all(t.degree != self.m for t in self.terms):
             raise ValueError("m must be tight: some term must have degree m")
         if self.transform_constant is not None:
+            if not self.homogeneous:  # only an image's terms carry A
+                raise ValueError("a plain (not homogeneous) spec has no "
+                                 "transform constant")
             object.__setattr__(
                 self, "transform_constant", complex(self.transform_constant)
             )
@@ -701,29 +705,8 @@ def wavefunction_from_action(action: ScalarField, consts: PhysicalConstants
 # ---------------------------------------------------------------------------
 # JSON serialization (documented schema; exact round trip)
 # ---------------------------------------------------------------------------
-
-def pde_spec_to_obj(spec: PdeSpec) -> dict:
-    # complex values serialize as two-element [re, im] arrays
-    obj = {
-        "n": spec.n,
-        "m": spec.m,
-        "terms": [
-            {
-                "degree": t.degree,
-                "indices": list(t.indices),
-                "coeff": t.coeff,
-            }
-            for t in spec.terms
-        ],
-        "b": spec.b,
-    }
-    # Extension keys beyond the base schema, present only for transformed specs.
-    if spec.homogeneous:
-        obj["homogeneous"] = True
-        if spec.transform_constant is not None:
-            obj["transform_constant"] = spec.transform_constant
-    return obj
-
+# pde_spec_dumps is json_dumps: a spec's fields in declaration order, each
+# term as the object of its fields, and complex values as [re, im] arrays.
 
 def _json(v, kind, rule: str):
     """v itself if it is a JSON value of ``kind``; a bool is not a number."""
@@ -743,7 +726,9 @@ def _unpair(v) -> complex:
 
 
 def pde_spec_from_obj(obj: dict) -> PdeSpec:
-    """Inverse of pde_spec_to_obj; a malformed object raises FormatError."""
+    """Inverse of pde_spec_dumps's object; a malformed object raises
+    FormatError.  ``homogeneous`` and ``transform_constant`` may be absent,
+    as in a plain spec written by hand."""
     try:
         terms = tuple(
             PdeTerm(_json(t["degree"], int, "degree must be an integer"),
@@ -769,7 +754,7 @@ def pde_spec_from_obj(obj: dict) -> PdeSpec:
 
 
 def pde_spec_dumps(spec: PdeSpec) -> str:
-    return json_dumps(pde_spec_to_obj(spec))
+    return json_dumps(spec)
 
 
 def pde_spec_loads(text: str) -> PdeSpec:

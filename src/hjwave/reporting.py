@@ -6,11 +6,17 @@ for byte.  fmt_float is that text: ``%.17g``, with ``.0`` added where it is
 all digits, which is a finite integral value below 1e17 in magnitude
 (-0.0 included).  Complex numbers are encoded as two-element [re, im]
 arrays.  JSON has no encoding for nan or inf, so the JSON writer refuses
-them with NumericalError; CSV cells write them as ``nan`` / ``inf``.  JSON
-strings and keys go through ``json.dumps``, which escapes control
-characters and non-ASCII text.  A text cell that holds a comma, a double
-quote or a line break is quoted as RFC 4180 asks, with its quotes
-doubled; numbers never need quoting.
+them with NumericalError naming the keys that hold them; CSV cells write
+them as ``nan`` / ``inf``.  JSON strings and keys go through
+``json.dumps``, which escapes control characters and non-ASCII text.  A
+text cell that holds a comma, a double quote or a line break is quoted as
+RFC 4180 asks, with its quotes doubled; numbers never need quoting.
+
+Every JSON file is written by one rule, ``_json_text``: None, bools,
+numbers and strings as above; a dict as an object and a list or tuple as
+an array; a dataclass as the object of its fields, in field order; and a
+numpy array as the nested lists of its ``tolist()``, at any shape (a 0-d
+array as its scalar).
 
 A CSV table is a header and equal-length columns, written BLOCK_ROWS = 1024
 rows at a time, and its bytes are those of fmt_cell applied row by row.
@@ -352,6 +358,8 @@ def _json_text(obj, pad: str, names: dict[type, tuple[str, ...]]) -> str:
         return "[" + _json_float(obj.real) + ", " + _json_float(obj.imag) + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray):  # nested lists; a 0-d array its scalar
+        return _json_text(obj.tolist(), pad, names)
     inner = pad + "  "
     if is_dataclass(obj):  # the object of its fields, in field order
         cls = type(obj)

@@ -234,6 +234,19 @@ class TestTransformCommand:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"]["type"] == "FormatError"
 
+    def test_plain_spec_with_transform_constant(self, tmp_path):
+        obj = json.loads(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))
+        obj["transform_constant"] = [0.0, -1.0]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        res = run_cli("transform", "--spec", str(spec_path),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        error = json.loads(res.stderr)["error"]
+        assert error["type"] == "FormatError"
+        assert "has no transform constant" in error["message"]
+        assert not (tmp_path / "x").exists()
+
     def test_spec_path_with_control_characters(self, tmp_path):
         spec_path = tmp_path / 'spec\tx\n"q".json'
         spec_path.write_text(pde_spec_dumps(hje_pde_spec(PhysicalConstants())))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjwave import (
     DomainError,
@@ -12,6 +13,7 @@ from hjwave import (
     ScalarField,
     dispersion_omega,
     factor_rest_energy,
+    fit_order,
     plane_wave_field,
     run_limit_study,
     solve_plane_wave,
@@ -23,6 +25,43 @@ from hjwave.solvers import MAX_STEPS
 from hjwave.reporting import write_csv, write_json
 
 NAT = PhysicalConstants()
+
+
+def _polyfit_order(scales, errors):
+    """np.polyfit's log-log slope and rms log10 residual: the oracle."""
+    x, y = np.log10(scales), np.log10(errors)
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, math.sqrt(float(np.mean((y - (slope * x + intercept))**2)))
+
+
+class TestFitOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(h0=st.floats(1e-6, 1e3), ratio=st.floats(1.25, 4.0),
+           errors=st.lists(st.floats(1e-15, 1e5), min_size=2, max_size=8))
+    def test_matches_polyfit(self, h0, ratio, errors):
+        # a refinement sequence h0, h0/r, h0/r^2 ... against any errors;
+        # within 1e-12 relative, and absolute near a zero slope or residual
+        scales = [h0 / ratio**i for i in range(len(errors))]
+        fit = fit_order(scales, errors)
+        slope, rms = _polyfit_order(scales, errors)
+        assert fit.order == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        assert fit.log10_residual == pytest.approx(rms, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_error_gives_nan(self, bad):
+        fit = fit_order([1.0, 0.5, 0.25], [1.0, bad, 0.0625])
+        assert math.isnan(fit.order) and math.isnan(fit.log10_residual)
+
+    @pytest.mark.parametrize("scales, errors, message", [
+        ([1.0], [1.0], "at least two"),
+        ([1.0, 0.5], [1.0], "at least two"),
+        ([1.0, 0.0], [1.0, 0.5], "positive"),
+        ([1.0, 0.5], [1.0, -0.5], "positive"),
+        ([0.5, 0.5, 0.5], [1.0, 0.5, 0.25], "equal logs"),
+    ])
+    def test_refused_inputs(self, scales, errors, message):
+        with pytest.raises(ValueError, match=message):
+            fit_order(scales, errors)
 
 
 class TestRestEnergyFactoring:

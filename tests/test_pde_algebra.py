@@ -44,6 +44,7 @@ from hjwave import (
 )
 from hjwave import pde_algebra
 from hjwave.pde_algebra import pde_spec_from_obj
+from hjwave.reporting import json_dumps
 from hjwave.verify import random_mode_field
 
 NAT = PhysicalConstants()
@@ -1456,6 +1457,7 @@ class TestJsonSerialization:
         ("term", "coeff", [math.nan, 0]),
         ("spec", "b", [0, math.inf]),
         ("spec", "transform_constant", [1, None]),
+        ("spec", "homogeneous", False),  # a plain spec with a constant
     ])
     def test_ill_typed_value_raises_format_error(self, where, key, value):
         spec = PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.5)
@@ -1474,6 +1476,47 @@ class TestJsonSerialization:
         path = tmp_path / "spec.json"
         path.write_text(pde_spec_dumps(spec))
         assert load_pde_spec(path) == spec
+
+    def test_plain_spec_writes_both_extension_keys(self):
+        obj = json.loads(pde_spec_dumps(hje_pde_spec(NAT)))
+        assert list(obj) == ["n", "m", "terms", "b", "homogeneous",
+                             "transform_constant"]
+        assert obj["homogeneous"] is False and obj["transform_constant"] is None
+        del obj["homogeneous"], obj["transform_constant"]  # the hand-written form
+        assert pde_spec_from_obj(obj) == hje_pde_spec(NAT)
+
+    def test_plain_spec_refuses_a_transform_constant(self):
+        # nothing reads it, and no file could carry it (see the file case
+        # of test_ill_typed_value_raises_format_error)
+        with pytest.raises(ValueError, match="has no transform constant"):
+            PdeSpec(n=1, m=2, terms=(PdeTerm(2, (1, 1), 1.0),), b=0.5,
+                    transform_constant=2.0)
+
+
+def _hand_image_obj(image):
+    """The object the deleted hand encoder built for a transformed spec."""
+    return {"n": image.n, "m": image.m,
+            "terms": [{"degree": t.degree, "indices": list(t.indices),
+                       "coeff": t.coeff} for t in image.terms],
+            "b": image.b, "homogeneous": True,
+            "transform_constant": image.transform_constant}
+
+
+def _hand_linear_obj(lin):
+    """The object ``hjwave transform --emit-linear`` built by hand."""
+    return {"n": lin.n,
+            "second_order_coeffs": lin.second_order_coeffs.tolist(),
+            "zeroth_coeff": lin.zeroth_coeff}
+
+
+@pytest.mark.parametrize("consts", [NAT, PhysicalConstants(0.3, 7.0, 2.5),
+                                    PhysicalConstants(m0=0.0)])
+def test_chain_specs_are_written_as_their_fields(consts):
+    # the transform's outputs keep the bytes of the hand-built objects
+    image = log_transform(hje_pde_spec(consts), consts.hbar / 1j)
+    assert pde_spec_dumps(image) == json_dumps(_hand_image_obj(image))
+    lin = linearize(image)
+    assert json_dumps(lin) == json_dumps(_hand_linear_obj(lin))
 
 
 # JSON-shaped values whose object keys are mostly the spec schema's, so

@@ -344,12 +344,23 @@ class TestReportingHelpers:
 
     @pytest.mark.parametrize("value", [
         float("nan"), float("inf"), -np.inf, complex(0.0, np.nan),
+        np.array([[1.0, 2.0], [3.0, np.nan]]), np.array([np.inf]),
+        np.array([1.0, -np.inf]), np.array([[1j, complex(1.0, np.inf)]]),
     ])
     def test_json_refuses_non_finite(self, tmp_path, value):
         path = tmp_path / "x.json"
         with pytest.raises(NumericalError, match="rows: value"):
             write_json(path, {"rows": [{"value": value}]})
         assert not path.exists()
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(6.0).reshape(2, 3), np.arange(4), np.array([1 + 2j, -0.0]),
+        np.zeros((2, 0)), np.array([True, False]), np.array(2.5),
+        np.array(-0.0), np.array(3), np.array(1 - 2j), np.array(True),
+    ])
+    def test_json_array_is_its_tolist(self, arr):
+        # nested lists at any shape; a 0-d array is its scalar
+        assert json_dumps({"a": arr}) == json_dumps({"a": arr.tolist()})
 
     def test_csv_text_cells_quoted(self, tmp_path):
         path = tmp_path / "text.csv"
